@@ -13,8 +13,7 @@ from .dynamics import (Liouvillian, Trajectory, build_liouvillian,
                        integrated_state, master_equation_rhs, propagate)
 from .errors import (ConfigurationError, DataIntegrityError, EnaqtError,
                      NonConvergentIntegralError, NumericalConsistencyError,
-                     StiffnessError, SweepFailureError,
-                     UndefinedTransferTimeError)
+                     SweepFailureError, UndefinedTransferTimeError)
 from .fmo import FmoModel, dephasing_sweep, load_fmo_model, trap_dephasing_surface
 from .model import (InitialState, TransportSystem, effective_hamiltonian,
                     initial_density_matrix, load_system, save_system)
@@ -34,7 +33,7 @@ __all__ = [
     "BOLTZMANN_CM1_PER_K", "CM1_TO_PS_ANGULAR", "ConfigurationError",
     "DataIntegrityError", "DisorderEnsembleReport", "EnaqtError", "FmoModel",
     "InitialState", "Liouvillian", "NonConvergentIntegralError",
-    "NumericalConsistencyError", "OhmicBath", "SearchConfig", "StiffnessError",
+    "NumericalConsistencyError", "OhmicBath", "SearchConfig",
     "SweepFailureError", "SweepPlan", "Trajectory", "TransportResult",
     "TransportSystem", "TreeSpec", "TwoLevelParams", "UndefinedTransferTimeError",
     "UnitConvention", "build_liouvillian", "coherent_population_2",

@@ -10,8 +10,9 @@ Subcommands:
 Every run writes CSV data plus a key-value manifest echoing the full
 configuration, the physical constants, data checksums, and the wall time,
 so any output file can be reproduced exactly from its manifest. Output
-files are written atomically (temp file + rename): a failing run leaves no
-partial outputs behind.
+files are written atomically (a uniquely named temp file + rename): a
+failing run leaves no partial outputs behind, and runs sharing an output
+directory never share a temp file.
 """
 
 import argparse
@@ -19,6 +20,7 @@ import hashlib
 import os
 import sys as _sys
 import time
+import uuid
 
 import numpy as np
 
@@ -38,15 +40,20 @@ from .units import BOLTZMANN_CM1_PER_K, CM1_TO_PS_ANGULAR
 
 
 def _atomic_write(path, writer):
-    """Write a text file via a temp sibling and atomic rename."""
-    tmp = path + ".tmp"
+    """Write a text file via a temp sibling and atomic rename.
+
+    The sibling's name is unique to the call and it is created exclusively
+    by open(), so it gets open()'s usual umask-derived mode (unlike mkstemp's
+    0600) and never clobbers or trips over another file.
+    """
+    tmp = "%s.%s.tmp" % (path, uuid.uuid4().hex)
+    f = open(tmp, "x")
     try:
-        with open(tmp, "w") as f:
+        with f:
             writer(f)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -80,6 +87,11 @@ def _config_dict(args):
     return cfg
 
 
+def _check_width(args):
+    if args.width < 1:
+        raise ConfigurationError("--width must be >= 1, got %d" % args.width)
+
+
 def _ensure_out_dir(path):
     try:
         os.makedirs(path, exist_ok=True)
@@ -96,6 +108,7 @@ def _ensure_out_dir(path):
 
 def cmd_fmo_sweep(args):
     t0 = time.perf_counter()
+    _check_width(args)
     _ensure_out_dir(args.out_dir)
     model = load_fmo_model(data_path=args.data_file, trap_rate=args.kappa3,
                            recomb_rate=args.recomb_rate)
@@ -103,7 +116,7 @@ def cmd_fmo_sweep(args):
         raise ConfigurationError("need gamma-max > gamma-min > 0 and >= 2 points")
     grid = np.logspace(np.log10(args.gamma_min), np.log10(args.gamma_max),
                        args.gamma_points)
-    results = dephasing_sweep(model, grid, width=args.width)
+    results = dephasing_sweep(model, grid)
     outputs = []
     sweep_path = os.path.join(args.out_dir, "fmo_sweep.csv")
     _atomic_write(sweep_path, lambda f: write_sweep_csv(results, f))
@@ -113,8 +126,7 @@ def cmd_fmo_sweep(args):
         kgrid = np.logspace(np.log10(args.surface_kappa_min),
                             np.log10(args.surface_kappa_max),
                             args.surface_kappa_points)
-        gammas, kappas, tau = trap_dephasing_surface(model, grid, kgrid,
-                                                     width=args.width)
+        gammas, kappas, tau = trap_dephasing_surface(model, grid, kgrid)
         surf_path = os.path.join(args.out_dir, "fmo_surface.csv")
         _atomic_write(surf_path,
                       lambda f: write_surface_csv(gammas, kappas, tau, f))
@@ -157,6 +169,7 @@ def _parse_delta_grid(text):
 
 def cmd_tree_ensemble(args):
     t0 = time.perf_counter()
+    _check_width(args)
     _ensure_out_dir(args.out_dir)
     deltas = _parse_delta_grid(args.delta_grid)
     kinds = ("coherent", "mixture") if args.kind == "both" else (args.kind,)
@@ -169,8 +182,7 @@ def cmd_tree_ensemble(args):
               "tree.recomb_rate_ps": spec.recomb_rate_ps}
     for kind in kinds:
         report = disorder_ensemble(spec, deltas, n_samples=args.samples,
-                                   kind=kind, master_seed=args.seed,
-                                   width=args.width)
+                                   kind=kind, master_seed=args.seed)
         path = os.path.join(args.out_dir, "tree_ensemble_%s.csv" % kind)
         _atomic_write(path, report.write_csv)
         outputs.append(path)
@@ -204,7 +216,7 @@ def cmd_two_level(args):
         times = np.linspace(0.0, t_final, 400)
         sys = to_transport_system(params)
         rho0 = initial_density_matrix(InitialState("site", (1,)), 2)
-        traj = propagate(sys, rho0, t_final, sample_times=times, rtol=1e-11)
+        traj = propagate(sys, rho0, t_final, sample_times=times)
         p2 = traj.populations()[:, 1]
         oracle = coherent_population_2(params, traj.times)
 
@@ -228,22 +240,13 @@ def cmd_two_level(args):
     def solve(gamma):
         return transport_result(trapped.with_dephasing(gamma), rho0)
 
-    results = run_sweep(SweepPlan(tasks=tuple(float(g) for g in grid)), solve)
-
-    def write_sweep(f):
-        f.write("gamma_phi_ps^-1,eta,tau_ps,loss\n")
-        for r in results:
-            res = r.value
-            f.write("%r,%r,%r,%r\n" % (float(grid[r.index]),
-                                       float(res.efficiency),
-                                       float(res.transfer_time_ps),
-                                       float(res.loss_probability)))
-
+    plan = SweepPlan(tasks=tuple(float(g) for g in grid))
+    results = [(plan.tasks[r.index], r.value) for r in run_sweep(plan, solve)]
     path = os.path.join(args.out_dir, "two_level_enaqt.csv")
-    _atomic_write(path, write_sweep)
+    _atomic_write(path, lambda f: write_sweep_csv(results, f))
     outputs.append(path)
 
-    etas = [r.value.efficiency for r in results]
+    etas = [r.efficiency for _, r in results]
     extras = {"summary.eta_gamma0": etas[0], "summary.eta_max": max(etas)}
     _write_manifest(args.out_dir, "two_level_manifest.txt", "two-level",
                     _config_dict(args), extras, outputs,
@@ -282,7 +285,7 @@ def cmd_propagate(args):
     rho0 = initial_density_matrix(state, sys.n_sites)
     t_final = args.t_final if args.t_final is not None else default_horizon(sys)
     times = np.linspace(0.0, t_final, args.samples)
-    traj = propagate(sys, rho0, t_final, sample_times=times, rtol=args.rtol)
+    traj = propagate(sys, rho0, t_final, sample_times=times)
     _ensure_out_dir(args.out_dir)
     path = os.path.join(args.out_dir, "trajectory.csv")
     _atomic_write(path, traj.write_csv)
@@ -318,6 +321,10 @@ def cmd_temperature_to_rate(args):
 # ---------------------------------------------------------------------------
 
 
+WIDTH_HELP = ("accepted for compatibility (must be >= 1); tasks always run "
+              "serially, so it changes neither execution nor results")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="enaqt",
@@ -345,7 +352,7 @@ def build_parser():
     p.add_argument("--annotate-temperature", type=float, default=300.0,
                    help="record gamma_phi(T) of the default Ohmic bath in "
                         "the manifest (kelvin)")
-    p.add_argument("--width", type=int, default=1, help="parallel tasks")
+    p.add_argument("--width", type=int, default=1, help=WIDTH_HELP)
     p.set_defaults(func=cmd_fmo_sweep)
 
     p = sub.add_parser("tree-ensemble",
@@ -365,7 +372,7 @@ def build_parser():
                    help="kappa at site 1, ps^-1 (default 2V)")
     p.add_argument("--recomb-rate", type=float, default=None,
                    help="Gamma, ps^-1 (default 0.005V)")
-    p.add_argument("--width", type=int, default=1)
+    p.add_argument("--width", type=int, default=1, help=WIDTH_HELP)
     p.set_defaults(func=cmd_tree_ensemble)
 
     p = sub.add_parser("two-level", help="closed-form dimer checks")
@@ -386,7 +393,6 @@ def build_parser():
     p.add_argument("--t-final", type=float, default=None,
                    help="horizon in ps (default: ten decay lifetimes)")
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--rtol", type=float, default=1e-9)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_propagate)
 

@@ -12,14 +12,14 @@ A_m are projectors, the dephasing dissipator reduces to
 
 which leaves populations untouched and damps every coherence at gamma_phi.
 
-Two independent computational routes are provided. propagate() integrates
-the equation in time with a classic fixed-order RK4 stepper under
-step-doubling error control. integrated_state() never touches time at all:
-it writes the equation as vec(drho/dt) = L vec(rho) with a column-stacked
-Liouvillian and obtains S1 = int_0^inf rho dt and S2 = int_0^inf t rho dt
-by solving linear systems (L S1 = -rho0, L S2 = -S1), which is exact up to
-linear-algebra roundoff. The two routes cross-check each other in the test
-suite.
+Both computational routes write the equation as vec(drho/dt) = L vec(rho)
+with a column-stacked Liouvillian and are exact up to linear-algebra
+roundoff. propagate() samples rho(t) = expm(L t) rho0 by stepping the
+matrix exponential between sample times. integrated_state() never touches
+time at all: it obtains S1 = int_0^inf rho dt and S2 = int_0^inf t rho dt
+by solving linear systems (L S1 = -rho0, L S2 = -S1). The test suite checks
+both against the independent DOP853 and eigenbasis oracles in
+tests/oracles.py.
 
 vec() convention: columns are stacked, so vec(rho)[col * N + row] =
 rho[row, col] and vec(A rho B) = (B^T kron A) vec(rho). Mixing this up
@@ -30,13 +30,10 @@ master_equation_rhs.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, get_lapack_funcs
+from scipy.linalg import expm, lu_factor, lu_solve, get_lapack_funcs
 
-from .errors import (ConfigurationError, NonConvergentIntegralError,
-                     StiffnessError)
+from .errors import ConfigurationError, NonConvergentIntegralError
 from .model import effective_hamiltonian
-
-MIN_STEP_PS = 1e-9
 
 
 def _vec(mat):
@@ -48,27 +45,26 @@ def _unvec(v, n):
     return v.reshape((n, n), order="F")
 
 
-def _rhs_kernel(heff, gamma_phi, rho):
-    """drho/dt for precomputed H_eff. Written so exact Hermiticity of the
-    result is preserved when rho is Hermitian: -i(M - M^dag) with
-    M = H_eff rho is manifestly anti-symmetrized."""
-    M = heff @ rho
-    out = -1j * (M - M.conj().T)
-    if gamma_phi != 0.0:
-        out -= gamma_phi * rho
-        d = np.einsum("ii->i", out)
-        d += gamma_phi * np.einsum("ii->i", rho)
-    return out
-
-
 def master_equation_rhs(sys, rho):
-    """Right-hand side drho/dt (ps^-1) for a density matrix rho."""
+    """Right-hand side drho/dt (ps^-1) for a density matrix rho.
+
+    Written so exact Hermiticity of the result is preserved when rho is
+    Hermitian: -i(M - M^dag) with M = H_eff rho is manifestly
+    anti-symmetrized.
+    """
     rho = np.asarray(rho, dtype=complex)
     n = sys.n_sites
     if rho.shape != (n, n):
         raise ConfigurationError(
             "density matrix has shape %s, system has %d sites" % (rho.shape, n))
-    return _rhs_kernel(effective_hamiltonian(sys), sys.dephasing_rate, rho)
+    M = effective_hamiltonian(sys) @ rho
+    out = -1j * (M - M.conj().T)
+    gamma_phi = sys.dephasing_rate
+    if gamma_phi != 0.0:
+        out -= gamma_phi * rho
+        d = np.einsum("ii->i", out)
+        d += gamma_phi * np.einsum("ii->i", rho)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +119,9 @@ class Trajectory:
     states : (T, N, N) complex array of density matrices
     loss_integral : (T,) array, the accumulated bleed
         int_0^t (2 Gamma Tr rho + 2 sum_m kappa_m rho_mm) dt',
-        integrated with the same RK4 stages as the state itself, so
-        trace(rho(t)) + loss_integral(t) stays equal to trace(rho(0))
-        to integrator accuracy.
+        propagated exactly alongside the state from its own row of
+        Gamma and kappa, so trace(rho(t)) + loss_integral(t) equals
+        trace(rho(0)) to roundoff when the Liouvillian is right.
     """
 
     times: np.ndarray
@@ -162,42 +158,21 @@ class Trajectory:
             f.write(",".join(row) + "\n")
 
 
-def _bleed_rate(rho, gamma, kappa):
-    """Instantaneous probability outflow 2 Gamma Tr rho + 2 sum kappa_m rho_mm."""
-    diag = np.real(np.einsum("ii->i", rho))
-    return 2.0 * gamma * diag.sum() + 2.0 * float(kappa @ diag)
+def propagate(sys, rho0, t_final, sample_times=None, rtol=1e-9):
+    """Evolve rho0 from t=0 to t_final and return the sampled trajectory.
 
-
-def _rk4_step(heff, gamma_phi, gamma, kappa, rho, b, h):
-    """One classic RK4 step of size h on the pair (rho, bleed integral)."""
-    k1 = _rhs_kernel(heff, gamma_phi, rho)
-    c1 = _bleed_rate(rho, gamma, kappa)
-    r2 = rho + (0.5 * h) * k1
-    k2 = _rhs_kernel(heff, gamma_phi, r2)
-    c2 = _bleed_rate(r2, gamma, kappa)
-    r3 = rho + (0.5 * h) * k2
-    k3 = _rhs_kernel(heff, gamma_phi, r3)
-    c3 = _bleed_rate(r3, gamma, kappa)
-    r4 = rho + h * k3
-    k4 = _rhs_kernel(heff, gamma_phi, r4)
-    c4 = _bleed_rate(r4, gamma, kappa)
-    rho_new = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    b_new = b + (h / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-    return rho_new, b_new
-
-
-def propagate(sys, rho0, t_final, sample_times=None, rtol=1e-9,
-              min_step=MIN_STEP_PS):
-    """Integrate the master equation from t=0 to t_final.
-
-    Error control is by step doubling: each accepted step compares one RK4
-    step of size h against two of size h/2, with the max-abs difference
-    measured relative to the state scale against rtol. The two-half-step
-    result is kept. If the controller pushes h below min_step a
-    StiffnessError is raised naming the failing time.
+    The generator is time independent, so each sample is exact up to
+    roundoff: y(t + dt) = expm(G dt) y(t) on y = (vec rho, loss_integral),
+    where G is the Liouvillian bordered by one row that accumulates the
+    bleed rate 2 Gamma Tr rho + 2 sum_m kappa_m rho_mm. That row is built
+    from Gamma and kappa directly, not from H_eff, so the balance
+    trace(rho(t)) + loss_integral(t) = trace(rho0) remains a check on
+    the Liouvillian rather than holding by construction.
 
     sample_times selects the output grid (values in [0, t_final]; 0 is
-    always included). When omitted, every accepted step is recorded.
+    always included, duplicates are dropped). When omitted, the endpoints
+    0 and t_final are returned. rtol is accepted for compatibility and has
+    no effect: there is no integration error to control.
     """
     t_final = float(t_final)
     if not t_final > 0.0:
@@ -208,79 +183,29 @@ def propagate(sys, rho0, t_final, sample_times=None, rtol=1e-9,
         raise ConfigurationError(
             "initial state has shape %s, system has %d sites" % (rho.shape, n))
 
-    heff = effective_hamiltonian(sys)
-    gamma_phi = sys.dephasing_rate
-    gamma = sys.recomb_rate
-    kappa = sys.trap_rates
-
-    if sample_times is not None:
+    if sample_times is None:
+        samples = np.array([0.0, t_final])
+    else:
         samples = np.unique(np.asarray(sample_times, dtype=float))
         if samples.size and (samples[0] < 0.0 or samples[-1] > t_final * (1 + 1e-12)):
             raise ConfigurationError("sample times must lie in [0, t_final]")
         if samples.size == 0 or samples[0] > 0.0:
             samples = np.concatenate([[0.0], samples])
-    else:
-        samples = None
 
-    # Initial step from the fastest scale in the generator.
-    scale = np.max(np.abs(heff)) * n + gamma_phi + 1e-12
-    h = min(0.1 / scale, t_final / 10.0)
+    nn = n * n
+    gen = np.zeros((nn + 1, nn + 1), dtype=complex)
+    gen[:nn, :nn] = build_liouvillian(sys).matrix
+    gen[nn, (n + 1) * np.arange(n)] = 2.0 * (sys.recomb_rate + sys.trap_rates)
 
-    times = [0.0]
-    states = [rho.copy()]
-    bleeds = [0.0]
-    t = 0.0
-    b = 0.0
-    next_sample = 1 if samples is not None else None
+    ys = np.zeros((samples.size, nn + 1), dtype=complex)
+    ys[0, :nn] = _vec(rho)
+    for i, dt in enumerate(np.diff(samples)):
+        ys[i + 1] = expm(gen * dt) @ ys[i]
 
-    while t < t_final * (1.0 - 1e-15):
-        # Never step past t_final or the next requested sample.
-        target = t_final
-        if samples is not None and next_sample < samples.size:
-            target = samples[next_sample]
-        h_try = min(h, target - t)
-        if h_try <= 0.0:
-            # Degenerate duplicate sample time; emit and move on.
-            next_sample += 1
-            continue
-
-        while True:
-            full, b_full = _rk4_step(heff, gamma_phi, gamma, kappa, rho, b, h_try)
-            half, b_half = _rk4_step(heff, gamma_phi, gamma, kappa, rho, b,
-                                     0.5 * h_try)
-            two, b_two = _rk4_step(heff, gamma_phi, gamma, kappa, half, b_half,
-                                   0.5 * h_try)
-            scale_now = max(np.max(np.abs(two)), 1e-300)
-            err = np.max(np.abs(full - two)) / scale_now
-            if err <= rtol:
-                break
-            h_try *= max(0.2, 0.9 * (rtol / err) ** 0.2)
-            if h_try < min_step:
-                raise StiffnessError(
-                    "step size underflow (%.3e ps < %.3e ps) at t = %.6f ps; "
-                    "the system is too stiff for the requested tolerance"
-                    % (h_try, min_step, t), t=t)
-
-        t += h_try
-        rho = two
-        b = b_two
-        if err > 0.0:
-            h = h_try * min(5.0, 0.9 * (rtol / err) ** 0.2)
-        else:
-            h = h_try * 5.0
-
-        if samples is None:
-            times.append(t)
-            states.append(rho.copy())
-            bleeds.append(b)
-        elif next_sample < samples.size and t >= samples[next_sample] * (1 - 1e-15):
-            times.append(samples[next_sample])
-            states.append(rho.copy())
-            bleeds.append(b)
-            next_sample += 1
-
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      loss_integral=np.array(bleeds))
+    # Column-major reshape undoes the column stacking of each row, as _unvec.
+    states = ys[:, :nn].reshape((samples.size, n, n), order="F")
+    return Trajectory(times=samples, states=states,
+                      loss_integral=ys[:, nn].real)
 
 
 def default_horizon(sys, cap=1000.0):

@@ -17,17 +17,6 @@ class DataIntegrityError(EnaqtError):
     """A bundled or user-supplied data file is missing or fails its checksum."""
 
 
-class StiffnessError(EnaqtError):
-    """Adaptive integration drove the step size below the floor.
-
-    Carries the time at which the integrator gave up.
-    """
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
-
-
 class NonConvergentIntegralError(EnaqtError):
     """The infinite-horizon integrals do not converge.
 

@@ -174,11 +174,10 @@ def default_kappa_grid():
     return np.logspace(np.log10(lo), np.log10(hi), num)
 
 
-def dephasing_sweep(model, gamma_grid=None, width=1):
+def dephasing_sweep(model, gamma_grid=None):
     """TransportResult at each dephasing rate of the grid.
 
-    Returns a list of (gamma_phi, TransportResult) in grid order. Grid
-    points are independent and may be evaluated concurrently; any point
+    Returns a list of (gamma_phi, TransportResult) in grid order; any point
     failing to solve fails the sweep.
     """
     grid = default_gamma_grid() if gamma_grid is None else np.asarray(
@@ -190,12 +189,12 @@ def dephasing_sweep(model, gamma_grid=None, width=1):
     def solve(gamma):
         return transport_result(model.system.with_dephasing(gamma), rho0)
 
-    plan = SweepPlan(tasks=tuple(float(g) for g in grid), width=width)
+    plan = SweepPlan(tasks=tuple(float(g) for g in grid))
     results = run_sweep(plan, solve, failure_threshold=0.0)
     return [(plan.tasks[r.index], r.value) for r in results]
 
 
-def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None, width=1):
+def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None):
     """Transfer time tau over the (gamma_phi, kappa_trap) grid.
 
     Returns (gamma_grid, kappa_grid, tau) with tau[i, j] for gamma_grid[i]
@@ -205,8 +204,10 @@ def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None, width=1):
         gamma_grid, dtype=float)
     kappas = default_kappa_grid() if kappa_grid is None else np.asarray(
         kappa_grid, dtype=float)
-    if np.any(gammas < 0.0) or np.any(kappas <= 0.0):
-        raise ConfigurationError("surface grids must be positive")
+    if not (np.all(np.isfinite(gammas)) and np.all(np.isfinite(kappas))) \
+            or np.any(gammas < 0.0) or np.any(kappas <= 0.0):
+        raise ConfigurationError("surface grids must be finite, with "
+                                 "gamma_phi >= 0 and kappa > 0")
     rho0 = model.initial_density_matrix()
     base = model.system
 
@@ -218,8 +219,7 @@ def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None, width=1):
         return transport_result(sys, rho0).transfer_time_ps
 
     tasks = tuple((float(g), float(k)) for g in gammas for k in kappas)
-    results = run_sweep(SweepPlan(tasks=tasks, width=width), solve,
-                        failure_threshold=0.0)
+    results = run_sweep(SweepPlan(tasks=tasks), solve, failure_threshold=0.0)
     tau = np.array([r.value for r in results]).reshape(len(gammas), len(kappas))
     return gammas, kappas, tau
 

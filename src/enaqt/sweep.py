@@ -1,26 +1,23 @@
 """Deterministic parameter-sweep executor.
 
-Tasks are pure functions of their descriptor; the engine may run them on a
-thread pool (the heavy lifting is LAPACK, which releases the GIL) but the
-caller always sees results in task-index order, so the output is identical
-for any parallelism width. Per-task failures are captured rather than
-aborting siblings; the run as a whole fails only when the failure fraction
-exceeds the configured threshold.
+Tasks are pure functions of their descriptor and run one after another in
+task-index order on the calling thread. Per-task failures are captured
+rather than aborting siblings; the run as a whole fails only when the
+failure fraction exceeds the configured threshold.
 
 Randomized tasks never share generator state: each task derives its own
 seed from the master seed and its index through a stable cryptographic
-hash, so results are reproducible bit for bit across platforms, processes
-and widths.
+hash, so results are reproducible bit for bit across platforms and
+processes, and any task can be rerun in isolation.
 """
 
 import hashlib
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, SweepFailureError
+from .errors import SweepFailureError
 
 
 def derive_seed(master_seed, *indices):
@@ -52,14 +49,9 @@ class SweepPlan:
     """Tasks to execute: opaque descriptors with dense indices 0..n-1."""
 
     tasks: tuple
-    master_seed: int = 0
-    width: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
-        if int(self.width) < 1:
-            raise ConfigurationError("parallelism width must be >= 1")
-        object.__setattr__(self, "width", int(self.width))
 
 
 @dataclass(frozen=True)
@@ -89,14 +81,7 @@ def run_sweep(plan, task_fn, failure_threshold=0.0):
     n = len(plan.tasks)
     if n == 0:
         return []
-    if plan.width == 1:
-        results = [_run_one(i, task, task_fn) for i, task in enumerate(plan.tasks)]
-    else:
-        with ThreadPoolExecutor(max_workers=plan.width) as pool:
-            futures = [pool.submit(_run_one, i, task, task_fn)
-                       for i, task in enumerate(plan.tasks)]
-            results = [f.result() for f in futures]
-        results.sort(key=lambda r: r.index)
+    results = [_run_one(i, task, task_fn) for i, task in enumerate(plan.tasks)]
     failures = [r for r in results if not r.ok]
     if len(failures) > failure_threshold * n:
         raise SweepFailureError(

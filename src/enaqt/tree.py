@@ -18,7 +18,7 @@ stronger the disorder.
 Reproducibility contract: site energies come from Box-Muller applied to a
 counter-based Philox stream keyed by a hash of (master seed, delta index,
 sample index), so any sample can be regenerated in isolation and results
-are bitwise independent of execution order and parallelism width.
+are bitwise independent of execution order.
 """
 
 import math
@@ -296,8 +296,8 @@ def _solve_sample(task):
 
 
 def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
-                      kind="mixture", master_seed=None, width=1,
-                      search_cfg=None, failure_threshold=0.05):
+                      kind="mixture", master_seed=None, search_cfg=None,
+                      failure_threshold=0.05):
     """Ensemble statistics of eta(gamma_phi = 0) and the dephasing optimum
     per disorder strength.
 
@@ -324,9 +324,8 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
                            rng_seed=derive_seed(seed, di, si))
             tasks.append((spec, kind, search_cfg))
 
-    results = run_sweep(SweepPlan(tasks=tuple(tasks), master_seed=seed,
-                                  width=width),
-                        _solve_sample, failure_threshold=failure_threshold)
+    results = run_sweep(SweepPlan(tasks=tuple(tasks)), _solve_sample,
+                        failure_threshold=failure_threshold)
 
     records = []
     for di, delta in enumerate(deltas):

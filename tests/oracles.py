@@ -5,7 +5,8 @@ effective Hamiltonian is rebuilt directly from the system fields, the
 master equation right-hand side is written in its textbook form, and the
 infinite-horizon moments come either from a high-order adaptive ODE solver
 with the quadrature carried alongside the state (any dephasing rate) or
-from the exact eigendecomposition formula (coherent case only). Nothing
+from the exact eigendecomposition formula (coherent case only). The same
+ODE solver also samples finite-time trajectories. Nothing
 calls into enaqt.dynamics, so agreement between the two codebases is
 evidence rather than tautology.
 """
@@ -80,6 +81,36 @@ def quadrature_integrals(sys, rho0, rtol=1e-11, atol=1e-13, trace_floor=1e-12,
     s1 = sol.y[nn:2 * nn, -1].reshape((n, n), order="F")
     s2 = sol.y[2 * nn:, -1].reshape((n, n), order="F")
     return s1, s2
+
+
+def quadrature_trajectory(sys, rho0, times, rtol=1e-12, atol=1e-14):
+    """rho(t) and the accumulated loss at each of `times` by DOP853.
+
+    The loss rate is restated from the raw decay rates as
+    Tr({Gamma + K, rho}) with K = diag(kappa), the probability that the
+    anti-Hermitian part of H_eff removes per unit time; it is integrated
+    alongside the state. Returns (states of shape (T, N, N), loss of
+    shape (T,)).
+    """
+    n = sys.n_sites
+    nn = n * n
+    decay = np.diag(sys.recomb_rate + np.asarray(sys.trap_rates, dtype=float))
+
+    def f(t, y):
+        rho = y[:nn].reshape((n, n), order="F")
+        drho = reference_rhs(sys, rho)
+        rate = np.trace(decay @ rho + rho @ decay)
+        return np.concatenate([drho.flatten(order="F"), [rate]])
+
+    y0 = np.concatenate([np.asarray(rho0, dtype=complex).flatten(order="F"),
+                         [0.0]])
+    times = np.asarray(times, dtype=float)
+    sol = solve_ivp(f, (0.0, times[-1]), y0, method="DOP853", t_eval=times,
+                    rtol=rtol, atol=atol)
+    if not sol.success:
+        raise RuntimeError("reference trajectory failed: %s" % sol.message)
+    states = sol.y[:nn].T.reshape((times.size, n, n), order="F")
+    return states, sol.y[nn].real
 
 
 def eigen_integrals(sys, rho0):

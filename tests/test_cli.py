@@ -67,6 +67,39 @@ def test_fmo_sweep_rejects_bad_grid(tmp_path, capsys):
     assert not (tmp_path / "fmo_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("leftover", ["directory", "file"])
+def test_fmo_sweep_ignores_a_leftover_fixed_name_temp_file(tmp_path, leftover):
+    """Temp files are unique per write, so a stale or foreign
+    `fmo_sweep.csv.tmp` is neither clobbered nor in the way, and the
+    outputs keep the mode a plain open() gives."""
+    stale = tmp_path / "fmo_sweep.csv.tmp"
+    if leftover == "directory":
+        stale.mkdir()
+    else:
+        stale.write_text("not ours\n")
+    rc = main(["fmo-sweep", "--out-dir", str(tmp_path), "--gamma-points", "3"])
+    assert rc == 0
+    if leftover == "directory":
+        assert stale.is_dir()
+    else:
+        assert stale.read_text() == "not ours\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["fmo_sweep.csv", "fmo_sweep.csv.tmp", "fmo_sweep_manifest.txt"])
+    plain = tmp_path / "plain"
+    with open(str(plain), "w"):
+        pass
+    assert (tmp_path / "fmo_sweep.csv").stat().st_mode == plain.stat().st_mode
+
+
+@pytest.mark.parametrize("command", [["fmo-sweep", "--gamma-points", "2"],
+                                     ["tree-ensemble", "--generation", "3",
+                                      "--samples", "1", "--delta-grid", "0"]])
+def test_width_below_one_is_rejected(tmp_path, command):
+    rc = main(command + ["--out-dir", str(tmp_path), "--width", "0"])
+    assert rc == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fmo_sweep_rejects_unreadable_data_file(tmp_path):
     rc = main(["fmo-sweep", "--out-dir", str(tmp_path),
                "--data-file", str(tmp_path / "missing.txt")])

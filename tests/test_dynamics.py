@@ -6,12 +6,13 @@ from scipy.linalg import expm
 
 from enaqt.dynamics import (Trajectory, build_liouvillian, default_horizon,
                             integrated_state, master_equation_rhs, propagate)
-from enaqt.errors import (ConfigurationError, NonConvergentIntegralError,
-                          StiffnessError)
+from enaqt.errors import ConfigurationError, NonConvergentIntegralError
 from enaqt.model import TransportSystem
+from enaqt.units import CM1_TO_PS_ANGULAR
 
-from oracles import (quadrature_integrals, random_density_matrix,
-                     random_transport_system, reference_rhs)
+from oracles import (quadrature_integrals, quadrature_trajectory,
+                     random_density_matrix, random_transport_system,
+                     reference_rhs)
 
 
 def test_rhs_matches_the_textbook_form():
@@ -110,13 +111,51 @@ def test_sample_times_are_deduplicated_and_zero_is_included():
 
 
 def test_unsampled_run_records_every_accepted_step():
+    """The exact propagator takes one step from 0 to t_final when no
+    samples are requested, so the endpoints are the whole record."""
     rng = np.random.default_rng(15)
     sys = random_transport_system(rng, n=2)
     rho0 = random_density_matrix(rng, 2)
     traj = propagate(sys, rho0, 1.0)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(1.0, rel=1e-12)
-    assert np.all(np.diff(traj.times) > 0.0)
+    np.testing.assert_array_equal(traj.times, [0.0, 1.0])
+    assert traj.states.shape == (2, 2, 2)
+    np.testing.assert_array_equal(traj.states[0], rho0)
+
+
+def _assert_matches_quadrature(sys, rho0, times):
+    traj = propagate(sys, rho0, times[-1], sample_times=times)
+    states, loss = quadrature_trajectory(sys, rho0, times)
+    np.testing.assert_allclose(traj.states, states, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(traj.loss_integral, loss, rtol=0.0, atol=1e-8)
+
+
+def test_propagate_matches_the_quadrature_oracle_on_dephased_systems():
+    rng = np.random.default_rng(20)
+    for _ in range(4):
+        sys = random_transport_system(rng, dephasing=float(rng.uniform(0.5, 5.0)))
+        rho0 = random_density_matrix(rng, sys.n_sites)
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 6.0, size=8))])
+        _assert_matches_quadrature(sys, rho0, times)
+
+
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.8])
+def test_propagate_matches_the_quadrature_oracle_at_the_exceptional_point(
+        gamma_phi):
+    """A trapped dimer with kappa = 2|V| (angular units) has a defective
+    H_eff: its two eigenvalues and eigenvectors coalesce, so no eigenbasis
+    route applies. The matrix exponential must still be exact there."""
+    v_cm1 = 10.0
+    kappa = 2.0 * v_cm1 * CM1_TO_PS_ANGULAR
+    sys = TransportSystem(n_sites=2, site_energies=[0.0, 0.0],
+                          couplings=[[0.0, v_cm1], [v_cm1, 0.0]],
+                          trap_rates=[0.0, kappa], recomb_rate=0.0,
+                          dephasing_rate=gamma_phi)
+    heff = np.diag([0.0, -1j * kappa]) + v_cm1 * CM1_TO_PS_ANGULAR * np.array(
+        [[0.0, 1.0], [1.0, 0.0]])
+    lam = np.linalg.eigvals(heff)
+    assert abs(lam[0] - lam[1]) < 1e-6
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    _assert_matches_quadrature(sys, rho0, np.linspace(0.0, 5.0, 11))
 
 
 @pytest.mark.parametrize("bad_kwargs", [
@@ -138,18 +177,6 @@ def test_propagate_rejects_mismatched_initial_state():
     sys = random_transport_system(rng, n=3)
     with pytest.raises(ConfigurationError):
         propagate(sys, np.eye(2), 1.0)
-
-
-def test_stiff_systems_raise_instead_of_looping():
-    sys = TransportSystem(n_sites=2, site_energies=[0.0, 0.0],
-                          couplings=[[0.0, 500.0], [500.0, 0.0]],
-                          trap_rates=[0.0, 0.0], recomb_rate=0.0,
-                          dephasing_rate=0.0)
-    rho0 = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(StiffnessError) as exc:
-        propagate(sys, rho0, 1.0, rtol=1e-12, min_step=1e-3)
-    assert exc.value.t is not None
-    assert 0.0 <= exc.value.t < 1.0
 
 
 def test_default_horizon_tracks_the_slowest_decay_channel():

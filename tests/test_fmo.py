@@ -181,6 +181,19 @@ def test_surface_rejects_nonpositive_kappa():
         trap_dephasing_surface(model, [1.0], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("gammas, kappas", [
+    ([float("nan"), 1.0], [1.0]),
+    ([float("inf")], [1.0]),
+    ([1.0], [float("inf")]),
+    ([1.0], [float("nan")]),
+])
+def test_surface_rejects_non_finite_grids_up_front(gammas, kappas):
+    """Like dephasing_sweep, the surface validates its grids before solving,
+    so a bad value is a configuration error, not a failed sweep task."""
+    with pytest.raises(ConfigurationError):
+        trap_dephasing_surface(load_fmo_model(), gammas, kappas)
+
+
 def test_sweep_csv_layout():
     model = load_fmo_model()
     results = dephasing_sweep(model, [1.0, 10.0])

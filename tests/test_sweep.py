@@ -1,11 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enaqt.errors import ConfigurationError, SweepFailureError
+from enaqt.errors import SweepFailureError
 from enaqt.sweep import (SweepPlan, TaskResult, derive_seed, run_sweep,
                          sample_mean_std)
 
@@ -54,13 +53,6 @@ def test_run_sweep_returns_results_in_task_order():
     assert all(r.ok for r in results)
 
 
-def test_parallel_width_does_not_change_the_results():
-    tasks = tuple(np.linspace(0.0, 5.0, 23))
-    serial = run_sweep(SweepPlan(tasks=tasks, width=1), math.exp)
-    threaded = run_sweep(SweepPlan(tasks=tasks, width=4), math.exp)
-    assert [r.value for r in serial] == [r.value for r in threaded]
-
-
 def test_failures_below_the_threshold_are_recorded_not_raised():
     def flaky(x):
         if x == 3:
@@ -98,8 +90,6 @@ def test_empty_plans_yield_empty_results():
 
 
 def test_plan_validation():
-    with pytest.raises(ConfigurationError):
-        SweepPlan(tasks=(1, 2), width=0)
     plan = SweepPlan(tasks=[1, 2, 3])
     assert plan.tasks == (1, 2, 3)
 
