@@ -7,12 +7,15 @@ Subcommands:
     propagate            trajectory export for any serialized system
     temperature-to-rate  Ohmic-bath dephasing rate at a temperature
 
-Every run writes CSV data plus a key-value manifest echoing the full
-configuration, the physical constants, data checksums, and the wall time,
-so any output file can be reproduced exactly from its manifest. Output
-files are written atomically (a uniquely named temp file + rename): a
-failing run leaves no partial outputs behind, and runs sharing an output
-directory never share a temp file.
+Each `cmd_*` function only computes: it returns its output files as
+(file name, writer) pairs plus its manifest extras. `_run` then writes
+every CSV and `<command>_manifest.txt`, a key-value manifest echoing the
+full configuration, the physical constants, data checksums, and the wall
+time, so any output file can be reproduced exactly from its manifest.
+Nothing is written until the whole computation has succeeded, so a failing
+run leaves no files behind. Each file is written atomically (a uniquely
+named temp file + rename), so runs sharing an output directory never share
+a temp file.
 """
 
 import argparse
@@ -27,8 +30,9 @@ import numpy as np
 from . import __version__
 from .dynamics import default_horizon, propagate
 from .errors import ConfigurationError, DataIntegrityError, EnaqtError
-from .fmo import (data_checksum, dephasing_sweep, load_fmo_model,
-                  trap_dephasing_surface, write_surface_csv, write_sweep_csv)
+from .fmo import (GAMMA_GRID_DEFAULT, KAPPA_GRID_DEFAULT, data_checksum,
+                  dephasing_sweep, load_fmo_model, trap_dephasing_surface,
+                  write_surface_csv, write_sweep_csv)
 from .model import InitialState, initial_density_matrix, load_system
 from .observables import transport_result
 from .spectral import OhmicBath, dephasing_rate
@@ -62,10 +66,11 @@ def _sha256_file(path):
         return hashlib.sha256(f.read()).hexdigest()
 
 
-def _write_manifest(out_dir, name, command, config, extras, outputs, wall_s):
+def _write_manifest(args, extras, outputs, wall_s):
     """Key-value manifest: config echo, constants, checksums, wall time."""
-    lines = ["command = %s" % command, "version = %s" % __version__]
-    for key in sorted(config):
+    lines = ["command = %s" % args.command, "version = %s" % __version__]
+    config = vars(args)
+    for key in sorted(config.keys() - {"func", "command"}):
         lines.append("config.%s = %r" % (key, config[key]))
     lines.append("constant.cm1_to_ps_angular = %r" % CM1_TO_PS_ANGULAR)
     lines.append("constant.boltzmann_cm1_per_k = %r" % BOLTZMANN_CM1_PER_K)
@@ -77,14 +82,36 @@ def _write_manifest(out_dir, name, command, config, extras, outputs, wall_s):
         lines.append("output.%s.sha256 = %s"
                      % (os.path.basename(path), _sha256_file(path)))
     lines.append("wall_time_s = %.3f" % wall_s)
-    path = os.path.join(out_dir, name)
+    path = os.path.join(args.out_dir,
+                        "%s_manifest.txt" % args.command.replace("-", "_"))
     _atomic_write(path, lambda f: f.write("\n".join(lines) + "\n"))
-    return path
 
 
-def _config_dict(args):
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    return cfg
+def _run(args):
+    """Run one command: compute everything first, then create the output
+    directory if needed and write the CSVs and the manifest, so a failing
+    run writes nothing."""
+    t0 = time.perf_counter()
+    files, extras = args.func(args)
+    _ensure_out_dir(args.out_dir)
+    outputs = []
+    for name, writer in files:
+        path = os.path.join(args.out_dir, name)
+        _atomic_write(path, writer)
+        outputs.append(path)
+    _write_manifest(args, extras, outputs, time.perf_counter() - t0)
+    if outputs:
+        print("wrote %s" % ", ".join(outputs))
+    return 0
+
+
+def _log_grid(option, lo, hi, num):
+    """num log-spaced points from lo to hi, the grid of `<option>-min`,
+    `<option>-max` and `<option>-points`."""
+    if num < 2 or not 0.0 < lo < hi < np.inf:
+        raise ConfigurationError("need %s-max > %s-min > 0 and %s-points >= 2"
+                                 % (option, option, option))
+    return np.logspace(np.log10(lo), np.log10(hi), num)
 
 
 def _check_width(args):
@@ -107,30 +134,21 @@ def _ensure_out_dir(path):
 
 
 def cmd_fmo_sweep(args):
-    t0 = time.perf_counter()
     _check_width(args)
+    grid = _log_grid("--gamma", args.gamma_min, args.gamma_max,
+                     args.gamma_points)
+    kgrid = _log_grid("--surface-kappa", args.surface_kappa_min,
+                      args.surface_kappa_max,
+                      args.surface_kappa_points) if args.surface else None
     _ensure_out_dir(args.out_dir)
     model = load_fmo_model(data_path=args.data_file, trap_rate=args.kappa3,
                            recomb_rate=args.recomb_rate)
-    if args.gamma_points < 2 or args.gamma_min <= 0 or args.gamma_max <= args.gamma_min:
-        raise ConfigurationError("need gamma-max > gamma-min > 0 and >= 2 points")
-    grid = np.logspace(np.log10(args.gamma_min), np.log10(args.gamma_max),
-                       args.gamma_points)
     results = dephasing_sweep(model, grid)
-    outputs = []
-    sweep_path = os.path.join(args.out_dir, "fmo_sweep.csv")
-    _atomic_write(sweep_path, lambda f: write_sweep_csv(results, f))
-    outputs.append(sweep_path)
-
+    files = [("fmo_sweep.csv", lambda f: write_sweep_csv(results, f))]
     if args.surface:
-        kgrid = np.logspace(np.log10(args.surface_kappa_min),
-                            np.log10(args.surface_kappa_max),
-                            args.surface_kappa_points)
-        gammas, kappas, tau = trap_dephasing_surface(model, grid, kgrid)
-        surf_path = os.path.join(args.out_dir, "fmo_surface.csv")
-        _atomic_write(surf_path,
-                      lambda f: write_surface_csv(gammas, kappas, tau, f))
-        outputs.append(surf_path)
+        surface = trap_dephasing_surface(model, grid, kgrid)
+        files.append(("fmo_surface.csv",
+                      lambda f: write_surface_csv(*surface, f)))
 
     extras = {"data.fmo.sha256": data_checksum(args.data_file)}
     rate = dephasing_rate(OhmicBath(), args.annotate_temperature)
@@ -140,11 +158,7 @@ def cmd_fmo_sweep(args):
     etas = [r.efficiency for _, r in results]
     extras["summary.eta_max"] = max(etas)
     extras["summary.eta_first"] = etas[0]
-    _write_manifest(args.out_dir, "fmo_sweep_manifest.txt", "fmo-sweep",
-                    _config_dict(args), extras, outputs,
-                    time.perf_counter() - t0)
-    print("wrote %s" % ", ".join(outputs))
-    return 0
+    return files, extras
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +182,6 @@ def _parse_delta_grid(text):
 
 
 def cmd_tree_ensemble(args):
-    t0 = time.perf_counter()
     _check_width(args)
     _ensure_out_dir(args.out_dir)
     deltas = _parse_delta_grid(args.delta_grid)
@@ -176,23 +189,17 @@ def cmd_tree_ensemble(args):
     spec = TreeSpec(generation=args.generation, coupling_cm1=args.coupling,
                     trap_rate_ps=args.trap_rate, recomb_rate_ps=args.recomb_rate,
                     rng_seed=args.seed)
-    outputs = []
+    files = []
     extras = {"tree.n_sites": spec.n_sites,
               "tree.trap_rate_ps": spec.trap_rate_ps,
               "tree.recomb_rate_ps": spec.recomb_rate_ps}
     for kind in kinds:
         report = disorder_ensemble(spec, deltas, n_samples=args.samples,
                                    kind=kind, master_seed=args.seed)
-        path = os.path.join(args.out_dir, "tree_ensemble_%s.csv" % kind)
-        _atomic_write(path, report.write_csv)
-        outputs.append(path)
+        files.append(("tree_ensemble_%s.csv" % kind, report.write_csv))
         extras["summary.%s.eta_quantum_delta0" % kind] = \
             report.records[0].eta_quantum_mean
-    _write_manifest(args.out_dir, "tree_ensemble_manifest.txt", "tree-ensemble",
-                    _config_dict(args), extras, outputs,
-                    time.perf_counter() - t0)
-    print("wrote %s" % ", ".join(outputs))
-    return 0
+    return files, extras
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +207,13 @@ def cmd_tree_ensemble(args):
 
 
 def cmd_two_level(args):
-    t0 = time.perf_counter()
     if args.epsilon == 0.0 and args.coupling == 0.0:
         raise ConfigurationError("epsilon and coupling are both zero: the "
                                  "two-site system has no dynamics")
     _ensure_out_dir(args.out_dir)
     params = TwoLevelParams(energy_mismatch_cm1=args.epsilon,
                             coupling_cm1=args.coupling)
-    outputs = []
+    files = []
 
     if args.coupling != 0.0:
         # Closed form vs propagated populations over ten oscillation periods.
@@ -227,9 +233,7 @@ def cmd_two_level(args):
                                            float(p2[i]),
                                            float(abs(oracle[i] - p2[i]))))
 
-        path = os.path.join(args.out_dir, "two_level_oracle.csv")
-        _atomic_write(path, write_oracle)
-        outputs.append(path)
+        files.append(("two_level_oracle.csv", write_oracle))
 
     # Dephasing sweep of the trapped, biased dimer (the ENAQT demonstration).
     trapped = to_transport_system(params, trap_rate_2=args.trap_rate,
@@ -242,17 +246,12 @@ def cmd_two_level(args):
 
     plan = SweepPlan(tasks=tuple(float(g) for g in grid))
     results = [(plan.tasks[r.index], r.value) for r in run_sweep(plan, solve)]
-    path = os.path.join(args.out_dir, "two_level_enaqt.csv")
-    _atomic_write(path, lambda f: write_sweep_csv(results, f))
-    outputs.append(path)
+    files.append(("two_level_enaqt.csv",
+                  lambda f: write_sweep_csv(results, f)))
 
     etas = [r.efficiency for _, r in results]
     extras = {"summary.eta_gamma0": etas[0], "summary.eta_max": max(etas)}
-    _write_manifest(args.out_dir, "two_level_manifest.txt", "two-level",
-                    _config_dict(args), extras, outputs,
-                    time.perf_counter() - t0)
-    print("wrote %s" % ", ".join(outputs))
-    return 0
+    return files, extras
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +278,16 @@ def _parse_initial_state(text):
 
 
 def cmd_propagate(args):
-    t0 = time.perf_counter()
     sys = load_system(args.system)
     state = _parse_initial_state(args.init)
     rho0 = initial_density_matrix(state, sys.n_sites)
     t_final = args.t_final if args.t_final is not None else default_horizon(sys)
     times = np.linspace(0.0, t_final, args.samples)
     traj = propagate(sys, rho0, t_final, sample_times=times)
-    _ensure_out_dir(args.out_dir)
-    path = os.path.join(args.out_dir, "trajectory.csv")
-    _atomic_write(path, traj.write_csv)
     extras = {"t_final_ps": t_final,
               "final_trace": float(traj.trace()[-1]),
               "final_loss_integral": float(traj.loss_integral[-1])}
-    _write_manifest(args.out_dir, "propagate_manifest.txt", "propagate",
-                    _config_dict(args), extras, [path],
-                    time.perf_counter() - t0)
-    print("wrote %s" % path)
-    return 0
+    return [("trajectory.csv", traj.write_csv)], extras
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +295,12 @@ def cmd_propagate(args):
 
 
 def cmd_temperature_to_rate(args):
-    t0 = time.perf_counter()
     bath = OhmicBath(reorganization_energy_cm1=args.reorganization_energy,
                      cutoff_cm1=args.cutoff)
     rate = dephasing_rate(bath, args.temperature)
     print("gamma_phi_cm1 = %r" % rate.gamma_cm1)
     print("gamma_phi_ps = %r" % rate.gamma_ps)
-    _ensure_out_dir(args.out_dir)
-    extras = {"gamma_phi_cm1": rate.gamma_cm1, "gamma_phi_ps": rate.gamma_ps}
-    _write_manifest(args.out_dir, "temperature_to_rate_manifest.txt",
-                    "temperature-to-rate", _config_dict(args), extras, [],
-                    time.perf_counter() - t0)
-    return 0
+    return [], {"gamma_phi_cm1": rate.gamma_cm1, "gamma_phi_ps": rate.gamma_ps}
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +319,10 @@ def build_parser():
 
     p = sub.add_parser("fmo-sweep", help="dephasing sweep of the FMO complex")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--gamma-min", type=float, default=1e-3,
-                   help="lowest dephasing rate, ps^-1 (default 1e-3)")
-    p.add_argument("--gamma-max", type=float, default=1e5)
-    p.add_argument("--gamma-points", type=int, default=60)
+    p.add_argument("--gamma-min", type=float, default=GAMMA_GRID_DEFAULT[0],
+                   help="lowest dephasing rate, ps^-1 (default %(default)g)")
+    p.add_argument("--gamma-max", type=float, default=GAMMA_GRID_DEFAULT[1])
+    p.add_argument("--gamma-points", type=int, default=GAMMA_GRID_DEFAULT[2])
     p.add_argument("--kappa3", type=float, default=1.0,
                    help="trap rate at site 3, ps^-1")
     p.add_argument("--recomb-rate", type=float, default=0.0005,
@@ -346,9 +331,12 @@ def build_parser():
                    help="alternative Hamiltonian file (needs a .sha256 sidecar)")
     p.add_argument("--surface", action="store_true",
                    help="also compute the tau(gamma_phi, kappa_3) surface")
-    p.add_argument("--surface-kappa-min", type=float, default=1e-2)
-    p.add_argument("--surface-kappa-max", type=float, default=1e2)
-    p.add_argument("--surface-kappa-points", type=int, default=25)
+    p.add_argument("--surface-kappa-min", type=float,
+                   default=KAPPA_GRID_DEFAULT[0])
+    p.add_argument("--surface-kappa-max", type=float,
+                   default=KAPPA_GRID_DEFAULT[1])
+    p.add_argument("--surface-kappa-points", type=int,
+                   default=KAPPA_GRID_DEFAULT[2])
     p.add_argument("--annotate-temperature", type=float, default=300.0,
                    help="record gamma_phi(T) of the default Ohmic bath in "
                         "the manifest (kelvin)")
@@ -413,7 +401,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (ConfigurationError, DataIntegrityError) as exc:
         print("error: %s" % exc, file=_sys.stderr)
         return 2

@@ -17,6 +17,7 @@ the transfer time over a (gamma_phi, kappa_3) grid.
 
 import hashlib
 import importlib.resources
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,9 @@ def _expected_checksum(data_path=None):
         sidecar = importlib.resources.files("enaqt") / "data" \
             / "fmo_cho2005.txt.sha256"
     else:
-        sidecar = str(data_path) + ".sha256"
+        sidecar = pathlib.Path(str(data_path) + ".sha256")
     try:
-        text = sidecar.read_text() if hasattr(sidecar, "read_text") \
-            else open(sidecar).read()
+        text = sidecar.read_text()
     except OSError:
         return None
     return text.split()[0] if text.split() else None
@@ -124,10 +124,10 @@ def load_fmo_model(data_path=None, trap_rate=None, recomb_rate=None,
     The data file is verified against its recorded SHA-256 sidecar; a
     mismatch raises DataIntegrityError quoting the expected digest.
     """
-    path = _bundled_data_path() if data_path is None else data_path
+    path = _bundled_data_path() if data_path is None \
+        else pathlib.Path(data_path)
     try:
-        text = path.read_text() if hasattr(path, "read_text") \
-            else open(path).read()
+        text = path.read_text()
     except OSError as exc:
         raise DataIntegrityError("cannot read FMO data file %s: %s"
                                  % (path, exc)) from exc

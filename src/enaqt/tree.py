@@ -277,13 +277,15 @@ class DisorderEnsembleReport:
 
     def write_csv(self, f):
         f.write("delta_over_V,kind,n_ok,eta_quantum_mean,eta_quantum_std,"
-                "eta_opt_mean,eta_opt_std,gamma_opt_mean_ps,gamma_opt_std_ps\n")
+                "eta_opt_mean,eta_opt_std,gamma_opt_mean_ps,gamma_opt_std_ps,"
+                "n_failed\n")
         for r in self.records:
-            f.write("%r,%s,%d,%r,%r,%r,%r,%r,%r\n" % (
+            f.write("%r,%s,%d,%r,%r,%r,%r,%r,%r,%d\n" % (
                 float(r.delta_over_v), self.kind, r.n_ok,
                 float(r.eta_quantum_mean), float(r.eta_quantum_std),
                 float(r.eta_opt_mean), float(r.eta_opt_std),
-                float(r.gamma_opt_mean_ps), float(r.gamma_opt_std_ps)))
+                float(r.gamma_opt_mean_ps), float(r.gamma_opt_std_ps),
+                r.n_failed))
 
 
 def _solve_sample(task):

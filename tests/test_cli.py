@@ -4,7 +4,9 @@ import sys
 import numpy as np
 import pytest
 
+from enaqt import cli
 from enaqt.cli import main
+from enaqt.errors import EnaqtError
 from enaqt.fmo import data_checksum
 from enaqt.model import TransportSystem, save_system
 
@@ -65,6 +67,34 @@ def test_fmo_sweep_rejects_bad_grid(tmp_path, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "fmo_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("bad_kappa_grid", [["--surface-kappa-points", "0"],
+                                            ["--surface-kappa-min", "0"],
+                                            ["--surface-kappa-max", "inf"]])
+def test_fmo_sweep_rejects_bad_kappa_grid_before_computing(tmp_path, capsys,
+                                                          bad_kappa_grid):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["fmo-sweep", "--out-dir", str(out), "--gamma-points", "3",
+               "--surface"] + bad_kappa_grid)
+    assert rc == 2
+    assert "--surface-kappa-min > 0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_a_failing_computation_leaves_no_outputs(tmp_path, monkeypatch):
+    """The sweep succeeds and the surface fails: neither CSV nor manifest
+    may appear, because outputs are written only after every step ran."""
+    def fail(*args, **kwargs):
+        raise EnaqtError("surface solve failed")
+    monkeypatch.setattr(cli, "trap_dephasing_surface", fail)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["fmo-sweep", "--out-dir", str(out), "--gamma-points", "3",
+               "--surface", "--surface-kappa-points", "2"])
+    assert rc == 1
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("leftover", ["directory", "file"])
@@ -145,7 +175,7 @@ def test_two_level_outputs(tmp_path):
     oracle = read(tmp_path / "two_level_oracle.csv").splitlines()
     assert oracle[0] == "t_ps,p2_oracle,p2_propagated,abs_error"
     assert len(oracle) == 401
-    errors = np.loadtxt((tmp_path / "two_level_oracle.csv").open(),
+    errors = np.loadtxt(str(tmp_path / "two_level_oracle.csv"),
                         delimiter=",", skiprows=1, usecols=3)
     assert errors.max() < 1e-8
     sweep = read(tmp_path / "two_level_enaqt.csv").splitlines()

@@ -211,9 +211,10 @@ def test_report_csv_layout():
     lines = buf.getvalue().splitlines()
     assert lines[0] == ("delta_over_V,kind,n_ok,eta_quantum_mean,"
                         "eta_quantum_std,eta_opt_mean,eta_opt_std,"
-                        "gamma_opt_mean_ps,gamma_opt_std_ps")
+                        "gamma_opt_mean_ps,gamma_opt_std_ps,n_failed")
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "0.0"
     assert first[1] == "mixture"
     assert first[2] == "2"
+    assert first[9] == "0"
