@@ -9,8 +9,9 @@ binary-tree ensembles.
 
 __version__ = "0.1.0"
 
-from .dynamics import (Liouvillian, Trajectory, build_liouvillian,
-                       integrated_state, master_equation_rhs, propagate)
+from .dynamics import (Liouvillian, MomentSolver, Trajectory,
+                       build_liouvillian, integrated_state,
+                       master_equation_rhs, propagate)
 from .errors import (ConfigurationError, DataIntegrityError, EnaqtError,
                      NonConvergentIntegralError, NumericalConsistencyError,
                      SweepFailureError, UndefinedTransferTimeError)
@@ -32,7 +33,7 @@ from .units import BOLTZMANN_CM1_PER_K, CM1_TO_PS_ANGULAR, UnitConvention
 __all__ = [
     "BOLTZMANN_CM1_PER_K", "CM1_TO_PS_ANGULAR", "ConfigurationError",
     "DataIntegrityError", "DisorderEnsembleReport", "EnaqtError", "FmoModel",
-    "InitialState", "Liouvillian", "NonConvergentIntegralError",
+    "InitialState", "Liouvillian", "MomentSolver", "NonConvergentIntegralError",
     "NumericalConsistencyError", "OhmicBath", "SearchConfig",
     "SweepFailureError", "SweepPlan", "Trajectory", "TransportResult",
     "TransportSystem", "TreeSpec", "TwoLevelParams", "UndefinedTransferTimeError",

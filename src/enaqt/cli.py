@@ -176,15 +176,18 @@ def _parse_delta_grid(text):
             raise ConfigurationError("delta grid needs at least one point")
         return np.linspace(lo, hi, num)
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip()])
+        grid = np.array([float(tok) for tok in text.split(",") if tok.strip()])
     except ValueError as exc:
         raise ConfigurationError("bad delta grid %r: %s" % (text, exc)) from exc
+    if grid.size == 0:
+        raise ConfigurationError("delta grid %r has no points" % text)
+    return grid
 
 
 def cmd_tree_ensemble(args):
     _check_width(args)
-    _ensure_out_dir(args.out_dir)
     deltas = _parse_delta_grid(args.delta_grid)
+    _ensure_out_dir(args.out_dir)
     kinds = ("coherent", "mixture") if args.kind == "both" else (args.kind,)
     spec = TreeSpec(generation=args.generation, coupling_cm1=args.coupling,
                     trap_rate_ps=args.trap_rate, recomb_rate_ps=args.recomb_rate,
@@ -210,6 +213,8 @@ def cmd_two_level(args):
     if args.epsilon == 0.0 and args.coupling == 0.0:
         raise ConfigurationError("epsilon and coupling are both zero: the "
                                  "two-site system has no dynamics")
+    grid = np.concatenate([[0.0], _log_grid("--gamma", 1e-3, 1e4,
+                                            args.gamma_points)])
     _ensure_out_dir(args.out_dir)
     params = TwoLevelParams(energy_mismatch_cm1=args.epsilon,
                             coupling_cm1=args.coupling)
@@ -239,7 +244,6 @@ def cmd_two_level(args):
     trapped = to_transport_system(params, trap_rate_2=args.trap_rate,
                                   recomb_rate=args.recomb_rate)
     rho0 = initial_density_matrix(InitialState("site", (1,)), 2)
-    grid = np.concatenate([[0.0], np.logspace(-3, 4, args.gamma_points)])
 
     def solve(gamma):
         return transport_result(trapped.with_dephasing(gamma), rho0)

@@ -15,10 +15,11 @@ which leaves populations untouched and damps every coherence at gamma_phi.
 Both computational routes write the equation as vec(drho/dt) = L vec(rho)
 with a column-stacked Liouvillian and are exact up to linear-algebra
 roundoff. propagate() samples rho(t) = expm(L t) rho0 by stepping the
-matrix exponential between sample times. integrated_state() never touches
-time at all: it obtains S1 = int_0^inf rho dt and S2 = int_0^inf t rho dt
-by solving linear systems (L S1 = -rho0, L S2 = -S1). The test suite checks
-both against the independent DOP853 and eigenbasis oracles in
+matrix exponential between sample times. MomentSolver, the one place
+that solves for S1 = int_0^inf rho dt and S2 = int_0^inf t rho dt, never
+touches time at all: it solves L S1 = -rho0 and L S2 = -S1 at any
+dephasing rate, with one conditioning guard for every caller. The test
+suite checks both against the independent DOP853 and eigenbasis oracles in
 tests/oracles.py.
 
 vec() convention: columns are stacked, so vec(rho)[col * N + row] =
@@ -30,7 +31,7 @@ master_equation_rhs.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, lu_factor, lu_solve, get_lapack_funcs
+from scipy.linalg import expm, get_lapack_funcs
 
 from .errors import ConfigurationError, NonConvergentIntegralError
 from .model import effective_hamiltonian
@@ -158,7 +159,7 @@ class Trajectory:
             f.write(",".join(row) + "\n")
 
 
-def propagate(sys, rho0, t_final, sample_times=None, rtol=1e-9):
+def propagate(sys, rho0, t_final, sample_times=None):
     """Evolve rho0 from t=0 to t_final and return the sampled trajectory.
 
     The generator is time independent, so each sample is exact up to
@@ -171,8 +172,7 @@ def propagate(sys, rho0, t_final, sample_times=None, rtol=1e-9):
 
     sample_times selects the output grid (values in [0, t_final]; 0 is
     always included, duplicates are dropped). When omitted, the endpoints
-    0 and t_final are returned. rtol is accepted for compatibility and has
-    no effect: there is no integration error to control.
+    0 and t_final are returned.
     """
     t_final = float(t_final)
     if not t_final > 0.0:
@@ -223,54 +223,74 @@ def default_horizon(sys, cap=1000.0):
 # Algebraic route: infinite-horizon moments by linear solves
 
 _COND_LIMIT = 1e12
+_GETRF, _GECON, _GETRS = get_lapack_funcs(("getrf", "gecon", "getrs"),
+                                          dtype=np.complex128)
 
 
-def _lu_with_condition(L):
-    """LU-factor L and estimate its 1-norm condition number."""
-    anorm = np.linalg.norm(L, 1)
-    lu, piv = lu_factor(L)
-    gecon = get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm)
-    if info != 0:
-        raise NonConvergentIntegralError(
-            "condition estimate failed (LAPACK info=%d)" % info)
-    return (lu, piv), rcond
-
-
-def integrated_state(sys, rho0):
+class MomentSolver:
     """First two time moments of the evolution, S1 = int rho dt and
-    S2 = int t rho dt, via the Liouvillian inverse.
+    S2 = int t rho dt, for one (H_eff, rho0) at any dephasing rate.
 
     S1 solves L vec(S1) = -vec(rho0); S2 solves L vec(S2) = -vec(S1)
     (integration by parts moves the factor of t into a second solve).
-    Both are computed from one dense LU factorization with partial
-    pivoting. A condition estimate above 1e12 aborts: the integrals are
-    then dominated by a near-null mode, which means some population has
-    no decay channel to reach.
+    Dephasing only adds gamma_phi times a fixed diagonal to L, so the
+    coherent part is built once; solver(gamma_phi) adds the diagonal and
+    returns (S1, S2) from one dense LU factorization. A condition estimate
+    above 1e12 aborts: the integrals are then dominated by a near-null
+    mode, which means some population has no decay channel to reach.
     """
-    n = sys.n_sites
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (n, n):
-        raise ConfigurationError(
-            "initial state has shape %s, system has %d sites" % (rho0.shape, n))
-    if sys.recomb_rate == 0.0 and not np.any(sys.trap_rates > 0.0):
-        raise NonConvergentIntegralError(
-            "no decay channel anywhere (all kappa_m = 0 and Gamma = 0): "
-            "int_0^inf rho dt diverges")
 
-    L = build_liouvillian(sys).matrix
-    try:
-        factors, rcond = _lu_with_condition(L)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergentIntegralError(
-            "Liouvillian is singular: likely some initial population cannot "
-            "reach a decay channel") from exc
-    if rcond == 0.0 or 1.0 / rcond > _COND_LIMIT:
-        raise NonConvergentIntegralError(
-            "Liouvillian condition estimate %.3e exceeds 1e12: the integrals "
-            "do not converge reliably; likely cause is a site (or subspace) "
-            "with no reachable decay channel"
-            % (np.inf if rcond == 0.0 else 1.0 / rcond))
-    s1 = lu_solve(factors, -_vec(rho0))
-    s2 = lu_solve(factors, -s1)
-    return _unvec(s1, n), _unvec(s2, n)
+    def __init__(self, sys, rho0):
+        n = sys.n_sites
+        rho0 = np.asarray(rho0, dtype=complex)
+        if rho0.shape != (n, n):
+            raise ConfigurationError(
+                "initial state has shape %s, system has %d sites"
+                % (rho0.shape, n))
+        if sys.recomb_rate == 0.0 and not np.any(sys.trap_rates > 0.0):
+            raise NonConvergentIntegralError(
+                "no decay channel anywhere (all kappa_m = 0 and Gamma = 0): "
+                "int_0^inf rho dt diverges")
+        self.n_sites = n
+        self._rhs = -_vec(rho0)
+        self._coherent = np.asfortranarray(
+            _coherent_liouvillian(effective_hamiltonian(sys)))
+        self._dephasing = _dephasing_diagonal(n)
+        self._diag = np.arange(n * n)
+        # gamma_phi moves only the diagonal of each column's 1-norm.
+        offdiag = np.abs(self._coherent)
+        offdiag[self._diag, self._diag] = 0.0
+        self._offdiag_colsum = offdiag.sum(axis=0)
+
+    def __call__(self, gamma_phi):
+        gamma = float(gamma_phi)
+        if not (np.isfinite(gamma) and gamma >= 0.0):
+            raise ConfigurationError(
+                "dephasing rate must be finite and >= 0, got %r" % (gamma_phi,))
+        L = self._coherent.copy(order="F")
+        if gamma != 0.0:
+            L[self._diag, self._diag] += gamma * self._dephasing
+        anorm = np.max(self._offdiag_colsum + np.abs(L[self._diag, self._diag]))
+        lu, piv, info = _GETRF(L, overwrite_a=True)
+        if info > 0:
+            raise NonConvergentIntegralError(
+                "Liouvillian is singular: likely some initial population "
+                "cannot reach a decay channel")
+        rcond, info = _GECON(lu, anorm)
+        if info != 0:
+            raise NonConvergentIntegralError(
+                "condition estimate failed (LAPACK info=%d)" % info)
+        if rcond == 0.0 or 1.0 / rcond > _COND_LIMIT:
+            raise NonConvergentIntegralError(
+                "Liouvillian condition estimate %.3e exceeds 1e12: the "
+                "integrals do not converge reliably; likely cause is a site "
+                "(or subspace) with no reachable decay channel"
+                % (np.inf if rcond == 0.0 else 1.0 / rcond))
+        s1, _ = _GETRS(lu, piv, self._rhs)
+        s2, _ = _GETRS(lu, piv, -s1)
+        return _unvec(s1, self.n_sites), _unvec(s2, self.n_sites)
+
+
+def integrated_state(sys, rho0):
+    """(S1, S2) at the system's own dephasing rate."""
+    return MomentSolver(sys, rho0)(sys.dephasing_rate)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import integrated_state
 from .errors import ConfigurationError, DataIntegrityError
 from .model import InitialState, TransportSystem, initial_density_matrix
 from .observables import transport_result
@@ -222,14 +221,6 @@ def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None):
     results = run_sweep(SweepPlan(tasks=tasks), solve, failure_threshold=0.0)
     tau = np.array([r.value for r in results]).reshape(len(gammas), len(kappas))
     return gammas, kappas, tau
-
-
-def quantum_limit_result(model, gamma_floor=1e-3):
-    """Convenience: the low-dephasing operating point (gamma_phi at the
-    bottom of the default grid)."""
-    sys = model.system.with_dephasing(gamma_floor)
-    rho0 = model.initial_density_matrix()
-    return transport_result(sys, rho0, moments=integrated_state(sys, rho0))
 
 
 def write_sweep_csv(results, f):

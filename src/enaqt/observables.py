@@ -14,7 +14,7 @@ and the loss probability is the recombination-channel integral
 the test suite asserts on every solved system.
 
 All three are computed from the algebraic moments S1, S2 of
-dynamics.integrated_state; time-domain quadrature exists only as a test
+dynamics.MomentSolver; time-domain quadrature exists only as a test
 oracle, so no truncation horizon ever enters the reported numbers.
 """
 
@@ -84,14 +84,13 @@ def loss_probability(sys, s1):
     return _clamped_probability(loss, "loss probability")
 
 
-def transport_result(sys, rho0, moments=None):
+def transport_result(sys, rho0):
     """Solve a system end to end and package the metrics.
 
-    moments may carry a precomputed (S1, S2) pair to avoid re-solving.
     Transfer time is reported as inf when the efficiency is numerically zero
     (nothing is ever trapped), rather than raising.
     """
-    s1, s2 = moments if moments is not None else integrated_state(sys, rho0)
+    s1, s2 = integrated_state(sys, rho0)
     eta = efficiency(sys, s1)
     loss = loss_probability(sys, s1)
     if eta > _MIN_ETA:

@@ -13,7 +13,9 @@ The ensemble study asks, per disorder strength: how efficient is fully
 coherent transport (gamma_phi = 0), and how efficient can dephasing make
 it (gamma_phi optimized per realization)? Disorder localizes the coherent
 dynamics, and dephasing recovers much of the loss, increasingly so the
-stronger the disorder.
+stronger the disorder. Each realization's efficiencies come from one
+dynamics.MomentSolver, whose conditioning guard fails the sample rather
+than let an ill-posed realization through.
 
 Reproducibility contract: site energies come from Box-Muller applied to a
 counter-based Philox stream keyed by a hash of (master seed, delta index,
@@ -26,10 +28,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import _coherent_liouvillian, _dephasing_diagonal, _vec
+from .dynamics import MomentSolver
 from .errors import ConfigurationError, SweepFailureError
-from .model import (InitialState, TransportSystem, effective_hamiltonian,
-                    initial_density_matrix)
+from .model import InitialState, TransportSystem, initial_density_matrix
 from .observables import efficiency
 from .sweep import SweepPlan, derive_seed, run_sweep, sample_mean_std
 from .units import cm1_to_angular
@@ -160,34 +161,6 @@ class SearchConfig:
     rel_tol: float = 1e-3
 
 
-class _EtaEvaluator:
-    """eta(gamma_phi) with the gamma-independent work hoisted out.
-
-    The dephasing superoperator is diagonal, so L(gamma) differs from the
-    coherent part only on its diagonal; each evaluation is one dense solve
-    for S1. This is the hot loop of the ensemble study (tens of solves per
-    realization, thousands of realizations).
-    """
-
-    def __init__(self, sys, rho0):
-        self.sys = sys
-        heff = effective_hamiltonian(sys)
-        self.L0 = _coherent_liouvillian(heff)
-        self.deph = _dephasing_diagonal(sys.n_sites)
-        self.rhs = -_vec(np.asarray(rho0, dtype=complex))
-        self.n = sys.n_sites
-        self.diag_idx = np.arange(self.n * self.n)
-
-    def __call__(self, gamma):
-        L = self.L0.copy()
-        if gamma != 0.0:
-            L[self.diag_idx, self.diag_idx] += gamma * self.deph
-        s1 = np.linalg.solve(L, self.rhs)
-        # vec index of (m, m) is m*N + m; grab the diagonal directly.
-        diag = s1[(self.n + 1) * np.arange(self.n)]
-        return efficiency(self.sys, np.diag(diag))
-
-
 def _golden_max(f, lo, hi, rel_tol):
     """Golden-section maximization on a log-gamma interval."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -219,7 +192,7 @@ def optimal_dephasing(sys, rho0, search_cfg=None):
     grid winner is kept, and the zero endpoint always participates, so
     eta* >= eta(0) is guaranteed.
 
-    Returns (gamma_star, eta_star).
+    Returns (gamma_star, eta_star, eta(0)).
     """
     cfg = search_cfg or SearchConfig()
     vmax = float(np.max(np.abs(sys.couplings)))
@@ -230,7 +203,11 @@ def optimal_dephasing(sys, rho0, search_cfg=None):
     grid = np.logspace(math.log10(cfg.span_low * v_ang),
                        math.log10(cfg.span_high * v_ang), cfg.grid_points)
 
-    evaluate = _EtaEvaluator(sys.with_dephasing(0.0), rho0)
+    solver = MomentSolver(sys, rho0)
+
+    def evaluate(gamma):
+        return efficiency(sys, solver(gamma)[0])
+
     eta0 = evaluate(0.0)
     etas = np.array([evaluate(g) for g in grid])
     i = int(np.argmax(etas))
@@ -245,8 +222,8 @@ def optimal_dephasing(sys, rho0, search_cfg=None):
     if eta_ref > best_eta:
         best_gamma, best_eta = g_ref, eta_ref
     if eta0 >= best_eta:
-        return 0.0, eta0
-    return best_gamma, best_eta
+        return 0.0, eta0, eta0
+    return best_gamma, best_eta, eta0
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +269,7 @@ def _solve_sample(task):
     spec, kind, search_cfg = task
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, kind), sys.n_sites)
-    eta_q = _EtaEvaluator(sys, rho0)(0.0)
-    gamma_star, eta_star = optimal_dephasing(sys, rho0, search_cfg)
+    gamma_star, eta_star, eta_q = optimal_dephasing(sys, rho0, search_cfg)
     return eta_q, gamma_star, eta_star
 
 

@@ -168,6 +168,15 @@ def test_tree_ensemble_rejects_bad_delta_grid(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("grid", ["", ",", " , "])
+def test_tree_ensemble_rejects_an_empty_delta_grid(tmp_path, capsys, grid):
+    out = tmp_path / "new"
+    rc = main(["tree-ensemble", "--out-dir", str(out), "--delta-grid", grid])
+    assert rc == 2
+    assert "no points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_two_level_outputs(tmp_path):
     rc = main(["two-level", "--out-dir", str(tmp_path),
                "--gamma-points", "5"])
@@ -190,6 +199,16 @@ def test_two_level_without_coupling_skips_the_oracle(tmp_path):
     assert rc == 0
     assert not (tmp_path / "two_level_oracle.csv").exists()
     assert (tmp_path / "two_level_enaqt.csv").exists()
+
+
+@pytest.mark.parametrize("points", ["-1", "0", "1"])
+def test_two_level_rejects_a_bad_gamma_count_before_touching_the_output(
+        tmp_path, capsys, points):
+    out = tmp_path / "new"
+    rc = main(["two-level", "--out-dir", str(out), "--gamma-points", points])
+    assert rc == 2
+    assert "--gamma-points >= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_two_level_with_no_dynamics_is_rejected(tmp_path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from enaqt.dynamics import (Trajectory, build_liouvillian, default_horizon,
-                            integrated_state, master_equation_rhs, propagate)
+from enaqt.dynamics import (MomentSolver, Trajectory, build_liouvillian,
+                            default_horizon, integrated_state,
+                            master_equation_rhs, propagate)
 from enaqt.errors import ConfigurationError, NonConvergentIntegralError
 from enaqt.model import TransportSystem
 from enaqt.units import CM1_TO_PS_ANGULAR
@@ -209,7 +210,6 @@ def test_integrated_state_refuses_systems_without_decay():
         integrated_state(sys, np.diag([1.0, 0.0]).astype(complex))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_integrated_state_detects_unreachable_population():
     """A site decoupled from every decay channel holds its population
     forever; the moments diverge and the solver must refuse."""
@@ -228,6 +228,31 @@ def test_integrated_state_rejects_wrong_shape():
     sys = random_transport_system(rng, n=3)
     with pytest.raises(ConfigurationError):
         integrated_state(sys, np.eye(2))
+
+
+def test_moment_solver_equals_integrated_state_at_every_rate():
+    """One solver built per system serves every dephasing rate with the
+    same numbers integrated_state gives for that rate."""
+    rng = np.random.default_rng(20)
+    for _ in range(6):
+        sys = random_transport_system(rng)
+        rho0 = random_density_matrix(rng, sys.n_sites)
+        solver = MomentSolver(sys, rho0)
+        for gamma in (0.0, 1e-3, 0.7, 25.0, 4e3):
+            s1, s2 = solver(gamma)
+            w1, w2 = integrated_state(sys.with_dephasing(gamma), rho0)
+            np.testing.assert_array_equal(s1, w1)
+            np.testing.assert_array_equal(s2, w2)
+
+
+@pytest.mark.parametrize("gamma", [-1e-9, -1.0, float("nan"), float("inf"),
+                                   float("-inf")])
+def test_moment_solver_rejects_bad_dephasing_rates(gamma):
+    rng = np.random.default_rng(21)
+    sys = random_transport_system(rng, n=3)
+    solver = MomentSolver(sys, random_density_matrix(rng, 3))
+    with pytest.raises(ConfigurationError):
+        solver(gamma)
 
 
 def test_trajectory_csv_layout():

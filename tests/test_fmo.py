@@ -8,9 +8,8 @@ import pytest
 from enaqt.errors import ConfigurationError, DataIntegrityError
 from enaqt.fmo import (DEFAULT_RECOMB_RATE, DEFAULT_TRAP_RATE, data_checksum,
                        default_gamma_grid, default_kappa_grid,
-                       dephasing_sweep, load_fmo_model, quantum_limit_result,
-                       trap_dephasing_surface, write_surface_csv,
-                       write_sweep_csv)
+                       dephasing_sweep, load_fmo_model, trap_dephasing_surface,
+                       write_surface_csv, write_sweep_csv)
 from enaqt.model import InitialState
 
 
@@ -158,12 +157,6 @@ def test_sweep_rejects_bad_grids():
         dephasing_sweep(model, [-1.0, 1.0])
     with pytest.raises(ConfigurationError):
         dephasing_sweep(model, [float("inf")])
-
-
-def test_quantum_limit_is_a_low_dephasing_operating_point():
-    res = quantum_limit_result(load_fmo_model())
-    assert 0.0 < res.efficiency < 1.0
-    assert res.transfer_time_ps > 0.0
 
 
 def test_surface_shape_and_content():

@@ -85,7 +85,7 @@ def check_exit_time_identities(sys, rho0):
     E[T_exit] by channel gives Tr S1 = eta tau + 2 Gamma Tr S2, so the
     mean exit time is at least the trapped residence eta tau."""
     s1, s2 = integrated_state(sys, rho0)
-    res = transport_result(sys, rho0, moments=(s1, s2))
+    res = transport_result(sys, rho0)
     mean_exit = float(np.trace(s1).real)
     lost_residence = 2.0 * sys.recomb_rate * float(np.trace(s2).real)
     trapped_residence = res.efficiency * res.transfer_time_ps
@@ -110,17 +110,6 @@ def test_exit_time_identities_across_the_fmo_sweep():
     rho0 = model.initial_density_matrix()
     for gamma in default_gamma_grid():
         check_exit_time_identities(model.system.with_dephasing(gamma), rho0)
-
-
-def test_precomputed_moments_are_honored():
-    rng = np.random.default_rng(22)
-    sys = random_transport_system(rng, n=3)
-    rho0 = random_density_matrix(rng, 3)
-    moments = integrated_state(sys, rho0)
-    a = transport_result(sys, rho0, moments=moments)
-    b = transport_result(sys, rho0)
-    assert a.efficiency == b.efficiency
-    assert a.transfer_time_ps == b.transfer_time_ps
 
 
 def test_metrics_match_the_quadrature_oracle():

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from enaqt.errors import ConfigurationError
+from enaqt.errors import ConfigurationError, NonConvergentIntegralError
 from enaqt.model import TransportSystem, initial_density_matrix
 from enaqt.observables import transport_result
 from enaqt.tree import (DEFAULT_DELTA_GRID, SearchConfig, TreeSpec,
@@ -126,7 +126,8 @@ def test_optimal_dephasing_beats_or_matches_the_coherent_limit():
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 7)
     eta_coherent = transport_result(sys, rho0).efficiency
-    gamma_star, eta_star = optimal_dephasing(sys, rho0)
+    gamma_star, eta_star, eta_zero = optimal_dephasing(sys, rho0)
+    assert eta_zero == eta_coherent
     assert eta_star >= eta_coherent - 1e-12
     assert gamma_star > 0.0
     # Strong disorder localizes the coherent dynamics, so the assisted
@@ -139,7 +140,7 @@ def test_optimal_dephasing_result_is_self_consistent():
                     rng_seed=3)
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 7)
-    gamma_star, eta_star = optimal_dephasing(sys, rho0)
+    gamma_star, eta_star, _ = optimal_dephasing(sys, rho0)
     recomputed = transport_result(sys.with_dephasing(gamma_star),
                                   rho0).efficiency
     assert recomputed == pytest.approx(eta_star, abs=1e-9)
@@ -157,6 +158,22 @@ def test_optimal_dephasing_requires_couplings():
     rho0 = np.diag([0.0, 0.5, 0.5]).astype(complex)
     with pytest.raises(ConfigurationError):
         optimal_dephasing(uncoupled, rho0)
+
+
+def test_optimal_dephasing_refuses_a_weakly_coupled_dark_site():
+    """Site 3 hangs on the trapped pair by 1e-2 cm^-1 and has no decay of
+    its own, so at gamma_phi = 0 its population lingers for ~1e5 ps. The
+    search must fail on the moment solver's conditioning guard, which names
+    the cause, not later on an efficiency outside [0, 1]."""
+    couplings = np.zeros((3, 3))
+    couplings[0, 1] = couplings[1, 0] = 10.0
+    couplings[1, 2] = couplings[2, 1] = 1e-2
+    sys = TransportSystem(n_sites=3, site_energies=[0.0, 0.0, 0.0],
+                          couplings=couplings, trap_rates=[0.0, 1.0, 0.0],
+                          recomb_rate=0.0, dephasing_rate=0.0)
+    rho0 = np.diag([0.5, 0.0, 0.5]).astype(complex)
+    with pytest.raises(NonConvergentIntegralError, match="condition estimate"):
+        optimal_dephasing(sys, rho0)
 
 
 def test_default_delta_grid():

@@ -62,7 +62,7 @@ def test_propagation_reproduces_the_closed_form():
     t_final = 3.0 * 2.0 * math.pi / omega
     times = np.linspace(0.0, t_final, 60)
     traj = propagate(to_transport_system(p), SITE1, t_final,
-                     sample_times=times, rtol=1e-10)
+                     sample_times=times)
     want = coherent_population_2(p, traj.times)
     np.testing.assert_allclose(traj.populations()[:, 1], want, atol=1e-8)
 
