@@ -9,9 +9,8 @@ binary-tree ensembles.
 
 __version__ = "0.1.0"
 
-from .dynamics import (Liouvillian, MomentSolver, Trajectory,
-                       build_liouvillian, integrated_state,
-                       master_equation_rhs, propagate)
+from .dynamics import (MomentSolver, Trajectory, build_liouvillian,
+                       integrated_state, master_equation_rhs, propagate)
 from .errors import (ConfigurationError, DataIntegrityError, EnaqtError,
                      NonConvergentIntegralError, NumericalConsistencyError,
                      SweepFailureError, UndefinedTransferTimeError)
@@ -22,23 +21,21 @@ from .observables import (TransportResult, efficiency, loss_probability,
                           transfer_time, transport_result)
 from .spectral import OhmicBath, dephasing_rate, spectral_density
 from .sweep import SweepPlan, derive_seed, run_sweep
-from .tree import (DisorderEnsembleReport, SearchConfig, TreeSpec,
-                   disorder_ensemble, generate_tree, leaf_initial_state,
-                   optimal_dephasing)
+from .tree import (DisorderEnsembleReport, TreeSpec, disorder_ensemble,
+                   generate_tree, leaf_initial_state, optimal_dephasing)
 from .twolevel import (TwoLevelParams, coherent_population_2,
                        diffusion_time_estimate, equilibrium_population_2,
                        larmor_frequency, to_transport_system)
-from .units import BOLTZMANN_CM1_PER_K, CM1_TO_PS_ANGULAR, UnitConvention
+from .units import BOLTZMANN_CM1_PER_K, CM1_TO_PS_ANGULAR
 
 __all__ = [
     "BOLTZMANN_CM1_PER_K", "CM1_TO_PS_ANGULAR", "ConfigurationError",
     "DataIntegrityError", "DisorderEnsembleReport", "EnaqtError", "FmoModel",
-    "InitialState", "Liouvillian", "MomentSolver", "NonConvergentIntegralError",
-    "NumericalConsistencyError", "OhmicBath", "SearchConfig",
-    "SweepFailureError", "SweepPlan", "Trajectory", "TransportResult",
-    "TransportSystem", "TreeSpec", "TwoLevelParams", "UndefinedTransferTimeError",
-    "UnitConvention", "build_liouvillian", "coherent_population_2",
-    "dephasing_rate", "dephasing_sweep", "derive_seed",
+    "InitialState", "MomentSolver", "NonConvergentIntegralError",
+    "NumericalConsistencyError", "OhmicBath", "SweepFailureError", "SweepPlan",
+    "Trajectory", "TransportResult", "TransportSystem", "TreeSpec",
+    "TwoLevelParams", "UndefinedTransferTimeError", "build_liouvillian",
+    "coherent_population_2", "dephasing_rate", "dephasing_sweep", "derive_seed",
     "diffusion_time_estimate", "disorder_ensemble", "effective_hamiltonian",
     "efficiency", "equilibrium_population_2", "generate_tree",
     "initial_density_matrix", "integrated_state", "larmor_frequency",

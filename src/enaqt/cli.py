@@ -30,9 +30,9 @@ import numpy as np
 from . import __version__
 from .dynamics import default_horizon, propagate
 from .errors import ConfigurationError, DataIntegrityError, EnaqtError
-from .fmo import (GAMMA_GRID_DEFAULT, KAPPA_GRID_DEFAULT, data_checksum,
-                  dephasing_sweep, load_fmo_model, trap_dephasing_surface,
-                  write_surface_csv, write_sweep_csv)
+from .fmo import (GAMMA_GRID_DEFAULT, KAPPA_GRID_DEFAULT, dephasing_sweep,
+                  load_fmo_model, trap_dephasing_surface, write_surface_csv,
+                  write_sweep_csv)
 from .model import InitialState, initial_density_matrix, load_system
 from .observables import transport_result
 from .spectral import OhmicBath, dephasing_rate
@@ -150,7 +150,7 @@ def cmd_fmo_sweep(args):
         files.append(("fmo_surface.csv",
                       lambda f: write_surface_csv(*surface, f)))
 
-    extras = {"data.fmo.sha256": data_checksum(args.data_file)}
+    extras = {"data.fmo.sha256": model.data_sha256}
     rate = dephasing_rate(OhmicBath(), args.annotate_temperature)
     extras["annotation.temperature_k"] = args.annotate_temperature
     extras["annotation.gamma_phi_cm1"] = rate.gamma_cm1
@@ -187,11 +187,14 @@ def _parse_delta_grid(text):
 def cmd_tree_ensemble(args):
     _check_width(args)
     deltas = _parse_delta_grid(args.delta_grid)
-    _ensure_out_dir(args.out_dir)
-    kinds = ("coherent", "mixture") if args.kind == "both" else (args.kind,)
     spec = TreeSpec(generation=args.generation, coupling_cm1=args.coupling,
                     trap_rate_ps=args.trap_rate, recomb_rate_ps=args.recomb_rate,
                     rng_seed=args.seed)
+    if args.samples < 1:
+        raise ConfigurationError("--samples must be >= 1, got %d"
+                                 % args.samples)
+    _ensure_out_dir(args.out_dir)
+    kinds = ("coherent", "mixture") if args.kind == "both" else (args.kind,)
     files = []
     extras = {"tree.n_sites": spec.n_sites,
               "tree.trap_rate_ps": spec.trap_rate_ps,
@@ -282,10 +285,16 @@ def _parse_initial_state(text):
 
 
 def cmd_propagate(args):
+    if args.samples < 2:
+        raise ConfigurationError("--samples must be >= 2 (t = 0 and the "
+                                 "horizon), got %d" % args.samples)
     sys = load_system(args.system)
     state = _parse_initial_state(args.init)
     rho0 = initial_density_matrix(state, sys.n_sites)
     t_final = args.t_final if args.t_final is not None else default_horizon(sys)
+    if not (np.isfinite(t_final) and t_final > 0.0):
+        raise ConfigurationError("--t-final must be finite and > 0, got %r"
+                                 % t_final)
     times = np.linspace(0.0, t_final, args.samples)
     traj = propagate(sys, rho0, t_final, sample_times=times)
     extras = {"t_final_ps": t_final,
@@ -383,8 +392,10 @@ def build_parser():
     p.add_argument("--init", required=True,
                    help="initial state, e.g. site:1, mixture:1,6, coherent:8-15")
     p.add_argument("--t-final", type=float, default=None,
-                   help="horizon in ps (default: ten decay lifetimes)")
-    p.add_argument("--samples", type=int, default=500)
+                   help="horizon in ps, finite and > 0 (default: ten decay "
+                        "lifetimes)")
+    p.add_argument("--samples", type=int, default=500,
+                   help="output rows from t = 0 to the horizon, >= 2")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_propagate)
 

@@ -14,8 +14,9 @@ which leaves populations untouched and damps every coherence at gamma_phi.
 
 Both computational routes write the equation as vec(drho/dt) = L vec(rho)
 with a column-stacked Liouvillian and are exact up to linear-algebra
-roundoff. propagate() samples rho(t) = expm(L t) rho0 by stepping the
-matrix exponential between sample times. MomentSolver, the one place
+roundoff. build_liouvillian() returns L as a plain ndarray. propagate()
+samples rho(t) = expm(L t) rho0 by stepping the matrix exponential between
+sample times up to a finite, positive horizon. MomentSolver, the one place
 that solves for S1 = int_0^inf rho dt and S2 = int_0^inf t rho dt, never
 touches time at all: it solves L S1 = -rho0 and L S2 = -S1 at any
 dephasing rate, with one conditioning guard for every caller. The test
@@ -28,7 +29,7 @@ transposes the Liouvillian, so it is asserted by a property test against
 master_equation_rhs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, get_lapack_funcs
@@ -68,18 +69,6 @@ def master_equation_rhs(sys, rho):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Liouvillian:
-    """Dense superoperator L with vec(drho/dt) = L vec(rho)."""
-
-    matrix: np.ndarray
-    n_sites: int
-
-    def apply(self, rho):
-        n = self.n_sites
-        return _unvec(self.matrix @ _vec(np.asarray(rho, dtype=complex)), n)
-
-
 def _dephasing_diagonal(n):
     """Diagonal of the dephasing superoperator sum_m E_mm kron E_mm - I.
 
@@ -99,13 +88,14 @@ def _coherent_liouvillian(heff):
 
 
 def build_liouvillian(sys):
-    """Assemble the full N^2 x N^2 Liouvillian for a system."""
+    """The dense N^2 x N^2 Liouvillian L of a system, an ndarray with
+    vec(drho/dt) = L vec(rho)."""
     heff = effective_hamiltonian(sys)
     L = _coherent_liouvillian(heff)
     if sys.dephasing_rate != 0.0:
         idx = np.arange(sys.n_sites * sys.n_sites)
         L[idx, idx] += sys.dephasing_rate * _dephasing_diagonal(sys.n_sites)
-    return Liouvillian(matrix=L, n_sites=sys.n_sites)
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +117,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    loss_integral: np.ndarray = field(default=None)
+    loss_integral: np.ndarray
 
     def populations(self):
         return np.real(np.einsum("tii->ti", self.states))
@@ -175,8 +165,9 @@ def propagate(sys, rho0, t_final, sample_times=None):
     0 and t_final are returned.
     """
     t_final = float(t_final)
-    if not t_final > 0.0:
-        raise ConfigurationError("t_final must be positive, got %r" % t_final)
+    if not (np.isfinite(t_final) and t_final > 0.0):
+        raise ConfigurationError(
+            "t_final must be finite and positive, got %r" % t_final)
     n = sys.n_sites
     rho = np.array(rho0, dtype=complex)
     if rho.shape != (n, n):
@@ -194,7 +185,7 @@ def propagate(sys, rho0, t_final, sample_times=None):
 
     nn = n * n
     gen = np.zeros((nn + 1, nn + 1), dtype=complex)
-    gen[:nn, :nn] = build_liouvillian(sys).matrix
+    gen[:nn, :nn] = build_liouvillian(sys)
     gen[nn, (n + 1) * np.arange(n)] = 2.0 * (sys.recomb_rate + sys.trap_rates)
 
     ys = np.zeros((samples.size, nn + 1), dtype=complex)
@@ -208,15 +199,18 @@ def propagate(sys, rho0, t_final, sample_times=None):
                       loss_integral=ys[:, nn].real)
 
 
-def default_horizon(sys, cap=1000.0):
+HORIZON_CAP_PS = 1000.0
+
+
+def default_horizon(sys):
     """Default trajectory length: ten lifetimes of the slowest decay channel,
-    capped. Uses 10 / (2 Gamma + min active kappa); falls back to the cap when
-    there is no decay at all."""
+    capped at HORIZON_CAP_PS. Uses 10 / (2 Gamma + min active kappa); falls
+    back to the cap when there is no decay at all."""
     active = sys.trap_rates[sys.trap_rates > 0.0]
     rate = 2.0 * sys.recomb_rate + (active.min() if active.size else 0.0)
     if rate <= 0.0:
-        return float(cap)
-    return float(min(10.0 / rate, cap))
+        return HORIZON_CAP_PS
+    return float(min(10.0 / rate, HORIZON_CAP_PS))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ and transcription notes). Excitation enters as a statistical mixture of
 sites 1 and 6 (the sites facing the baseplate), is trapped at site 3 (the
 site facing the reaction center) with kappa_3 = 1 ps^-1, and recombines
 everywhere at Gamma = 0.0005 ps^-1, i.e. a 1 ns population lifetime since
-populations decay at 2*Gamma.
+populations decay at 2*Gamma. load_fmo_model() reads the data file once
+and refuses it unless the SHA-256 of its bytes matches the digest in the
+`.sha256` sidecar next to it; manifests quote that digest.
 
 dephasing_sweep() maps transfer efficiency and transfer time over a
 logarithmic grid of pure-dephasing rates, which exhibits the three
@@ -41,23 +43,9 @@ GAMMA_GRID_DEFAULT = (1e-3, 1e5, 60)
 KAPPA_GRID_DEFAULT = (1e-2, 1e2, 25)
 
 
-def _bundled_data_path():
-    return importlib.resources.files("enaqt") / "data" / "fmo_cho2005.txt"
-
-
-def data_checksum(data_path=None):
-    """SHA-256 of the Hamiltonian data file (hex)."""
-    path = _bundled_data_path() if data_path is None else data_path
-    with open(str(path), "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
-def _expected_checksum(data_path=None):
-    if data_path is None:
-        sidecar = importlib.resources.files("enaqt") / "data" \
-            / "fmo_cho2005.txt.sha256"
-    else:
-        sidecar = pathlib.Path(str(data_path) + ".sha256")
+def _expected_checksum(path):
+    """First word of the `<file>.sha256` sidecar next to path, or None."""
+    sidecar = path.parent / (path.name + ".sha256")
     try:
         text = sidecar.read_text()
     except OSError:
@@ -103,10 +91,13 @@ def _parse_hamiltonian(text, path):
 
 @dataclass(frozen=True)
 class FmoModel:
-    """A ready-to-solve FMO problem: the system plus its initial state."""
+    """A ready-to-solve FMO problem: the system plus its initial state, and
+    the SHA-256 (hex) of the data file bytes the Hamiltonian was parsed
+    from."""
 
     system: TransportSystem
     initial_state: InitialState
+    data_sha256: str
     trap_site: int = DEFAULT_TRAP_SITE
 
     def initial_density_matrix(self):
@@ -114,34 +105,39 @@ class FmoModel:
 
 
 def load_fmo_model(data_path=None, trap_rate=None, recomb_rate=None,
-                   dephasing_rate=None, initial_state=None, trap_site=None,
-                   verify_checksum=True):
+                   dephasing_rate=None, initial_state=None, trap_site=None):
     """Load the bundled (or a user-supplied) FMO Hamiltonian and assemble
     the default transport problem. Keyword overrides replace kappa at the
     trap site, Gamma, gamma_phi, the trap site, or the initial state.
 
-    The data file is verified against its recorded SHA-256 sidecar; a
-    mismatch raises DataIntegrityError quoting the expected digest.
+    The file is read once. The SHA-256 of its bytes must match the digest
+    in the `<file>.sha256` sidecar, and a missing sidecar or a mismatch
+    raises DataIntegrityError. The verified bytes are then parsed as UTF-8
+    text, and their digest is kept as FmoModel.data_sha256.
     """
-    path = _bundled_data_path() if data_path is None \
-        else pathlib.Path(data_path)
+    path = importlib.resources.files("enaqt") / "data" / "fmo_cho2005.txt" \
+        if data_path is None else pathlib.Path(data_path)
     try:
-        text = path.read_text()
+        raw = path.read_bytes()
     except OSError as exc:
         raise DataIntegrityError("cannot read FMO data file %s: %s"
                                  % (path, exc)) from exc
-    if verify_checksum:
-        expected = _expected_checksum(data_path)
-        if expected is None:
-            raise DataIntegrityError(
-                "no .sha256 sidecar found for %s; refusing to load "
-                "unverified data (pass verify_checksum=False to override)"
-                % path)
-        actual = hashlib.sha256(text.encode()).hexdigest()
-        if actual != expected:
-            raise DataIntegrityError(
-                "FMO data file %s fails its checksum: expected %s, got %s"
-                % (path, expected, actual))
+    expected = _expected_checksum(path)
+    if expected is None:
+        raise DataIntegrityError(
+            "no .sha256 sidecar found for %s; refusing to load unverified "
+            "data (write its SHA-256 to %s.sha256, e.g. with sha256sum)"
+            % (path, path))
+    actual = hashlib.sha256(raw).hexdigest()
+    if actual != expected:
+        raise DataIntegrityError(
+            "FMO data file %s fails its checksum: expected %s, got %s"
+            % (path, expected, actual))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataIntegrityError("FMO data file %s is not UTF-8 text: %s"
+                                 % (path, exc)) from exc
 
     energies, couplings = _parse_hamiltonian(text, path)
     site = DEFAULT_TRAP_SITE if trap_site is None else int(trap_site)
@@ -160,7 +156,8 @@ def load_fmo_model(data_path=None, trap_rate=None, recomb_rate=None,
     state = DEFAULT_INITIAL_STATE if initial_state is None else initial_state
     # Validate the site set against N now rather than at first solve.
     initial_density_matrix(state, N_SITES)
-    return FmoModel(system=system, initial_state=state, trap_site=site)
+    return FmoModel(system=system, initial_state=state, data_sha256=actual,
+                    trap_site=site)
 
 
 def default_gamma_grid():

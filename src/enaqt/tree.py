@@ -15,7 +15,9 @@ it (gamma_phi optimized per realization)? Disorder localizes the coherent
 dynamics, and dephasing recovers much of the loss, increasingly so the
 stronger the disorder. Each realization's efficiencies come from one
 dynamics.MomentSolver, whose conditioning guard fails the sample rather
-than let an ill-posed realization through.
+than let an ill-posed realization through. The search for the optimal
+rate (SEARCH_* constants) and the ensemble's 5 % failure threshold are
+fixed, and a TreeSpec above MAX_GENERATION = 7 is refused when it is built.
 
 Reproducibility contract: site energies come from Box-Muller applied to a
 counter-based Philox stream keyed by a hash of (master seed, delta index,
@@ -35,13 +37,24 @@ from .observables import efficiency
 from .sweep import SweepPlan, derive_seed, run_sweep, sample_mean_std
 from .units import cm1_to_angular
 
-MAX_GENERATION = 7  # 127 sites, a 16129^2 dense Liouvillian; guard above this
+MAX_GENERATION = 7  # 127 sites, a 16129^2 dense Liouvillian; refused above this
 
 # Ensemble defaults, rates in units of the coupling (angular frequency).
 RECOMB_OVER_V = 0.005
 TRAP_OVER_V = 2.0
 DEFAULT_DELTA_GRID = tuple(np.linspace(0.0, 4.0, 20))
 DEFAULT_COUPLING_CM1 = 100.0
+# An ensemble aborts when more than this fraction of the samples at any
+# one disorder strength fail.
+FAILURE_THRESHOLD = 0.05
+
+# Dephasing search: SEARCH_GRID_POINTS log-spaced rates over SEARCH_SPAN
+# times V (the largest coupling, angular), plus the exact gamma_phi = 0
+# endpoint; golden-section refinement then shrinks the bracket to
+# SEARCH_REL_TOL in gamma. That is 57 efficiency evaluations per search.
+SEARCH_GRID_POINTS = 40
+SEARCH_SPAN = (1e-3, 1e3)
+SEARCH_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,11 @@ class TreeSpec:
     def __post_init__(self):
         if int(self.generation) < 2:
             raise ConfigurationError("tree generation must be >= 2")
+        if int(self.generation) > MAX_GENERATION:
+            raise ConfigurationError(
+                "tree generation %d exceeds the dense-solver limit of %d "
+                "(%d sites): the dense Liouvillian grows as 4^g"
+                % (self.generation, MAX_GENERATION, 2 ** MAX_GENERATION - 1))
         if self.disorder_cm1 < 0.0:
             raise ConfigurationError("disorder must be >= 0")
         if self.coupling_cm1 == 0.0:
@@ -95,19 +113,12 @@ def normal_draws(seed, n):
     return z[:int(n)]
 
 
-def generate_tree(spec, allow_large=False):
+def generate_tree(spec):
     """TransportSystem for one seeded tree realization.
 
     Site energies are mean + delta * normal_draws(seed); the trap sits on
-    site 1 and recombination acts everywhere. Trees beyond generation 7
-    are refused unless allow_large is set, because the dense Liouvillian
-    grows as 2^(2g).
+    site 1 and recombination acts everywhere.
     """
-    if spec.generation > MAX_GENERATION and not allow_large:
-        raise ConfigurationError(
-            "generation %d exceeds the dense-solver guard (max %d, %d sites); "
-            "pass allow_large=True to override"
-            % (spec.generation, MAX_GENERATION, 2 ** MAX_GENERATION - 1))
     n = spec.n_sites
     energies = spec.mean_energy_cm1 + spec.disorder_cm1 * normal_draws(
         spec.rng_seed, n)
@@ -145,22 +156,6 @@ def leaf_initial_state(spec, kind):
 # Dephasing optimization
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Grid-then-refine search for the optimal dephasing rate.
-
-    The grid spans [span_low * V, span_high * V] in angular units, where V
-    is the largest coupling of the system, with grid_points log-spaced
-    values plus the exact gamma_phi = 0 endpoint. Golden-section refinement
-    then shrinks the bracketing interval to rel_tol in gamma.
-    """
-
-    grid_points: int = 40
-    span_low: float = 1e-3
-    span_high: float = 1e3
-    rel_tol: float = 1e-3
-
-
 def _golden_max(f, lo, hi, rel_tol):
     """Golden-section maximization on a log-gamma interval."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -183,7 +178,7 @@ def _golden_max(f, lo, hi, rel_tol):
     return math.exp(d), fd
 
 
-def optimal_dephasing(sys, rho0, search_cfg=None):
+def optimal_dephasing(sys, rho0):
     """Maximize transfer efficiency over the dephasing rate.
 
     Scans a logarithmic grid (plus the exact zero endpoint), then refines
@@ -194,14 +189,13 @@ def optimal_dephasing(sys, rho0, search_cfg=None):
 
     Returns (gamma_star, eta_star, eta(0)).
     """
-    cfg = search_cfg or SearchConfig()
     vmax = float(np.max(np.abs(sys.couplings)))
     if vmax == 0.0:
         raise ConfigurationError(
             "system has no couplings; dephasing cannot create transport")
     v_ang = cm1_to_angular(vmax)
-    grid = np.logspace(math.log10(cfg.span_low * v_ang),
-                       math.log10(cfg.span_high * v_ang), cfg.grid_points)
+    grid = np.logspace(math.log10(SEARCH_SPAN[0] * v_ang),
+                       math.log10(SEARCH_SPAN[1] * v_ang), SEARCH_GRID_POINTS)
 
     solver = MomentSolver(sys, rho0)
 
@@ -218,7 +212,7 @@ def optimal_dephasing(sys, rho0, search_cfg=None):
     cell = grid[1] / grid[0]
     lo = grid[i - 1] if i > 0 else grid[0] / cell
     hi = grid[i + 1] if i < len(grid) - 1 else grid[-1] * cell
-    g_ref, eta_ref = _golden_max(evaluate, lo, hi, cfg.rel_tol)
+    g_ref, eta_ref = _golden_max(evaluate, lo, hi, SEARCH_REL_TOL)
     if eta_ref > best_eta:
         best_gamma, best_eta = g_ref, eta_ref
     if eta0 >= best_eta:
@@ -266,23 +260,22 @@ class DisorderEnsembleReport:
 
 
 def _solve_sample(task):
-    spec, kind, search_cfg = task
+    spec, kind = task
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, kind), sys.n_sites)
-    gamma_star, eta_star, eta_q = optimal_dephasing(sys, rho0, search_cfg)
+    gamma_star, eta_star, eta_q = optimal_dephasing(sys, rho0)
     return eta_q, gamma_star, eta_star
 
 
 def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
-                      kind="mixture", master_seed=None, search_cfg=None,
-                      failure_threshold=0.05):
+                      kind="mixture", master_seed=None):
     """Ensemble statistics of eta(gamma_phi = 0) and the dephasing optimum
     per disorder strength.
 
     delta_grid is in units of V (default 20 points over [0, 4]). Each
     (delta, sample) pair gets its own derived seed. Per-sample failures are
-    recorded and excluded; any delta with more than failure_threshold of
-    its samples failing aborts the ensemble.
+    recorded and excluded; any delta with more than FAILURE_THRESHOLD (5 %)
+    of its samples failing aborts the ensemble.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
@@ -300,17 +293,17 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
         for si in range(n_samples):
             spec = replace(spec_template, disorder_cm1=float(delta) * v,
                            rng_seed=derive_seed(seed, di, si))
-            tasks.append((spec, kind, search_cfg))
+            tasks.append((spec, kind))
 
     results = run_sweep(SweepPlan(tasks=tuple(tasks)), _solve_sample,
-                        failure_threshold=failure_threshold)
+                        failure_threshold=FAILURE_THRESHOLD)
 
     records = []
     for di, delta in enumerate(deltas):
         block = results[di * n_samples:(di + 1) * n_samples]
         ok = [r.value for r in block if r.ok]
         n_failed = n_samples - len(ok)
-        if n_failed > failure_threshold * n_samples:
+        if n_failed > FAILURE_THRESHOLD * n_samples:
             raise SweepFailureError(
                 "%d of %d samples failed at delta/V = %g"
                 % (n_failed, n_samples, delta))

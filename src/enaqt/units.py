@@ -11,11 +11,11 @@ The single conversion constant is
 
 with c in cm/ps, so 1 cm^-1 = 0.18836... rad/ps. Dissipative rates
 (trapping, recombination, dephasing) are specified directly in ps^-1 and
-are never converted.
+are never converted. These module constants are the only conventions the
+engine uses; run manifests echo them as constant.* lines.
 """
 
 import math
-from dataclasses import dataclass
 
 # Speed of light in cm per picosecond (CODATA, exact by SI definition).
 SPEED_OF_LIGHT_CM_PER_PS = 2.99792458e-2
@@ -26,36 +26,12 @@ CM1_TO_PS_ANGULAR = 2.0 * math.pi * SPEED_OF_LIGHT_CM_PER_PS
 # Boltzmann constant in cm^-1 per kelvin (CODATA-derived).
 BOLTZMANN_CM1_PER_K = 0.695035
 
-HBAR = 1.0
-
-
-@dataclass(frozen=True)
-class UnitConvention:
-    """Bundle of the physical constants the engine relies on.
-
-    Kept as a value object so run manifests can echo exactly which
-    constants produced a given output file.
-    """
-
-    cm1_to_ps_angular: float = CM1_TO_PS_ANGULAR
-    boltzmann_cm1_per_k: float = BOLTZMANN_CM1_PER_K
-    hbar: float = HBAR
-
-    def cm1_to_angular(self, energy_cm1):
-        """Convert an energy in cm^-1 to angular frequency in ps^-1."""
-        return energy_cm1 * self.cm1_to_ps_angular
-
-    def angular_to_cm1(self, omega_ps):
-        """Inverse of cm1_to_angular."""
-        return omega_ps / self.cm1_to_ps_angular
-
-
-DEFAULT_UNITS = UnitConvention()
-
 
 def cm1_to_angular(energy_cm1):
-    return DEFAULT_UNITS.cm1_to_angular(energy_cm1)
+    """Convert an energy in cm^-1 to angular frequency in ps^-1."""
+    return energy_cm1 * CM1_TO_PS_ANGULAR
 
 
 def angular_to_cm1(omega_ps):
-    return DEFAULT_UNITS.angular_to_cm1(omega_ps)
+    """Inverse of cm1_to_angular."""
+    return omega_ps / CM1_TO_PS_ANGULAR

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.resources
 import subprocess
 import sys
 
@@ -7,8 +9,12 @@ import pytest
 from enaqt import cli
 from enaqt.cli import main
 from enaqt.errors import EnaqtError
-from enaqt.fmo import data_checksum
 from enaqt.model import TransportSystem, save_system
+
+
+BUNDLED_SHA256 = hashlib.sha256(
+    (importlib.resources.files("enaqt") / "data" / "fmo_cho2005.txt")
+    .read_bytes()).hexdigest()
 
 
 def read(path):
@@ -34,7 +40,7 @@ def test_fmo_sweep_writes_csv_and_manifest(tmp_path, capsys):
     assert len(lines) == 7
     manifest = read(tmp_path / "fmo_sweep_manifest.txt")
     assert manifest_value(manifest, "command") == "fmo-sweep"
-    assert manifest_value(manifest, "data.fmo.sha256") == data_checksum()
+    assert manifest_value(manifest, "data.fmo.sha256") == BUNDLED_SHA256
     assert manifest_value(manifest, "config.gamma_points") == "6"
     gamma_300k = float(manifest_value(manifest, "annotation.gamma_phi_cm1"))
     assert 285.0 < gamma_300k < 315.0
@@ -162,6 +168,19 @@ def test_tree_ensemble_width_does_not_change_the_csv(tmp_path):
         read(b / "tree_ensemble_mixture.csv")
 
 
+@pytest.mark.parametrize("option", [["--generation", "8"],
+                                    ["--generation", "1"],
+                                    ["--samples", "0"]])
+def test_tree_ensemble_rejects_a_bad_spec_before_touching_the_output(
+        tmp_path, capsys, option):
+    out = tmp_path / "new"
+    rc = main(["tree-ensemble", "--out-dir", str(out), "--delta-grid", "0"]
+              + option)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_tree_ensemble_rejects_bad_delta_grid(tmp_path):
     rc = main(["tree-ensemble", "--out-dir", str(tmp_path),
                "--delta-grid", "0:4"])
@@ -252,6 +271,20 @@ def test_propagate_rejects_bad_initial_states(tmp_path, init):
                "--init", init, "--t-final", "1", "--out-dir",
                str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("option", [["--t-final", "inf"],
+                                    ["--samples", "-1"],
+                                    ["--samples", "0"],
+                                    ["--samples", "1"]])
+def test_propagate_rejects_a_bad_horizon_or_sample_count(tmp_path, capsys,
+                                                         option):
+    out = tmp_path / "new"
+    rc = main(["propagate", "--system", dimer_file(tmp_path),
+               "--init", "site:1", "--out-dir", str(out)] + option)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_propagate_rejects_missing_system_file(tmp_path, capsys):

@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from enaqt.errors import ConfigurationError, DataIntegrityError
-from enaqt.fmo import (DEFAULT_RECOMB_RATE, DEFAULT_TRAP_RATE, data_checksum,
+from enaqt.fmo import (DEFAULT_RECOMB_RATE, DEFAULT_TRAP_RATE,
                        default_gamma_grid, default_kappa_grid,
                        dephasing_sweep, load_fmo_model, trap_dephasing_surface,
                        write_surface_csv, write_sweep_csv)
 from enaqt.model import InitialState
 
 
-def bundled_text():
+def bundled_bytes():
     return (importlib.resources.files("enaqt") / "data"
-            / "fmo_cho2005.txt").read_text()
+            / "fmo_cho2005.txt").read_bytes()
+
+
+def bundled_text():
+    return bundled_bytes().decode("utf-8")
 
 
 def write_with_sidecar(tmp_path, text, checksum=None):
@@ -30,7 +34,9 @@ def write_with_sidecar(tmp_path, text, checksum=None):
 def test_bundled_data_passes_its_checksum():
     model = load_fmo_model()
     assert model.system.n_sites == 7
-    assert len(data_checksum()) == 64
+    assert model.data_sha256 == hashlib.sha256(bundled_bytes()).hexdigest()
+    assert model.data_sha256 == ("b0c9785e1c239234e1f20717f8662c1b"
+                                 "e6c11af47d22a9ef464a9e0f6aa53757")
 
 
 def test_parsed_hamiltonian_landmarks():
@@ -82,7 +88,8 @@ def test_invalid_initial_sites_are_rejected():
 
 def test_corrupted_data_fails_the_checksum(tmp_path):
     text = bundled_text().replace("215.0", "216.0")
-    path = write_with_sidecar(tmp_path, text, checksum=data_checksum())
+    path = write_with_sidecar(tmp_path, text,
+                              checksum=load_fmo_model().data_sha256)
     with pytest.raises(DataIntegrityError, match="checksum"):
         load_fmo_model(data_path=path)
 
@@ -121,13 +128,31 @@ def test_wrong_value_count_is_a_parse_error(tmp_path):
         load_fmo_model(data_path=path)
 
 
-def test_unverified_loading_can_be_requested(tmp_path):
-    path = tmp_path / "plain.txt"
-    values = ["unit cm-1", "0 0 0 0 0 0 0"] + ["1.0"] * 21
-    path.write_text("\n".join(values) + "\n")
-    model = load_fmo_model(data_path=str(path), verify_checksum=False)
-    assert np.all(model.system.site_energies == 0.0)
-    assert model.system.couplings[0, 1] == 1.0
+def test_crlf_copy_with_a_sha256sum_sidecar_loads(tmp_path):
+    """The checksum covers the file's bytes, as sha256sum computes it, so
+    a CRLF copy verifies against its own digest and parses to the same
+    Hamiltonian."""
+    raw = bundled_bytes().replace(b"\n", b"\r\n")
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(raw)
+    digest = hashlib.sha256(raw).hexdigest()
+    (tmp_path / "crlf.txt.sha256").write_text(digest + "  crlf.txt\n")
+    model = load_fmo_model(data_path=str(path))
+    assert model.data_sha256 == digest
+    bundled = load_fmo_model().system
+    np.testing.assert_array_equal(model.system.site_energies,
+                                  bundled.site_energies)
+    np.testing.assert_array_equal(model.system.couplings, bundled.couplings)
+
+
+def test_verified_bytes_that_are_not_utf8_are_refused(tmp_path):
+    raw = b"unit cm-1\n\xff\xfe\n"
+    path = tmp_path / "binary.txt"
+    path.write_bytes(raw)
+    (tmp_path / "binary.txt.sha256").write_text(
+        hashlib.sha256(raw).hexdigest() + "\n")
+    with pytest.raises(DataIntegrityError, match="UTF-8"):
+        load_fmo_model(data_path=str(path))
 
 
 def test_default_grids():

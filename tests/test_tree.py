@@ -6,7 +6,7 @@ import pytest
 from enaqt.errors import ConfigurationError, NonConvergentIntegralError
 from enaqt.model import TransportSystem, initial_density_matrix
 from enaqt.observables import transport_result
-from enaqt.tree import (DEFAULT_DELTA_GRID, SearchConfig, TreeSpec,
+from enaqt.tree import (DEFAULT_DELTA_GRID, MAX_GENERATION, TreeSpec,
                         disorder_ensemble, generate_tree, leaf_initial_state,
                         leaf_sites, normal_draws, optimal_dephasing)
 from enaqt.units import cm1_to_angular
@@ -26,6 +26,10 @@ def test_spec_validation_and_derived_rates():
     assert explicit.recomb_rate_ps == 0.001
     with pytest.raises(ConfigurationError):
         TreeSpec(generation=1, coupling_cm1=100.0)
+    assert MAX_GENERATION == 7
+    assert TreeSpec(generation=7, coupling_cm1=100.0).n_sites == 127
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        TreeSpec(generation=8, coupling_cm1=100.0)
     with pytest.raises(ConfigurationError):
         TreeSpec(generation=3, coupling_cm1=0.0)
     with pytest.raises(ConfigurationError):
@@ -77,14 +81,6 @@ def test_disorder_perturbs_energies_reproducibly():
 def test_ordered_tree_has_uniform_energies():
     sys = generate_tree(TreeSpec(generation=4, coupling_cm1=100.0))
     assert np.all(sys.site_energies == 0.0)
-
-
-def test_large_trees_need_explicit_consent():
-    spec = TreeSpec(generation=8, coupling_cm1=100.0)
-    with pytest.raises(ConfigurationError, match="allow_large"):
-        generate_tree(spec)
-    sys = generate_tree(spec, allow_large=True)
-    assert sys.n_sites == 255
 
 
 def test_leaf_sites_and_states():
@@ -221,8 +217,7 @@ def test_ensemble_validation():
 def test_report_csv_layout():
     spec = TreeSpec(generation=3, coupling_cm1=100.0)
     report = disorder_ensemble(spec, delta_grid=[0.0, 1.0], n_samples=2,
-                               kind="mixture", master_seed=1,
-                               search_cfg=SearchConfig(grid_points=10))
+                               kind="mixture", master_seed=1)
     buf = io.StringIO()
     report.write_csv(buf)
     lines = buf.getvalue().splitlines()

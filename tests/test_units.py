@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enaqt.units import (BOLTZMANN_CM1_PER_K, CM1_TO_PS_ANGULAR, DEFAULT_UNITS,
-                         HBAR, SPEED_OF_LIGHT_CM_PER_PS, UnitConvention,
-                         angular_to_cm1, cm1_to_angular)
+from enaqt.units import (BOLTZMANN_CM1_PER_K, CM1_TO_PS_ANGULAR,
+                         SPEED_OF_LIGHT_CM_PER_PS, angular_to_cm1,
+                         cm1_to_angular)
 
 
 def test_conversion_constant_is_two_pi_c():
@@ -19,7 +18,6 @@ def test_conversion_constant_is_two_pi_c():
 
 def test_boltzmann_constant_value():
     assert BOLTZMANN_CM1_PER_K == 0.695035
-    assert HBAR == 1.0
 
 
 def test_scalar_conversion():
@@ -38,15 +36,3 @@ def test_array_conversion():
 def test_round_trip_is_identity_within_roundoff(x):
     assert angular_to_cm1(cm1_to_angular(x)) == pytest.approx(x, rel=1e-14,
                                                               abs=1e-300)
-
-
-def test_convention_object_matches_module_functions():
-    conv = UnitConvention()
-    assert conv.cm1_to_angular(3.0) == cm1_to_angular(3.0)
-    assert conv.angular_to_cm1(3.0) == angular_to_cm1(3.0)
-    assert DEFAULT_UNITS.cm1_to_ps_angular == CM1_TO_PS_ANGULAR
-
-
-def test_convention_is_immutable():
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        DEFAULT_UNITS.hbar = 2.0
