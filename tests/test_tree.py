@@ -26,14 +26,21 @@ def test_spec_validation_and_derived_rates():
     assert explicit.recomb_rate_ps == 0.001
     with pytest.raises(ConfigurationError):
         TreeSpec(generation=1, coupling_cm1=100.0)
-    assert MAX_GENERATION == 7
-    assert TreeSpec(generation=7, coupling_cm1=100.0).n_sites == 127
-    with pytest.raises(ConfigurationError, match="exceeds"):
-        TreeSpec(generation=8, coupling_cm1=100.0)
     with pytest.raises(ConfigurationError):
         TreeSpec(generation=3, coupling_cm1=0.0)
     with pytest.raises(ConfigurationError):
         TreeSpec(generation=3, coupling_cm1=100.0, disorder_cm1=-1.0)
+
+
+def test_large_trees_need_explicit_consent():
+    """Trees above MAX_GENERATION are refused when the spec is built, with
+    no override; the largest allowed tree still generates."""
+    assert MAX_GENERATION == 7
+    with pytest.raises(ConfigurationError, match="exceeds"):
+        TreeSpec(generation=8, coupling_cm1=100.0)
+    spec = TreeSpec(generation=7, coupling_cm1=100.0)
+    assert spec.n_sites == 127
+    assert generate_tree(spec).n_sites == 127
 
 
 def test_normal_draws_are_pinned():
