@@ -140,9 +140,9 @@ def cmd_fmo_sweep(args):
     kgrid = _log_grid("--surface-kappa", args.surface_kappa_min,
                       args.surface_kappa_max,
                       args.surface_kappa_points) if args.surface else None
-    _ensure_out_dir(args.out_dir)
     model = load_fmo_model(data_path=args.data_file, trap_rate=args.kappa3,
                            recomb_rate=args.recomb_rate)
+    _ensure_out_dir(args.out_dir)
     results = dephasing_sweep(model, grid)
     files = [("fmo_sweep.csv", lambda f: write_sweep_csv(results, f))]
     if args.surface:

@@ -19,9 +19,17 @@ samples rho(t) = expm(L t) rho0 by stepping the matrix exponential between
 sample times up to a finite, positive horizon. MomentSolver, the one place
 that solves for S1 = int_0^inf rho dt and S2 = int_0^inf t rho dt, never
 touches time at all: it solves L S1 = -rho0 and L S2 = -S1 at any
-dephasing rate, with one conditioning guard for every caller. The test
-suite checks both against the independent DOP853 and eigenbasis oracles in
-tests/oracles.py.
+dephasing rate. Systems of fewer than 9 sites get a dense LU of the
+N^2 x N^2 L. Larger ones get an eigenbasis route: H_eff is diagonalized
+once, the coherent part of L is inverted elementwise in that basis, and
+the rank-N dephasing term costs one N x N capacitance solve (Woodbury),
+followed by one step of iterative refinement. When the eigenvectors are
+ill-conditioned (cond(S) > 1e4, as near an exceptional point), a mode is
+dark or the capacitance system is ill-conditioned, that rate falls back to
+the dense solve, whose 1e12 conditioning guard then applies as for small
+systems; a fallback that would need more than 1 GiB is refused instead.
+The test suite checks both against the independent DOP853 and eigenbasis
+oracles in tests/oracles.py.
 
 vec() convention: columns are stacked, so vec(rho)[col * N + row] =
 rho[row, col] and vec(A rho B) = (B^T kron A) vec(rho). Mixing this up
@@ -219,6 +227,110 @@ def default_horizon(sys):
 _COND_LIMIT = 1e12
 _GETRF, _GECON, _GETRS = get_lapack_funcs(("getrf", "gecon", "getrs"),
                                           dtype=np.complex128)
+# Systems of at least this many sites take the eigenbasis route. Below it
+# the dense solve is the faster one and stays the only route: for FMO
+# (N = 7), building a solver and solving for both moments took 0.26 ms
+# dense against 0.37 ms by eigenbasis (one OpenBLAS thread, 2-core VM).
+_EIGENBASIS_MIN_SITES = 9
+# The eigenbasis route is not taken when cond(S) of H_eff = S Lambda S^-1
+# exceeds this: the eigenvectors are then close to parallel, as near an
+# exceptional point, and their errors would be amplified by cond(S)^2.
+_EIGENVECTOR_COND_LIMIT = 1e4
+# The dense fallback refuses to allocate a Liouvillian larger than this
+# (at most 90 sites; a generation-7 tree's would be 4.2 GB).
+_DENSE_MAX_BYTES = 2 ** 30
+
+
+class _Eigenbasis:
+    """Solves L(gamma) x = b in the eigenbasis of H_eff = S diag(lam) W.
+
+    Dephasing is gamma (diag x - x), so L(gamma) = A + gamma E E^T with
+    A = L0 - gamma I and E^T x = diag(x). A is diagonal in the basis
+    x~ = W x W^dag, where it multiplies element jk by
+    R^-1_jk = -i(lam_j - conj(lam_k)) - gamma. The Woodbury identity then
+    leaves one N x N capacitance system for the rank-N dephasing term:
+        G_mn = sum_jk S_mj W_jn R_jk conj(S_mk W_kn),
+        z = (I/gamma + G)^-1 diag(A^-1 b),  x = A^-1 b - A^-1 diag(z).
+    factor() returns None when a guard trips, and the caller falls back
+    to the dense solve.
+    """
+
+    def __init__(self, heff, s, lam):
+        self._heff = heff
+        self._heff_h = heff.conj().T
+        self._s = s
+        self._s_h = s.conj().T
+        self._w = np.linalg.inv(s)
+        self._w_h = self._w.conj().T
+        self._rinv0 = -1j * (lam[:, None] - lam.conj()[None, :])
+        self._diag = np.diag_indices(len(lam))
+        # pairs[(m, n), j] = S_mj W_jn, fixed for every gamma; built on
+        # the first gamma > 0.
+        self._pairs = self._pairs_conj = None
+
+    @classmethod
+    def of(cls, heff):
+        """The route for heff, or None when its eigenvectors are too close
+        to parallel (or the eigensolver fails)."""
+        try:
+            lam, s = np.linalg.eig(heff)
+        except np.linalg.LinAlgError:
+            return None
+        sv = np.linalg.svd(s, compute_uv=False)
+        if not sv[-1] * _EIGENVECTOR_COND_LIMIT >= sv[0]:
+            return None
+        return cls(heff, s, lam)
+
+    def factor(self, gamma):
+        """(R, capacitance LU or None at gamma = 0), or None when R^-1 has
+        a near-zero entry (a dark mode) or the capacitance matrix is
+        ill-conditioned."""
+        rinv = self._rinv0 - gamma
+        mag = np.abs(rinv)
+        if not mag.min() * _COND_LIMIT >= mag.max():
+            return None
+        r = 1.0 / rinv
+        if gamma == 0.0:
+            return r, None
+        n = r.shape[0]
+        if self._pairs is None:
+            self._pairs = (self._s[:, None, :] * self._w.T[None, :, :]) \
+                .reshape(n * n, n)
+            self._pairs_conj = self._pairs.conj()
+        g = np.einsum("ij,ij->i", self._pairs @ r, self._pairs_conj)
+        # gamma (I/gamma + G), which is finite at every gamma > 0.
+        cap = gamma * g.reshape(n, n)
+        cap[self._diag] += 1.0
+        anorm = np.abs(cap).sum(axis=0).max()
+        lu, piv, info = _GETRF(cap, overwrite_a=True)
+        if info > 0:
+            return None
+        rcond, info = _GECON(lu, anorm)
+        if info != 0 or not rcond * _COND_LIMIT >= 1.0:
+            return None
+        return r, (lu, piv)
+
+    def _apply_inverse(self, factors, gamma, b):
+        r, cap = factors
+        t = r * (self._w @ b @ self._w_h)
+        if cap is not None:
+            diag_y = np.einsum("ij,ij->i", self._s @ t, self._s_h.T)
+            z, _ = _GETRS(*cap, gamma * diag_y)
+            t -= r * ((self._w * z) @ self._w_h)
+        return self._s @ t @ self._s_h
+
+    def solve(self, factors, gamma, b):
+        """x with L(gamma) x = b, refined once against the exact operator
+        -i(H_eff x - x H_eff^dag) + gamma (diag x - x). That operator, not
+        master_equation_rhs, because x need not be Hermitian to roundoff."""
+        x = self._apply_inverse(factors, gamma, b)
+        lx = -1j * (self._heff @ x - x @ self._heff_h)
+        if gamma != 0.0:
+            # Populations are exempt, exactly rather than by cancellation.
+            damped = gamma * x
+            damped[self._diag] = 0.0
+            lx -= damped
+        return x + self._apply_inverse(factors, gamma, b - lx)
 
 
 class MomentSolver:
@@ -227,11 +339,28 @@ class MomentSolver:
 
     S1 solves L vec(S1) = -vec(rho0); S2 solves L vec(S2) = -vec(S1)
     (integration by parts moves the factor of t into a second solve).
-    Dephasing only adds gamma_phi times a fixed diagonal to L, so the
-    coherent part is built once; solver(gamma_phi) adds the diagonal and
-    returns (S1, S2) from one dense LU factorization. A condition estimate
-    above 1e12 aborts: the integrals are then dominated by a near-null
-    mode, which means some population has no decay channel to reach.
+    solver(gamma_phi) returns (S1, S2); solver.first_moment(gamma_phi)
+    returns S1 alone.
+
+    Two routes give the same numbers to roundoff:
+    - Dense: dephasing only adds gamma_phi times a fixed diagonal to L, so
+      the N^2 x N^2 coherent part is built once, on the first dense solve,
+      and each rate takes one LU factorization. A condition estimate above
+      1e12 aborts with NonConvergentIntegralError: the integrals are then
+      dominated by a near-null mode, which means some population has no
+      decay channel to reach. Systems of fewer than 9 sites always take
+      this route.
+    - Eigenbasis (9 sites and up): H_eff is diagonalized once, and each
+      rate costs one N x N capacitance solve plus O(N^4) work (see
+      _Eigenbasis), with one step of iterative refinement.
+
+    The eigenbasis route falls back to the dense one, with its guard, when
+    cond(S) of the eigenvectors exceeds 1e4 (every rate then goes dense),
+    when some -i(lam_j - conj(lam_k)) - gamma_phi is smaller in magnitude
+    than 1e-12 times the largest (a dark mode), or when the capacitance
+    condition estimate exceeds 1e12. A fallback whose dense Liouvillian
+    would exceed 1 GiB raises NonConvergentIntegralError instead.
+    route_counts reports how many solves each route took.
     """
 
     def __init__(self, sys, rho0):
@@ -246,21 +375,57 @@ class MomentSolver:
                 "no decay channel anywhere (all kappa_m = 0 and Gamma = 0): "
                 "int_0^inf rho dt diverges")
         self.n_sites = n
-        self._rhs = -_vec(rho0)
-        self._coherent = np.asfortranarray(
-            _coherent_liouvillian(effective_hamiltonian(sys)))
-        self._dephasing = _dephasing_diagonal(n)
-        self._diag = np.arange(n * n)
-        # gamma_phi moves only the diagonal of each column's 1-norm.
-        offdiag = np.abs(self._coherent)
-        offdiag[self._diag, self._diag] = 0.0
-        self._offdiag_colsum = offdiag.sum(axis=0)
+        self._rho0 = rho0
+        self._heff = effective_hamiltonian(sys)
+        self._eigen = (_Eigenbasis.of(self._heff)
+                       if n >= _EIGENBASIS_MIN_SITES else None)
+        self._coherent = None
+        self._counts = {"eigenbasis": 0, "dense": 0}
+
+    @property
+    def route_counts(self):
+        """Solves taken so far per route, {"eigenbasis": k, "dense": m}."""
+        return dict(self._counts)
 
     def __call__(self, gamma_phi):
+        return self._solve(gamma_phi, 2)
+
+    def first_moment(self, gamma_phi):
+        """S1 alone at gamma_phi."""
+        return self._solve(gamma_phi, 1)[0]
+
+    def _solve(self, gamma_phi, n_moments):
         gamma = float(gamma_phi)
         if not (np.isfinite(gamma) and gamma >= 0.0):
             raise ConfigurationError(
                 "dephasing rate must be finite and >= 0, got %r" % (gamma_phi,))
+        factors = None if self._eigen is None else self._eigen.factor(gamma)
+        if factors is None:
+            self._counts["dense"] += 1
+            return self._dense_solve(gamma, n_moments)
+        self._counts["eigenbasis"] += 1
+        moments = [self._eigen.solve(factors, gamma, -self._rho0)]
+        if n_moments == 2:
+            moments.append(self._eigen.solve(factors, gamma, -moments[0]))
+        return tuple(moments)
+
+    def _dense_solve(self, gamma, n_moments):
+        n = self.n_sites
+        if self._coherent is None:
+            nbytes = 16 * n ** 4
+            if nbytes > _DENSE_MAX_BYTES:
+                raise NonConvergentIntegralError(
+                    "the eigenbasis route does not apply and the dense "
+                    "Liouvillian of %d sites would take %.2f GiB, above the "
+                    "1 GiB limit of the dense fallback" % (n, nbytes / 2 ** 30))
+            self._coherent = np.asfortranarray(
+                _coherent_liouvillian(self._heff))
+            self._dephasing = _dephasing_diagonal(n)
+            self._diag = np.arange(n * n)
+            # gamma_phi moves only the diagonal of each column's 1-norm.
+            offdiag = np.abs(self._coherent)
+            offdiag[self._diag, self._diag] = 0.0
+            self._offdiag_colsum = offdiag.sum(axis=0)
         L = self._coherent.copy(order="F")
         if gamma != 0.0:
             L[self._diag, self._diag] += gamma * self._dephasing
@@ -280,9 +445,10 @@ class MomentSolver:
                 "integrals do not converge reliably; likely cause is a site "
                 "(or subspace) with no reachable decay channel"
                 % (np.inf if rcond == 0.0 else 1.0 / rcond))
-        s1, _ = _GETRS(lu, piv, self._rhs)
-        s2, _ = _GETRS(lu, piv, -s1)
-        return _unvec(s1, self.n_sites), _unvec(s2, self.n_sites)
+        moments = [_GETRS(lu, piv, -_vec(self._rho0))[0]]
+        if n_moments == 2:
+            moments.append(_GETRS(lu, piv, -moments[0])[0])
+        return tuple(_unvec(v, n) for v in moments)
 
 
 def integrated_state(sys, rho0):

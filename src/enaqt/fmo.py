@@ -44,13 +44,27 @@ KAPPA_GRID_DEFAULT = (1e-2, 1e2, 25)
 
 
 def _expected_checksum(path):
-    """First word of the `<file>.sha256` sidecar next to path, or None."""
+    """First word of the `<file>.sha256` sidecar next to path.
+
+    A missing, unreadable or empty sidecar raises DataIntegrityError, each
+    with its own message."""
     sidecar = path.parent / (path.name + ".sha256")
     try:
-        text = sidecar.read_text()
-    except OSError:
-        return None
-    return text.split()[0] if text.split() else None
+        words = sidecar.read_bytes().decode("utf-8", "replace").split()
+    except FileNotFoundError:
+        raise DataIntegrityError(
+            "no .sha256 sidecar found for %s; refusing to load unverified "
+            "data (write its SHA-256 to %s, e.g. with sha256sum)"
+            % (path, sidecar)) from None
+    except OSError as exc:
+        raise DataIntegrityError("cannot read the .sha256 sidecar %s: %s"
+                                 % (sidecar, exc)) from exc
+    if not words:
+        raise DataIntegrityError(
+            "the .sha256 sidecar %s is empty; refusing to load unverified "
+            "data (write the SHA-256 of %s to it, e.g. with sha256sum)"
+            % (sidecar, path))
+    return words[0]
 
 
 def _parse_hamiltonian(text, path):
@@ -111,9 +125,9 @@ def load_fmo_model(data_path=None, trap_rate=None, recomb_rate=None,
     trap site, Gamma, gamma_phi, the trap site, or the initial state.
 
     The file is read once. The SHA-256 of its bytes must match the digest
-    in the `<file>.sha256` sidecar, and a missing sidecar or a mismatch
-    raises DataIntegrityError. The verified bytes are then parsed as UTF-8
-    text, and their digest is kept as FmoModel.data_sha256.
+    in the `<file>.sha256` sidecar, and a missing or empty sidecar or a
+    mismatch raises DataIntegrityError. The verified bytes are then parsed
+    as UTF-8 text, and their digest is kept as FmoModel.data_sha256.
     """
     path = importlib.resources.files("enaqt") / "data" / "fmo_cho2005.txt" \
         if data_path is None else pathlib.Path(data_path)
@@ -123,11 +137,6 @@ def load_fmo_model(data_path=None, trap_rate=None, recomb_rate=None,
         raise DataIntegrityError("cannot read FMO data file %s: %s"
                                  % (path, exc)) from exc
     expected = _expected_checksum(path)
-    if expected is None:
-        raise DataIntegrityError(
-            "no .sha256 sidecar found for %s; refusing to load unverified "
-            "data (write its SHA-256 to %s.sha256, e.g. with sha256sum)"
-            % (path, path))
     actual = hashlib.sha256(raw).hexdigest()
     if actual != expected:
         raise DataIntegrityError(

@@ -14,10 +14,12 @@ coherent transport (gamma_phi = 0), and how efficient can dephasing make
 it (gamma_phi optimized per realization)? Disorder localizes the coherent
 dynamics, and dephasing recovers much of the loss, increasingly so the
 stronger the disorder. Each realization's efficiencies come from one
-dynamics.MomentSolver, whose conditioning guard fails the sample rather
-than let an ill-posed realization through. The search for the optimal
-rate (SEARCH_* constants) and the ensemble's 5 % failure threshold are
-fixed, and a TreeSpec above MAX_GENERATION = 7 is refused when it is built.
+dynamics.MomentSolver, which solves for S1 alone at each rate (trees of
+9 sites and up take its eigenbasis route); its conditioning guard fails
+the sample rather than let an ill-posed realization through. The search
+for the optimal rate (SEARCH_* constants) and the ensemble's 5 % failure
+threshold are fixed, and a TreeSpec above MAX_GENERATION = 7 is refused
+when it is built.
 
 Reproducibility contract: site energies come from Box-Muller applied to a
 counter-based Philox stream keyed by a hash of (master seed, delta index,
@@ -37,7 +39,11 @@ from .observables import efficiency
 from .sweep import SweepPlan, derive_seed, run_sweep, sample_mean_std
 from .units import cm1_to_angular
 
-MAX_GENERATION = 7  # 127 sites, a 16129^2 dense Liouvillian; refused above this
+# 127 sites; TreeSpec refuses larger trees. The moment solver's eigenbasis
+# route handles any tree up to this size; the limit guards its dense
+# fallback, whose Liouvillian grows as 4^g (4.2 GB at g = 7, where the
+# fallback already refuses anything above 1 GiB).
+MAX_GENERATION = 7
 
 # Ensemble defaults, rates in units of the coupling (angular frequency).
 RECOMB_OVER_V = 0.005
@@ -74,8 +80,8 @@ class TreeSpec:
             raise ConfigurationError("tree generation must be >= 2")
         if int(self.generation) > MAX_GENERATION:
             raise ConfigurationError(
-                "tree generation %d exceeds the dense-solver limit of %d "
-                "(%d sites): the dense Liouvillian grows as 4^g"
+                "tree generation %d exceeds the limit of %d (%d sites): the "
+                "moment solver's dense fallback grows as 4^g"
                 % (self.generation, MAX_GENERATION, 2 ** MAX_GENERATION - 1))
         if self.disorder_cm1 < 0.0:
             raise ConfigurationError("disorder must be >= 0")
@@ -200,7 +206,7 @@ def optimal_dephasing(sys, rho0):
     solver = MomentSolver(sys, rho0)
 
     def evaluate(gamma):
-        return efficiency(sys, solver(gamma)[0])
+        return efficiency(sys, solver.first_moment(gamma))
 
     eta0 = evaluate(0.0)
     etas = np.array([evaluate(g) for g in grid])

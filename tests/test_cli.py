@@ -142,6 +142,32 @@ def test_fmo_sweep_rejects_unreadable_data_file(tmp_path):
     assert rc == 2
 
 
+def _data_file_with_empty_sidecar(tmp_path):
+    data = tmp_path / "h.txt"
+    data.write_bytes((importlib.resources.files("enaqt") / "data"
+                      / "fmo_cho2005.txt").read_bytes())
+    (tmp_path / "h.txt.sha256").write_text("  \n")
+    return data
+
+
+def test_fmo_sweep_refuses_the_data_file_before_touching_the_output(
+        tmp_path):
+    out = tmp_path / "new"
+    rc = main(["fmo-sweep", "--gamma-points", "3", "--out-dir", str(out),
+               "--data-file", str(_data_file_with_empty_sidecar(tmp_path))])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_fmo_sweep_reports_an_empty_sidecar_as_empty(tmp_path, capsys):
+    rc = main(["fmo-sweep", "--gamma-points", "3", "--out-dir", str(tmp_path),
+               "--data-file", str(_data_file_with_empty_sidecar(tmp_path))])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "h.txt.sha256 is empty" in err
+    assert "no .sha256 sidecar found" not in err
+
+
 def test_tree_ensemble_writes_both_kinds(tmp_path):
     rc = main(["tree-ensemble", "--out-dir", str(tmp_path),
                "--generation", "3", "--samples", "2",

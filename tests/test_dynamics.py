@@ -246,6 +246,119 @@ def test_moment_solver_equals_integrated_state_at_every_rate():
             np.testing.assert_array_equal(s2, w2)
 
 
+def _dense_moments(sys, rho0):
+    """S1 and S2 from a direct dense solve of build_liouvillian(sys)."""
+    n = sys.n_sites
+    liou = build_liouvillian(sys)
+    s1 = np.linalg.solve(liou, -_vec(rho0))
+    s2 = np.linalg.solve(liou, -s1)
+    return _unvec(s1, n), _unvec(s2, n)
+
+
+def _relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_eigenbasis_route_matches_a_dense_solve(n):
+    """Systems of 9 sites and up take the eigenbasis + Woodbury route; its
+    moments must equal a direct dense solve at every dephasing rate, from
+    the coherent limit to deep in the Zeno regime."""
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        sys = random_transport_system(rng, n=n)
+        rho0 = random_density_matrix(rng, n)
+        solver = MomentSolver(sys, rho0)
+        gammas = (0.0, 1e-3, 0.7, 25.0, 4e3)
+        for gamma in gammas:
+            s1, s2 = solver(gamma)
+            w1, w2 = _dense_moments(sys.with_dephasing(gamma), rho0)
+            assert _relative_gap(s1, w1) <= 1e-10
+            assert _relative_gap(s2, w2) <= 1e-10
+        assert solver.route_counts == {"eigenbasis": len(gammas), "dense": 0}
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_first_moment_equals_the_first_of_both_moments(n):
+    rng = np.random.default_rng(30 + n)
+    sys = random_transport_system(rng, n=n)
+    solver = MomentSolver(sys, random_density_matrix(rng, n))
+    for gamma in (0.0, 0.7, 4e3):
+        np.testing.assert_array_equal(solver.first_moment(gamma),
+                                      solver(gamma)[0])
+
+
+def _exceptional_point_system(gamma_phi):
+    """Nine sites: the trapped dimer at kappa = 2|V| (angular), whose H_eff
+    block is defective, beside an uncoupled random seven-site block with a
+    trap of its own. Every site recombines."""
+    rng = np.random.default_rng(40)
+    v_cm1 = 10.0
+    kappa = 2.0 * v_cm1 * CM1_TO_PS_ANGULAR
+    couplings = np.zeros((9, 9))
+    couplings[0, 1] = couplings[1, 0] = v_cm1
+    block = np.triu(rng.uniform(-10.0, 10.0, size=(7, 7)), k=1)
+    couplings[2:, 2:] = block + block.T
+    trap = np.zeros(9)
+    trap[1] = kappa
+    trap[4] = 0.6
+    return TransportSystem(n_sites=9,
+                           site_energies=np.concatenate(
+                               [[0.0, 0.0], rng.uniform(-20.0, 20.0, 7)]),
+                           couplings=couplings, trap_rates=trap,
+                           recomb_rate=0.2, dephasing_rate=gamma_phi)
+
+
+@pytest.mark.parametrize("gamma_phi", [0.0, 0.8])
+def test_moments_match_the_quadrature_oracle_at_the_exceptional_point(
+        gamma_phi):
+    """A defective H_eff has no eigenbasis, so the solver must take the
+    dense fallback there, and still agree with DOP853 quadrature."""
+    sys = _exceptional_point_system(gamma_phi)
+    rho0 = np.zeros((9, 9), dtype=complex)
+    rho0[0, 0] = rho0[5, 5] = 0.5
+    solver = MomentSolver(sys, rho0)
+    s1, s2 = solver(gamma_phi)
+    assert solver.route_counts == {"eigenbasis": 0, "dense": 1}
+    q1, q2 = quadrature_integrals(sys, rho0)
+    np.testing.assert_allclose(s1, q1, rtol=1e-8, atol=1e-10)
+    np.testing.assert_allclose(s2, q2, rtol=1e-8, atol=1e-10)
+
+
+def test_a_dark_mode_falls_back_to_the_dense_guard():
+    """Site 9 is uncoupled and has no decay of its own, so its mode is dark
+    at gamma_phi = 0: the eigenbasis route steps aside and the dense
+    solve's conditioning guard names the cause."""
+    rng = np.random.default_rng(41)
+    sys = random_transport_system(rng, n=9, dephasing=0.0)
+    couplings = sys.couplings.copy()
+    couplings[8, :] = couplings[:, 8] = 0.0
+    trap = sys.trap_rates.copy()
+    trap[8] = 0.0
+    sys = TransportSystem(n_sites=9, site_energies=sys.site_energies,
+                          couplings=couplings, trap_rates=trap,
+                          recomb_rate=0.0, dephasing_rate=0.0)
+    solver = MomentSolver(sys, np.eye(9, dtype=complex) / 9.0)
+    with pytest.raises(NonConvergentIntegralError):
+        solver(0.0)
+    assert solver.route_counts == {"eigenbasis": 0, "dense": 1}
+
+
+def test_a_dense_fallback_above_one_gibibyte_is_refused():
+    """91 sites would need a 1.1 GB dense Liouvillian. With 90 dark sites
+    the eigenbasis route steps aside, and the fallback refuses by name
+    instead of allocating it."""
+    n = 91
+    trap = np.zeros(n)
+    trap[0] = 1.0
+    sys = TransportSystem(n_sites=n, site_energies=np.zeros(n),
+                          couplings=np.zeros((n, n)), trap_rates=trap,
+                          recomb_rate=0.0, dephasing_rate=0.0)
+    solver = MomentSolver(sys, np.eye(n, dtype=complex) / n)
+    with pytest.raises(NonConvergentIntegralError, match="above the 1 GiB"):
+        solver.first_moment(0.0)
+
+
 @pytest.mark.parametrize("gamma", [-1e-9, -1.0, float("nan"), float("inf"),
                                    float("-inf")])
 def test_moment_solver_rejects_bad_dephasing_rates(gamma):

@@ -103,13 +103,15 @@ def test_leaf_sites_and_states():
         leaf_initial_state(spec, "site")
 
 
-@pytest.mark.parametrize("generation", [3, 4, 5])
+@pytest.mark.parametrize("generation", [3, 4, 5, 6, 7])
 def test_ordered_tree_transport_runs_through_the_bright_chain(generation):
     """At delta = 0 only the generation-uniform chain reaches the trap.
 
     The coherent leaf state lives entirely in that chain, so it transfers
     as well as the chain does; the leaf mixture holds weight 2^-(g-1) in
     it and the rest in an exact dark subspace, whatever kappa, Gamma and V.
+    Generations 6 and 7 (63 and 127 sites) are beyond the dense solver's
+    reach, so they check the eigenbasis route where no dense oracle can.
     """
     spec = TreeSpec(generation=generation, coupling_cm1=100.0)
     sys = generate_tree(spec)
