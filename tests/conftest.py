@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from enaqt import dynamics
 from enaqt.fmo import dephasing_sweep, load_fmo_model, trap_dephasing_surface
 from enaqt.tree import TreeSpec, disorder_ensemble
 
@@ -27,6 +28,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Count the matrix exponentials propagate computes: returns a list
+    whose length is the number of dynamics.expm calls made so far."""
+    calls = []
+    real = dynamics.expm
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(dynamics, "expm", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

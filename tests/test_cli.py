@@ -9,6 +9,7 @@ import pytest
 from enaqt import cli
 from enaqt.cli import main
 from enaqt.errors import EnaqtError
+from enaqt.fmo import load_fmo_model
 from enaqt.model import TransportSystem, save_system
 
 
@@ -282,6 +283,21 @@ def test_propagate_writes_a_trajectory(tmp_path):
     assert len(lines) == 41
     manifest = read(tmp_path / "propagate_manifest.txt")
     assert float(manifest_value(manifest, "final_trace")) < 1.0
+
+
+def test_propagate_reuses_exponentials_on_a_long_fmo_run(tmp_path,
+                                                         expm_calls):
+    """500 evenly spaced samples over 50 ps hold a handful of distinct
+    step sizes, and each costs one matrix exponential. Counted, not timed,
+    so a loaded machine cannot fail it."""
+    path = tmp_path / "fmo.json"
+    save_system(load_fmo_model().system.with_dephasing(0.0), str(path))
+    rc = main(["propagate", "--system", str(path), "--init", "mixture:1,6",
+               "--samples", "500", "--t-final", "50",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert len(read(tmp_path / "trajectory.csv").splitlines()) == 501
+    assert 0 < len(expm_calls) <= 20
 
 
 def test_propagate_parses_site_ranges(tmp_path):

@@ -111,6 +111,51 @@ def test_sample_times_are_deduplicated_and_zero_is_included():
     assert traj.states.shape == (4, 2, 2)
 
 
+def test_reused_exponentials_equal_one_exponential_per_step():
+    """Ten distinct steps, each used three times in shuffled order, so the
+    eight-entry cache both hits and evicts. Multiples of 1/16 ps keep the
+    sample times exact, so np.diff returns the steps themselves."""
+    rng = np.random.default_rng(30)
+    sys = random_transport_system(rng, n=3)
+    rho0 = random_density_matrix(rng, 3)
+    steps = rng.permutation(np.repeat(np.arange(1, 11) / 16.0, 3))
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    np.testing.assert_array_equal(np.diff(times), steps)
+
+    traj = propagate(sys, rho0, times[-1], sample_times=times)
+
+    # The Liouvillian bordered by the row that accumulates the bleed rate.
+    gen = np.zeros((10, 10), dtype=complex)
+    gen[:9, :9] = build_liouvillian(sys)
+    gen[9, [0, 4, 8]] = 2.0 * (sys.recomb_rate + sys.trap_rates)
+    y = np.concatenate([_vec(rho0.astype(complex)), [0.0]])
+    ys = [y]
+    for dt in np.diff(times):
+        y = expm(gen * dt) @ y
+        ys.append(y)
+    ys = np.array(ys)
+    np.testing.assert_array_equal(traj.states,
+                                  ys[:, :9].reshape((-1, 3, 3), order="F"))
+    np.testing.assert_array_equal(traj.loss_integral, ys[:, 9].real)
+
+
+def test_propagate_computes_one_exponential_per_distinct_step(expm_calls):
+    rng = np.random.default_rng(31)
+    sys = random_transport_system(rng, n=3)
+    rho0 = random_density_matrix(rng, 3)
+
+    times = np.linspace(0.0, 7.0, 500)
+    propagate(sys, rho0, 7.0, sample_times=times)
+    assert len(expm_calls) == np.unique(np.diff(times)).size < 20
+
+    # All steps distinct: one exponential per step, as without a cache.
+    del expm_calls[:]
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 7.0, 60))])
+    assert np.unique(np.diff(times)).size == 60
+    propagate(sys, rho0, 7.0, sample_times=times)
+    assert len(expm_calls) == 60
+
+
 def test_unsampled_run_records_every_accepted_step():
     """The exact propagator takes one step from 0 to t_final when no
     samples are requested, so the endpoints are the whole record."""
@@ -166,6 +211,8 @@ def test_propagate_matches_the_quadrature_oracle_at_the_exceptional_point(
     dict(t_final=1.0, sample_times=[0.0, 2.0]),
     dict(t_final=np.inf),
     dict(t_final=np.nan),
+    dict(t_final=1.0, sample_times=[0.5, np.nan]),
+    dict(t_final=1.0, sample_times=[np.nan]),
 ])
 def test_propagate_rejects_bad_time_arguments(bad_kwargs):
     rng = np.random.default_rng(16)
