@@ -142,6 +142,9 @@ def cmd_fmo_sweep(args):
                       args.surface_kappa_points) if args.surface else None
     model = load_fmo_model(data_path=args.data_file, trap_rate=args.kappa3,
                            recomb_rate=args.recomb_rate)
+    if args.kappa3 == 0.0 and args.recomb_rate == 0.0:
+        raise ConfigurationError("--kappa3 and --recomb-rate are both 0: the "
+                                 "sweep's system has no decay channel")
     _ensure_out_dir(args.out_dir)
     results = dephasing_sweep(model, grid)
     files = [("fmo_sweep.csv", lambda f: write_sweep_csv(results, f))]
@@ -174,13 +177,19 @@ def _parse_delta_grid(text):
         lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
         if num < 1:
             raise ConfigurationError("delta grid needs at least one point")
-        return np.linspace(lo, hi, num)
-    try:
-        grid = np.array([float(tok) for tok in text.split(",") if tok.strip()])
-    except ValueError as exc:
-        raise ConfigurationError("bad delta grid %r: %s" % (text, exc)) from exc
-    if grid.size == 0:
-        raise ConfigurationError("delta grid %r has no points" % text)
+        grid = np.linspace(lo, hi, num)
+    else:
+        try:
+            grid = np.array([float(tok) for tok in text.split(",")
+                             if tok.strip()])
+        except ValueError as exc:
+            raise ConfigurationError("bad delta grid %r: %s"
+                                     % (text, exc)) from exc
+        if grid.size == 0:
+            raise ConfigurationError("delta grid %r has no points" % text)
+    if not np.all(np.isfinite(grid)) or np.any(grid < 0.0):
+        raise ConfigurationError("delta grid %r: values must be finite and "
+                                 ">= 0" % text)
     return grid
 
 
@@ -218,9 +227,14 @@ def cmd_two_level(args):
                                  "two-site system has no dynamics")
     grid = np.concatenate([[0.0], _log_grid("--gamma", 1e-3, 1e4,
                                             args.gamma_points)])
-    _ensure_out_dir(args.out_dir)
     params = TwoLevelParams(energy_mismatch_cm1=args.epsilon,
                             coupling_cm1=args.coupling)
+    trapped = to_transport_system(params, trap_rate_2=args.trap_rate,
+                                  recomb_rate=args.recomb_rate)
+    if args.trap_rate == 0.0 and args.recomb_rate == 0.0:
+        raise ConfigurationError("--trap-rate and --recomb-rate are both 0: "
+                                 "the trapped dimer has no decay channel")
+    _ensure_out_dir(args.out_dir)
     files = []
 
     if args.coupling != 0.0:
@@ -244,8 +258,6 @@ def cmd_two_level(args):
         files.append(("two_level_oracle.csv", write_oracle))
 
     # Dephasing sweep of the trapped, biased dimer (the ENAQT demonstration).
-    trapped = to_transport_system(params, trap_rate_2=args.trap_rate,
-                                  recomb_rate=args.recomb_rate)
     rho0 = initial_density_matrix(InitialState("site", (1,)), 2)
 
     def solve(gamma):

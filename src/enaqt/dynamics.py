@@ -22,14 +22,16 @@ step, so evenly spaced samples cost at most ~20 exponentials whatever
 their count, with states bit for bit those of one exponential per step.
 MomentSolver, the one place that solves for S1 = int_0^inf rho dt and
 S2 = int_0^inf t rho dt, never touches time at all: it solves
-L S1 = -rho0 and L S2 = -S1 at any dephasing rate. Systems of fewer than 9 sites get a dense LU of the
-N^2 x N^2 L. Larger ones get an eigenbasis route: H_eff is diagonalized
-once, the coherent part of L is inverted elementwise in that basis, and
-the rank-N dephasing term costs one N x N capacitance solve (Woodbury),
-followed by one step of iterative refinement. When the eigenvectors are
-ill-conditioned (cond(S) > 1e4, as near an exceptional point), a mode is
-dark or the capacitance system is ill-conditioned, that rate falls back to
-the dense solve, whose 1e12 conditioning guard then applies as for small
+L S1 = -rho0 and L S2 = -S1 at any dephasing rate, so integrated_state()
+reuses one solver per (H_eff, rho0) across the rates of a sweep. Systems
+of fewer than 9 sites get a dense LU of the N^2 x N^2 L. Larger ones get
+an eigenbasis route: H_eff is diagonalized once, the coherent part of L
+is inverted elementwise in that basis, and the rank-N dephasing term
+costs one N x N capacitance solve (Woodbury), followed by one step of
+iterative refinement. When the eigenvectors are ill-conditioned
+(cond(S) > 1e4, as near an exceptional point), a mode is dark or the
+capacitance system is ill-conditioned, that rate falls back to the dense
+solve, whose 1e12 conditioning guard then applies as for small
 systems; a fallback that would need more than 1 GiB is refused instead.
 The test suite checks both against the independent DOP853 and eigenbasis
 oracles in tests/oracles.py.
@@ -41,6 +43,7 @@ master_equation_rhs.
 """
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -466,6 +469,30 @@ class MomentSolver:
         return tuple(_unvec(v, n) for v in moments)
 
 
+# One (key, MomentSolver) entry per thread; see integrated_state.
+_last_solver = threading.local()
+
+
 def integrated_state(sys, rho0):
-    """(S1, S2) at the system's own dephasing rate."""
-    return MomentSolver(sys, rho0)(sys.dephasing_rate)
+    """(S1, S2) at the system's own dephasing rate.
+
+    The solver of the last call on this thread is reused when the system
+    differs from its one only in the dephasing rate and rho0 holds the same
+    values, so a sweep over gamma_phi builds one MomentSolver (and one
+    coherent Liouvillian) per (H_eff, rho0) rather than one per point. The
+    key is every input the solver depends on, compared by exact bytes, so
+    the result is bit for bit that of a fresh MomentSolver(sys, rho0). The
+    solver keeps its own copy of rho0, so the caller may change its array
+    afterwards. A miss drops the old solver before the new one is built;
+    the last one stays referenced until the thread's next miss.
+    """
+    rho = np.array(rho0, dtype=complex)
+    key = (sys.n_sites, sys.site_energies.tobytes(), sys.couplings.tobytes(),
+           sys.trap_rates.tobytes(), sys.recomb_rate.hex(), rho.shape,
+           rho.tobytes())
+    entry = getattr(_last_solver, "entry", None)
+    if entry is None or entry[0] != key:
+        # No reference to the old solver may survive its successor's build.
+        entry = _last_solver.entry = None
+        entry = _last_solver.entry = (key, MomentSolver(sys, rho))
+    return entry[1](sys.dephasing_rate)

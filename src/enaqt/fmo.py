@@ -14,7 +14,10 @@ dephasing_sweep() maps transfer efficiency and transfer time over a
 logarithmic grid of pure-dephasing rates, which exhibits the three
 transport regimes (coherent/localized at small gamma_phi, assisted in the
 middle, Zeno-suppressed at large gamma_phi). trap_dephasing_surface() maps
-the transfer time over a (gamma_phi, kappa_3) grid.
+the transfer time over a (gamma_phi, kappa_3) grid. Both solve every point
+through observables.transport_result, and the surface runs kappa-major, so
+dynamics.integrated_state reuses one moment solver per (H_eff, rho0): one
+for the sweep and one per kappa_3 of the surface, not one per point.
 """
 
 import hashlib
@@ -203,7 +206,9 @@ def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None):
     """Transfer time tau over the (gamma_phi, kappa_trap) grid.
 
     Returns (gamma_grid, kappa_grid, tau) with tau[i, j] for gamma_grid[i]
-    and kappa_grid[j], suitable for a log-log-log surface plot.
+    and kappa_grid[j], suitable for a log-log-log surface plot. Points are
+    solved kappa-major, one system per kappa, so each kappa builds one
+    moment solver; the values are those of one solve per point.
     """
     gammas = default_gamma_grid() if gamma_grid is None else np.asarray(
         gamma_grid, dtype=float)
@@ -216,16 +221,23 @@ def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None):
     rho0 = model.initial_density_matrix()
     base = model.system
 
-    def solve(task):
-        gamma, kappa = task
+    def system_at(kappa):
         kap = np.zeros(base.n_sites)
         kap[model.trap_site - 1] = kappa
-        sys = base.with_rates(trap_rates=kap, dephasing_rate=gamma)
-        return transport_result(sys, rho0).transfer_time_ps
+        return base.with_rates(trap_rates=kap)
 
-    tasks = tuple((float(g), float(k)) for g in gammas for k in kappas)
+    def solve(task):
+        sys, gamma = task
+        return transport_result(sys.with_dephasing(gamma),
+                                rho0).transfer_time_ps
+
+    # kappa-major, so consecutive points differ only in gamma_phi and share
+    # integrated_state's solver: one per kappa rather than one per point.
+    systems = [system_at(float(k)) for k in kappas]
+    tasks = tuple((sys, float(g)) for sys in systems for g in gammas)
     results = run_sweep(SweepPlan(tasks=tasks), solve, failure_threshold=0.0)
-    tau = np.array([r.value for r in results]).reshape(len(gammas), len(kappas))
+    tau = np.array([r.value for r in results]).reshape(len(kappas),
+                                                       len(gammas)).T
     return gammas, kappas, tau
 
 

@@ -19,6 +19,7 @@ Site indices are 1-based in every user-facing interface, matching the usual
 chromophore numbering; internal arrays are 0-based.
 """
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -94,9 +95,16 @@ class TransportSystem:
         object.__setattr__(self, "dephasing_rate", dep)
 
     def with_dephasing(self, gamma_phi):
-        """Copy of this system with a different pure-dephasing rate."""
-        return TransportSystem(self.n_sites, self.site_energies, self.couplings,
-                               self.trap_rates, self.recomb_rate, float(gamma_phi))
+        """Copy of this system with a different pure-dephasing rate.
+
+        Only the new rate is checked: the copy shares this system's arrays,
+        which were validated when it was built and are read-only."""
+        dep = float(gamma_phi)
+        if not np.isfinite(dep) or dep < 0.0:
+            raise ConfigurationError("dephasing_rate must be finite and >= 0")
+        other = copy.copy(self)
+        object.__setattr__(other, "dephasing_rate", dep)
+        return other
 
     def with_rates(self, trap_rates=None, recomb_rate=None, dephasing_rate=None):
         """Copy with any of the dissipative rates replaced."""

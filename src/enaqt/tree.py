@@ -83,10 +83,10 @@ class TreeSpec:
                 "tree generation %d exceeds the limit of %d (%d sites): the "
                 "moment solver's dense fallback grows as 4^g"
                 % (self.generation, MAX_GENERATION, 2 ** MAX_GENERATION - 1))
-        if self.disorder_cm1 < 0.0:
-            raise ConfigurationError("disorder must be >= 0")
-        if self.coupling_cm1 == 0.0:
-            raise ConfigurationError("tree coupling must be nonzero")
+        if not (math.isfinite(self.disorder_cm1) and self.disorder_cm1 >= 0.0):
+            raise ConfigurationError("disorder must be finite and >= 0")
+        if not (math.isfinite(self.coupling_cm1) and self.coupling_cm1 != 0.0):
+            raise ConfigurationError("tree coupling must be finite and nonzero")
         object.__setattr__(self, "generation", int(self.generation))
         # Default rates scale with the coupling: kappa = 2V, Gamma = 0.005V
         # (V as an angular frequency, hbar = 1).
@@ -95,6 +95,15 @@ class TreeSpec:
             object.__setattr__(self, "trap_rate_ps", TRAP_OVER_V * v_ang)
         if self.recomb_rate_ps is None:
             object.__setattr__(self, "recomb_rate_ps", RECOMB_OVER_V * v_ang)
+        for name in ("trap_rate_ps", "recomb_rate_ps"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate >= 0.0):
+                raise ConfigurationError(
+                    "%s must be finite and >= 0, got %r" % (name, rate))
+        if self.trap_rate_ps == 0.0 and self.recomb_rate_ps == 0.0:
+            raise ConfigurationError(
+                "trap_rate_ps and recomb_rate_ps are both 0: the tree has no "
+                "decay channel")
 
     @property
     def n_sites(self):
@@ -289,8 +298,8 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
         raise ConfigurationError("kind must be 'coherent' or 'mixture'")
     deltas = np.asarray(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid,
                         dtype=float)
-    if np.any(deltas < 0.0):
-        raise ConfigurationError("disorder values must be >= 0")
+    if not np.all(np.isfinite(deltas)) or np.any(deltas < 0.0):
+        raise ConfigurationError("disorder values must be finite and >= 0")
     seed = spec_template.rng_seed if master_seed is None else int(master_seed)
     v = abs(spec_template.coupling_cm1)
 

@@ -45,6 +45,21 @@ def expm_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solver_builds(monkeypatch):
+    """Count the MomentSolvers integrated_state builds: returns a list whose
+    length is the number of dynamics.MomentSolver constructions so far."""
+    builds = []
+    real = dynamics.MomentSolver
+
+    def counting(sys, rho0):
+        builds.append(sys.n_sites)
+        return real(sys, rho0)
+
+    monkeypatch.setattr(dynamics, "MomentSolver", counting)
+    return builds
+
+
 @pytest.fixture(scope="session")
 def fmo_model():
     return load_fmo_model()

@@ -90,6 +90,16 @@ def test_fmo_sweep_rejects_bad_kappa_grid_before_computing(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+def test_fmo_sweep_without_decay_is_rejected_before_touching_the_output(
+        tmp_path, capsys):
+    out = tmp_path / "new"
+    rc = main(["fmo-sweep", "--out-dir", str(out), "--gamma-points", "3",
+               "--kappa3", "0", "--recomb-rate", "0"])
+    assert rc == 2
+    assert "no decay channel" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_failing_computation_leaves_no_outputs(tmp_path, monkeypatch):
     """The sweep succeeds and the surface fails: neither CSV nor manifest
     may appear, because outputs are written only after every step ran."""
@@ -197,7 +207,19 @@ def test_tree_ensemble_width_does_not_change_the_csv(tmp_path):
 
 @pytest.mark.parametrize("option", [["--generation", "8"],
                                     ["--generation", "1"],
-                                    ["--samples", "0"]])
+                                    ["--samples", "0"],
+                                    ["--delta-grid", "nan"],
+                                    ["--delta-grid", "inf"],
+                                    ["--delta-grid", "0:nan:3"],
+                                    ["--delta-grid", "-1"],
+                                    ["--coupling", "nan"],
+                                    ["--coupling", "inf"],
+                                    ["--trap-rate", "-1"],
+                                    ["--trap-rate", "nan"],
+                                    ["--trap-rate", "inf"],
+                                    ["--recomb-rate", "-1"],
+                                    ["--recomb-rate", "nan"],
+                                    ["--trap-rate", "0", "--recomb-rate", "0"]])
 def test_tree_ensemble_rejects_a_bad_spec_before_touching_the_output(
         tmp_path, capsys, option):
     out = tmp_path / "new"
@@ -254,6 +276,21 @@ def test_two_level_rejects_a_bad_gamma_count_before_touching_the_output(
     rc = main(["two-level", "--out-dir", str(out), "--gamma-points", points])
     assert rc == 2
     assert "--gamma-points >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", [["--trap-rate", "-1"],
+                                    ["--trap-rate", "nan"],
+                                    ["--recomb-rate", "-1"],
+                                    ["--epsilon", "nan"],
+                                    ["--trap-rate", "0", "--recomb-rate", "0"]])
+def test_two_level_rejects_bad_rates_before_touching_the_output(
+        tmp_path, capsys, option):
+    out = tmp_path / "new"
+    rc = main(["two-level", "--out-dir", str(out), "--gamma-points", "3"]
+              + option)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

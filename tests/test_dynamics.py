@@ -1,9 +1,12 @@
 import io
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from enaqt import dynamics
 from enaqt.dynamics import (HORIZON_CAP_PS, MomentSolver, Trajectory, _unvec,
                             _vec, build_liouvillian, default_horizon,
                             integrated_state, master_equation_rhs, propagate)
@@ -291,6 +294,158 @@ def test_moment_solver_equals_integrated_state_at_every_rate():
             w1, w2 = integrated_state(sys.with_dephasing(gamma), rho0)
             np.testing.assert_array_equal(s1, w1)
             np.testing.assert_array_equal(s2, w2)
+
+
+def _variants(sys):
+    """sys plus copies that each differ from it in one input of the solver:
+    a trap rate, Gamma, one site energy and one coupling."""
+    kappa = sys.trap_rates.copy()
+    kappa[0] += 0.5
+    energies = sys.site_energies.copy()
+    energies[-1] += 3.0
+    couplings = sys.couplings.copy()
+    couplings[0, 1] = couplings[1, 0] = couplings[0, 1] + 2.0
+    return [sys, sys.with_rates(trap_rates=kappa),
+            sys.with_rates(recomb_rate=2.0 * sys.recomb_rate),
+            TransportSystem(sys.n_sites, energies, sys.couplings,
+                            sys.trap_rates, sys.recomb_rate,
+                            sys.dephasing_rate),
+            TransportSystem(sys.n_sites, sys.site_energies, couplings,
+                            sys.trap_rates, sys.recomb_rate,
+                            sys.dephasing_rate)]
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_integrated_state_reuses_a_solver_only_for_equal_inputs(n):
+    """Consecutive calls that differ in one rate, one matrix entry or one
+    entry of rho0 never get the previous call's solver."""
+    rng = np.random.default_rng(60 + n)
+    systems = _variants(random_transport_system(rng, n=n))
+    rho_a = random_density_matrix(rng, n)
+    rho_b = rho_a.copy()
+    rho_b[n - 1, n - 1] *= 0.5
+    calls = [pair for rho0 in (rho_a, rho_b) for other in systems[1:]
+             for pair in ((systems[0], rho0), (other, rho0))]
+    calls += [(sys, rho0) for sys in systems for rho0 in (rho_a, rho_b)]
+    for gamma in (0.0, 0.7, 25.0):
+        for sys, rho0 in calls:
+            got = integrated_state(sys.with_dephasing(gamma), rho0)
+            want = MomentSolver(sys, rho0)(gamma)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_integrated_state_builds_one_solver_per_system_and_state(
+        solver_builds):
+    rng = np.random.default_rng(66)
+    sys = random_transport_system(rng, n=4)
+    rho0 = random_density_matrix(rng, 4)
+    for gamma in (0.0, 1e-3, 0.7, 25.0, 4e3):
+        integrated_state(sys.with_dephasing(gamma), rho0)
+    assert len(solver_builds) == 1
+    integrated_state(sys, rho0.copy())
+    assert len(solver_builds) == 1
+    other = _variants(sys)[1]
+    integrated_state(other, rho0)
+    integrated_state(sys, rho0)
+    assert len(solver_builds) == 3
+
+
+def test_integrated_state_keeps_its_own_copy_of_rho0():
+    """Changing the caller's array after a call does not change what a
+    later call with the original values returns."""
+    rng = np.random.default_rng(67)
+    sys = random_transport_system(rng, n=4)
+    rho0 = random_density_matrix(rng, 4)
+    original = rho0.copy()
+    integrated_state(sys, rho0)
+    rho0[0, 0] += 0.25
+    got = integrated_state(sys.with_dephasing(3.0), original.copy())
+    want = MomentSolver(sys, original)(3.0)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    got = integrated_state(sys, rho0)
+    want = MomentSolver(sys, rho0)(sys.dephasing_rate)
+    np.testing.assert_array_equal(got[0], want[0])
+
+
+def test_integrated_state_drops_its_old_solver_before_building(monkeypatch):
+    """At most one memoized solver is alive at a time, so a miss never
+    holds two solvers' memory."""
+    rng = np.random.default_rng(69)
+    systems = _variants(random_transport_system(rng, n=3))
+    rho0 = random_density_matrix(rng, 3)
+    real = dynamics.MomentSolver
+    built, alive_at_build = [], []
+
+    def tracking(sys, rho):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        solver = real(sys, rho)
+        built.append(weakref.ref(solver))
+        return solver
+
+    monkeypatch.setattr(dynamics, "MomentSolver", tracking)
+    for sys in systems:
+        integrated_state(sys, rho0)
+    assert len(alive_at_build) == len(systems)
+    assert max(alive_at_build) == 0
+
+
+def test_integrated_state_is_safe_across_threads(monkeypatch):
+    """Thread 0 is held inside its first solver's construction while thread
+    1 makes a whole call, and thread 1 calls again before thread 0 does:
+    the interleaving at which a memo shared between threads would hand
+    thread 1 thread 0's solver. Each thread still gets the serial results."""
+    rng = np.random.default_rng(68)
+    systems = _variants(random_transport_system(rng, n=3))[:2]
+    rho0 = random_density_matrix(rng, 3)
+    gammas = [0.0, 0.3, 7.0, 90.0]
+    serial = [[MomentSolver(sys, rho0)(g) for g in gammas] for sys in systems]
+    held, released, first_done, second_done = (threading.Event()
+                                                for _ in range(4))
+    real = dynamics.MomentSolver
+
+    def holding(sys, rho):
+        if threading.current_thread().name == "held" and not held.is_set():
+            held.set()
+            released.wait(10)
+        return real(sys, rho)
+
+    monkeypatch.setattr(dynamics, "MomentSolver", holding)
+    results = [[], []]
+
+    def solve(k, gamma):
+        results[k].append(integrated_state(systems[k].with_dephasing(gamma),
+                                           rho0))
+
+    def first():
+        solve(0, gammas[0])
+        first_done.set()
+        second_done.wait(10)
+        for g in gammas[1:]:
+            solve(0, g)
+
+    def second():
+        solve(1, gammas[0])
+        released.set()
+        first_done.wait(10)
+        for g in gammas[1:]:
+            solve(1, g)
+        second_done.set()
+
+    threads = [threading.Thread(target=first, name="held"),
+               threading.Thread(target=second)]
+    threads[0].start()
+    assert held.wait(10)
+    threads[1].start()
+    for t in threads:
+        t.join(30)
+        assert not t.is_alive()
+    for k in (0, 1):
+        assert len(results[k]) == len(gammas)
+        for got, want in zip(results[k], serial[k]):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 def _dense_moments(sys, rho0):

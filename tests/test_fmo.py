@@ -11,6 +11,7 @@ from enaqt.fmo import (DEFAULT_RECOMB_RATE, DEFAULT_TRAP_RATE,
                        dephasing_sweep, load_fmo_model, trap_dephasing_surface,
                        write_surface_csv, write_sweep_csv)
 from enaqt.model import InitialState
+from enaqt.observables import transport_result
 
 
 def bundled_bytes():
@@ -191,6 +192,29 @@ def test_surface_shape_and_content():
     assert tau.shape == (3, 4)
     assert np.all(np.isfinite(tau))
     assert np.all(tau > 0.0)
+
+
+def test_surface_equals_point_by_point_transfer_times():
+    """Solving kappa-major with one solver per kappa changes no bit of tau
+    against one independent solve per (gamma, kappa) point."""
+    model = load_fmo_model()
+    gammas, kappas = [0.0, 3.0, 300.0], [0.05, 0.5, 1.0, 20.0]
+    _, _, tau = trap_dephasing_surface(model, gammas, kappas)
+    rho0 = model.initial_density_matrix()
+    for i, gamma in enumerate(gammas):
+        for j, kappa in enumerate(kappas):
+            kap = np.zeros(7)
+            kap[model.trap_site - 1] = kappa
+            sys = model.system.with_rates(trap_rates=kap, dephasing_rate=gamma)
+            assert tau[i, j] == transport_result(sys, rho0).transfer_time_ps
+
+
+def test_sweep_and_surface_build_one_solver_per_trap_rate(solver_builds):
+    model = load_fmo_model()
+    gammas, kappas = [0.0, 3.0, 300.0], [0.05, 0.5, 1.0, 20.0]
+    dephasing_sweep(model, gammas)
+    trap_dephasing_surface(model, gammas, kappas)
+    assert 0 < len(solver_builds) <= len(kappas) + 1
 
 
 def test_surface_rejects_nonpositive_kappa():

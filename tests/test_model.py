@@ -54,11 +54,22 @@ def test_invalid_systems_are_rejected(overrides):
 
 
 def test_with_dephasing_returns_modified_copy():
+    """The copy shares the original's validated, read-only arrays."""
     sys = dimer()
-    other = sys.with_dephasing(7.0)
-    assert other.dephasing_rate == 7.0
+    other = sys.with_dephasing(7)
+    assert type(other.dephasing_rate) is float and other.dephasing_rate == 7.0
     assert sys.dephasing_rate == 0.3
-    np.testing.assert_array_equal(other.couplings, sys.couplings)
+    assert (other.n_sites, other.recomb_rate) == (sys.n_sites, sys.recomb_rate)
+    for name in ("site_energies", "couplings", "trap_rates"):
+        assert getattr(other, name) is getattr(sys, name)
+        assert not getattr(other, name).flags.writeable
+
+
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+def test_with_dephasing_checks_the_new_rate(gamma):
+    with pytest.raises(ConfigurationError,
+                       match="dephasing_rate must be finite and >= 0"):
+        dimer().with_dephasing(gamma)
 
 
 def test_with_rates_replaces_only_named_fields():

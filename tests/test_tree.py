@@ -32,6 +32,32 @@ def test_spec_validation_and_derived_rates():
         TreeSpec(generation=3, coupling_cm1=100.0, disorder_cm1=-1.0)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(coupling_cm1=float("nan")),
+    dict(coupling_cm1=float("inf")),
+    dict(disorder_cm1=float("nan")),
+    dict(disorder_cm1=float("inf")),
+    dict(trap_rate_ps=-1.0),
+    dict(trap_rate_ps=float("nan")),
+    dict(trap_rate_ps=float("inf")),
+    dict(recomb_rate_ps=-1.0),
+    dict(recomb_rate_ps=float("nan")),
+    dict(trap_rate_ps=0.0, recomb_rate_ps=0.0),
+])
+def test_spec_rejects_inputs_every_sample_would_fail_on(overrides):
+    fields = dict(generation=3, coupling_cm1=100.0)
+    fields.update(overrides)
+    with pytest.raises(ConfigurationError):
+        TreeSpec(**fields)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.5])
+def test_ensemble_rejects_a_bad_disorder_value(delta):
+    spec = TreeSpec(generation=3, coupling_cm1=100.0)
+    with pytest.raises(ConfigurationError, match="disorder values"):
+        disorder_ensemble(spec, [0.0, delta], n_samples=1)
+
+
 def test_large_trees_need_explicit_consent():
     """Trees above MAX_GENERATION are refused when the spec is built, with
     no override; the largest allowed tree still generates."""
