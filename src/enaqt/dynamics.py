@@ -33,6 +33,9 @@ iterative refinement. When the eigenvectors are ill-conditioned
 capacitance system is ill-conditioned, that rate falls back to the dense
 solve, whose 1e12 conditioning guard then applies as for small
 systems; a fallback that would need more than 1 GiB is refused instead.
+MomentSolver.first_moments() solves S1 over an array of rates, on the
+eigenbasis route in stacks of bounded size, with the same numbers bit
+for bit as one first_moment() per rate.
 The test suite checks both against the independent DOP853 and eigenbasis
 oracles in tests/oracles.py.
 
@@ -257,10 +260,18 @@ _EIGENVECTOR_COND_LIMIT = 1e4
 # The dense fallback refuses to allocate a Liouvillian larger than this
 # (at most 90 sites; a generation-7 tree's would be 4.2 GB).
 _DENSE_MAX_BYTES = 2 ** 30
+# MomentSolver.first_moments stacks as many rates as keep its largest
+# temporary, pairs @ R at 16 N^3 bytes per rate, within this many bytes.
+# A stack of K >= 2 rates then keeps its (K, N, N) temporaries well below
+# numpy's 256 KiB threshold for eliding temporaries, which evaluates
+# r * tmp in place as tmp * r. Complex products are not commutative to the
+# last bit, so a larger stack would no longer match one solve per rate.
+_STACK_BYTES = 2 ** 19
 
 
 class _Eigenbasis:
-    """Solves L(gamma) x = b in the eigenbasis of H_eff = S diag(lam) W.
+    """Solves L(gamma) x = b in the eigenbasis of H_eff = S diag(lam) W,
+    for a stack of rates at once.
 
     Dephasing is gamma (diag x - x), so L(gamma) = A + gamma E E^T with
     A = L0 - gamma I and E^T x = diag(x). A is diagonal in the basis
@@ -269,8 +280,8 @@ class _Eigenbasis:
     leaves one N x N capacitance system for the rank-N dephasing term:
         G_mn = sum_jk S_mj W_jn R_jk conj(S_mk W_kn),
         z = (I/gamma + G)^-1 diag(A^-1 b),  x = A^-1 b - A^-1 diag(z).
-    factor() returns None when a guard trips, and the caller falls back
-    to the dense solve.
+    Each rate of a stack gets exactly the arithmetic it would get alone,
+    so a stack's results equal those of one solve per rate bit for bit.
     """
 
     def __init__(self, heff, s, lam):
@@ -299,56 +310,78 @@ class _Eigenbasis:
             return None
         return cls(heff, s, lam)
 
-    def factor(self, gamma):
-        """(R, capacitance LU or None at gamma = 0), or None when R^-1 has
-        a near-zero entry (a dark mode) or the capacitance matrix is
-        ill-conditioned."""
-        rinv = self._rinv0 - gamma
-        mag = np.abs(rinv)
-        if not mag.min() * _COND_LIMIT >= mag.max():
-            return None
+    def to_eigenbasis(self, b):
+        """W b W^dag for one N x N matrix or a stack of them."""
+        return self._w @ b @ self._w_h
+
+    def factor(self, gammas):
+        """(ok, factors) for the 1-d array gammas, whose rates are either
+        all 0 or all > 0. ok masks the rates that pass every guard: R^-1
+        without a near-zero entry (a dark mode) and a well-conditioned
+        capacitance matrix. factors holds those rates, their stacked R and
+        their capacitance LUs (None at gamma = 0)."""
+        rinv = self._rinv0 - gammas[:, None, None]
+        mag = np.abs(rinv).reshape(len(gammas), -1)
+        ok = mag.min(axis=1) * _COND_LIMIT >= mag.max(axis=1)
+        if not ok.all():
+            gammas, rinv = gammas[ok], rinv[ok]
         r = 1.0 / rinv
-        if gamma == 0.0:
-            return r, None
-        n = r.shape[0]
+        if not gammas.any():
+            return ok, (gammas, r, None)
+        n = r.shape[1]
         if self._pairs is None:
             self._pairs = (self._s[:, None, :] * self._w.T[None, :, :]) \
                 .reshape(n * n, n)
             self._pairs_conj = self._pairs.conj()
-        g = np.einsum("ij,ij->i", self._pairs @ r, self._pairs_conj)
+        g = np.einsum("kij,ij->ki", self._pairs @ r, self._pairs_conj)
         # gamma (I/gamma + G), which is finite at every gamma > 0.
-        cap = gamma * g.reshape(n, n)
-        cap[self._diag] += 1.0
-        anorm = np.abs(cap).sum(axis=0).max()
-        lu, piv, info = _GETRF(cap, overwrite_a=True)
-        if info > 0:
-            return None
-        rcond, info = _GECON(lu, anorm)
-        if info != 0 or not rcond * _COND_LIMIT >= 1.0:
-            return None
-        return r, (lu, piv)
+        stack = gammas[:, None, None] * g.reshape(-1, n, n)
+        stack[:, self._diag[0], self._diag[1]] += 1.0
+        anorms = np.abs(stack).sum(axis=1).max(axis=1)
+        caps = []
+        for cap, anorm in zip(stack, anorms):
+            lu, piv, info = _GETRF(cap)
+            if info == 0:
+                rcond, info = _GECON(lu, anorm)
+            well_posed = info == 0 and rcond * _COND_LIMIT >= 1.0
+            caps.append((lu, piv) if well_posed else None)
+        kept = [cap is not None for cap in caps]
+        if not all(kept):
+            ok[ok] = kept
+            gammas, r = gammas[kept], r[kept]
+            caps = [cap for cap in caps if cap is not None]
+        return ok, (gammas, r, caps)
 
-    def _apply_inverse(self, factors, gamma, b):
-        r, cap = factors
-        t = r * (self._w @ b @ self._w_h)
-        if cap is not None:
-            diag_y = np.einsum("ij,ij->i", self._s @ t, self._s_h.T)
-            z, _ = _GETRS(*cap, gamma * diag_y)
-            t -= r * ((self._w * z) @ self._w_h)
+    def _apply_inverse(self, factors, b_tilde):
+        gammas, r, caps = factors
+        t = r * b_tilde
+        if caps is not None:
+            diag_y = np.einsum("kij,ij->ki", self._s @ t, self._s_h.T)
+            rhs = gammas[:, None] * diag_y
+            z = np.empty_like(rhs)
+            for k, (lu, piv) in enumerate(caps):
+                z[k] = _GETRS(lu, piv, rhs[k])[0]
+            t -= r * ((self._w * z[:, None, :]) @ self._w_h)
         return self._s @ t @ self._s_h
 
-    def solve(self, factors, gamma, b):
-        """x with L(gamma) x = b, refined once against the exact operator
+    def solve(self, factors, b, b_tilde=None):
+        """The stack x with L(gamma) x = b for the factored rates, refined
+        once against the exact operator
         -i(H_eff x - x H_eff^dag) + gamma (diag x - x). That operator, not
-        master_equation_rhs, because x need not be Hermitian to roundoff."""
-        x = self._apply_inverse(factors, gamma, b)
+        master_equation_rhs, because x need not be Hermitian to roundoff.
+        b is one N x N matrix or a stack of one per rate, and b_tilde its
+        to_eigenbasis() when the caller already has it."""
+        if b_tilde is None:
+            b_tilde = self.to_eigenbasis(b)
+        gammas, _, caps = factors
+        x = self._apply_inverse(factors, b_tilde)
         lx = -1j * (self._heff @ x - x @ self._heff_h)
-        if gamma != 0.0:
+        if caps is not None:
             # Populations are exempt, exactly rather than by cancellation.
-            damped = gamma * x
-            damped[self._diag] = 0.0
+            damped = gammas[:, None, None] * x
+            damped[:, self._diag[0], self._diag[1]] = 0.0
             lx -= damped
-        return x + self._apply_inverse(factors, gamma, b - lx)
+        return x + self._apply_inverse(factors, self.to_eigenbasis(b - lx))
 
 
 class MomentSolver:
@@ -358,7 +391,8 @@ class MomentSolver:
     S1 solves L vec(S1) = -vec(rho0); S2 solves L vec(S2) = -vec(S1)
     (integration by parts moves the factor of t into a second solve).
     solver(gamma_phi) returns (S1, S2); solver.first_moment(gamma_phi)
-    returns S1 alone.
+    returns S1 alone, and solver.first_moments(gammas) the (K, N, N) stack
+    of S1 over an array of K rates.
 
     Two routes give the same numbers to roundoff:
     - Dense: dephasing only adds gamma_phi times a fixed diagonal to L, so
@@ -378,7 +412,19 @@ class MomentSolver:
     than 1e-12 times the largest (a dark mode), or when the capacitance
     condition estimate exceeds 1e12. A fallback whose dense Liouvillian
     would exceed 1 GiB raises NonConvergentIntegralError instead.
-    route_counts reports how many solves each route took.
+    route_counts reports how many solves each route took, one per rate.
+
+    first_moments takes the eigenbasis route for its positive rates in
+    stacks: W(-rho0)W^dag and the pairs S_mj W_jn are computed once, and
+    every step that is not a LAPACK call on one rate's capacitance matrix
+    runs as one array operation over the stack. A stack holds as many
+    rates as keep pairs @ R, its largest temporary at 16 N^3 bytes per
+    rate, within _STACK_BYTES: 9 rates for a 15-site tree and one from 26
+    sites up, so memory does not grow with the number of rates. Each rate
+    keeps its own guards and, when one trips, its own dense fallback. The
+    results equal a loop of first_moment bit for bit. Rates of 0, and
+    every rate of a system that takes the dense route, are solved one at
+    a time.
     """
 
     def __init__(self, sys, rho0):
@@ -397,6 +443,9 @@ class MomentSolver:
         self._heff = effective_hamiltonian(sys)
         self._eigen = (_Eigenbasis.of(self._heff)
                        if n >= _EIGENBASIS_MIN_SITES else None)
+        if self._eigen is not None:
+            self._b0 = -rho0
+            self._b0_tilde = self._eigen.to_eigenbasis(self._b0)
         self._coherent = None
         self._counts = {"eigenbasis": 0, "dense": 0}
 
@@ -412,20 +461,58 @@ class MomentSolver:
         """S1 alone at gamma_phi."""
         return self._solve(gamma_phi, 1)[0]
 
+    def first_moments(self, gammas):
+        """The (K, N, N) stack of S1 at each rate of the 1-d array gammas,
+        equal bit for bit to first_moment at each rate in turn. Every rate
+        is checked before any is solved."""
+        gammas = np.array(gammas, dtype=float)
+        if gammas.ndim != 1:
+            raise ConfigurationError(
+                "dephasing rates must be a 1-d array, got shape %s"
+                % (gammas.shape,))
+        if not (np.all(np.isfinite(gammas)) and np.all(gammas >= 0.0)):
+            raise ConfigurationError(
+                "dephasing rates must be finite and >= 0, got %r"
+                % (gammas,))
+        n = self.n_sites
+        out = np.empty((gammas.size, n, n), dtype=complex)
+        alone = (gammas == 0.0 if self._eigen is not None
+                 else np.ones(gammas.shape, dtype=bool))
+        for i in np.flatnonzero(alone):
+            out[i] = self.first_moment(gammas[i])
+        stacked = np.flatnonzero(~alone)
+        per_stack = max(1, _STACK_BYTES // (16 * n ** 3))
+        for start in range(0, len(stacked), per_stack):
+            idx = stacked[start:start + per_stack]
+            ok, (s1,) = self._eigen_solve(gammas[idx], 1)
+            out[idx[ok]] = s1
+            for i in idx[~ok]:
+                self._counts["dense"] += 1
+                out[i] = self._dense_solve(float(gammas[i]), 1)[0]
+        return out
+
     def _solve(self, gamma_phi, n_moments):
         gamma = float(gamma_phi)
         if not (np.isfinite(gamma) and gamma >= 0.0):
             raise ConfigurationError(
                 "dephasing rate must be finite and >= 0, got %r" % (gamma_phi,))
-        factors = None if self._eigen is None else self._eigen.factor(gamma)
-        if factors is None:
-            self._counts["dense"] += 1
-            return self._dense_solve(gamma, n_moments)
-        self._counts["eigenbasis"] += 1
-        moments = [self._eigen.solve(factors, gamma, -self._rho0)]
+        if self._eigen is not None:
+            ok, moments = self._eigen_solve(np.array([gamma]), n_moments)
+            if ok[0]:
+                return tuple(m[0] for m in moments)
+        self._counts["dense"] += 1
+        return self._dense_solve(gamma, n_moments)
+
+    def _eigen_solve(self, gammas, n_moments):
+        """(ok, moments) by the eigenbasis route for the rates of gammas,
+        all 0 or all > 0: ok masks the rates that passed its guards, and
+        each moment is the stack over those rates."""
+        ok, factors = self._eigen.factor(gammas)
+        self._counts["eigenbasis"] += np.count_nonzero(ok)
+        moments = [self._eigen.solve(factors, self._b0, self._b0_tilde)]
         if n_moments == 2:
-            moments.append(self._eigen.solve(factors, gamma, -moments[0]))
-        return tuple(moments)
+            moments.append(self._eigen.solve(factors, -moments[0]))
+        return ok, moments
 
     def _dense_solve(self, gamma, n_moments):
         n = self.n_sites

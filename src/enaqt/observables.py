@@ -51,7 +51,8 @@ class TransportResult:
 
 
 def _clamped_probability(value, name):
-    if value < -_CLAMP_TOL or value > 1.0 + _CLAMP_TOL:
+    # Written so that NaN fails the test too.
+    if not -_CLAMP_TOL <= value <= 1.0 + _CLAMP_TOL:
         raise NumericalConsistencyError(
             "%s = %.6e is outside [0, 1] by more than %g; the solve is "
             "numerically inconsistent" % (name, value, _CLAMP_TOL))

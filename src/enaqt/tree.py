@@ -14,12 +14,13 @@ coherent transport (gamma_phi = 0), and how efficient can dephasing make
 it (gamma_phi optimized per realization)? Disorder localizes the coherent
 dynamics, and dephasing recovers much of the loss, increasingly so the
 stronger the disorder. Each realization's efficiencies come from one
-dynamics.MomentSolver, which solves for S1 alone at each rate (trees of
-9 sites and up take its eigenbasis route); its conditioning guard fails
-the sample rather than let an ill-posed realization through. The search
-for the optimal rate (SEARCH_* constants) and the ensemble's 5 % failure
-threshold are fixed, and a TreeSpec above MAX_GENERATION = 7 is refused
-when it is built.
+dynamics.MomentSolver, which solves for S1 alone (trees of 9 sites and
+up take its eigenbasis route): the 40 grid rates of the search as one
+stacked first_moments call, the other 17 rates one at a time. Its
+conditioning guards fail the sample rather than let an ill-posed
+realization through. The search for the optimal rate (SEARCH_*
+constants) and the ensemble's 5 % failure threshold are fixed, and a
+TreeSpec above MAX_GENERATION = 7 is refused when it is built.
 
 Reproducibility contract: site energies come from Box-Muller applied to a
 counter-based Philox stream keyed by a hash of (master seed, delta index,
@@ -202,6 +203,11 @@ def optimal_dephasing(sys, rho0):
     grid winner is kept, and the zero endpoint always participates, so
     eta* >= eta(0) is guaranteed.
 
+    The grid's S1 come from one MomentSolver.first_moments call, whose
+    stack equals one first_moment per rate bit for bit; the zero endpoint
+    and the golden-section steps solve one rate at a time. The efficiency
+    is evaluated once per rate, 57 times in all.
+
     Returns (gamma_star, eta_star, eta(0)).
     """
     vmax = float(np.max(np.abs(sys.couplings)))
@@ -218,7 +224,7 @@ def optimal_dephasing(sys, rho0):
         return efficiency(sys, solver.first_moment(gamma))
 
     eta0 = evaluate(0.0)
-    etas = np.array([evaluate(g) for g in grid])
+    etas = np.array([efficiency(sys, s1) for s1 in solver.first_moments(grid)])
     i = int(np.argmax(etas))
     best_gamma, best_eta = float(grid[i]), float(etas[i])
 

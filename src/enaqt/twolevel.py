@@ -45,8 +45,11 @@ class TwoLevelParams:
         if not (math.isfinite(self.energy_mismatch_cm1)
                 and math.isfinite(self.coupling_cm1)):
             raise ConfigurationError("eps and V must be finite")
-        if self.dephasing_rate < 0.0:
-            raise ConfigurationError("dephasing rate must be >= 0")
+        if not (math.isfinite(self.dephasing_rate)
+                and self.dephasing_rate >= 0.0):
+            raise ConfigurationError(
+                "dephasing rate must be finite and >= 0, got %r"
+                % (self.dephasing_rate,))
 
 
 def larmor_frequency(p):

@@ -11,7 +11,8 @@ from enaqt.dynamics import (HORIZON_CAP_PS, MomentSolver, Trajectory, _unvec,
                             _vec, build_liouvillian, default_horizon,
                             integrated_state, master_equation_rhs, propagate)
 from enaqt.errors import ConfigurationError, NonConvergentIntegralError
-from enaqt.model import TransportSystem
+from enaqt.model import TransportSystem, initial_density_matrix
+from enaqt.tree import TreeSpec, generate_tree, leaf_initial_state
 from enaqt.units import CM1_TO_PS_ANGULAR
 
 from oracles import (quadrature_integrals, quadrature_trajectory,
@@ -527,20 +528,24 @@ def test_moments_match_the_quadrature_oracle_at_the_exceptional_point(
     np.testing.assert_allclose(s2, q2, rtol=1e-8, atol=1e-10)
 
 
-def test_a_dark_mode_falls_back_to_the_dense_guard():
-    """Site 9 is uncoupled and has no decay of its own, so its mode is dark
-    at gamma_phi = 0: the eigenbasis route steps aside and the dense
-    solve's conditioning guard names the cause."""
+def _dark_site_system():
+    """Nine random sites of which site 9 is uncoupled and has no decay of
+    its own, so its population never leaves at any dephasing rate."""
     rng = np.random.default_rng(41)
     sys = random_transport_system(rng, n=9, dephasing=0.0)
     couplings = sys.couplings.copy()
     couplings[8, :] = couplings[:, 8] = 0.0
     trap = sys.trap_rates.copy()
     trap[8] = 0.0
-    sys = TransportSystem(n_sites=9, site_energies=sys.site_energies,
-                          couplings=couplings, trap_rates=trap,
-                          recomb_rate=0.0, dephasing_rate=0.0)
-    solver = MomentSolver(sys, np.eye(9, dtype=complex) / 9.0)
+    return TransportSystem(n_sites=9, site_energies=sys.site_energies,
+                           couplings=couplings, trap_rates=trap,
+                           recomb_rate=0.0, dephasing_rate=0.0)
+
+
+def test_a_dark_mode_falls_back_to_the_dense_guard():
+    """Site 9's mode is dark at gamma_phi = 0: the eigenbasis route steps
+    aside and the dense solve's conditioning guard names the cause."""
+    solver = MomentSolver(_dark_site_system(), np.eye(9, dtype=complex) / 9.0)
     with pytest.raises(NonConvergentIntegralError):
         solver(0.0)
     assert solver.route_counts == {"eigenbasis": 0, "dense": 1}
@@ -569,6 +574,85 @@ def test_moment_solver_rejects_bad_dephasing_rates(gamma):
     solver = MomentSolver(sys, random_density_matrix(rng, 3))
     with pytest.raises(ConfigurationError):
         solver(gamma)
+
+
+STACKED_RATES = np.logspace(-3, 5, 40)
+
+
+def _stacking_case(case):
+    """(system, rho0) for the first_moments tests: disordered binary trees
+    of generation 4 and 5 (15 and 31 sites, so 9 rates per stack and one),
+    and random systems of 10 sites (eigenbasis) and 4 (dense only)."""
+    if case.startswith("gen"):
+        spec = TreeSpec(generation=int(case[3:]), coupling_cm1=100.0,
+                        disorder_cm1=150.0, rng_seed=5)
+        sys = generate_tree(spec)
+        return sys, initial_density_matrix(leaf_initial_state(spec, "coherent"),
+                                           sys.n_sites)
+    n = int(case[len("random"):])
+    rng = np.random.default_rng(50 + n)
+    return random_transport_system(rng, n=n), random_density_matrix(rng, n)
+
+
+@pytest.mark.parametrize("case", ["gen4", "gen5", "random10", "random4"])
+def test_first_moments_equal_a_loop_of_first_moment(case):
+    """The stack is bit for bit a loop of first_moment and counts one
+    solve per rate. Both are also checked against a dense solve at the
+    ends of the grid, where the Zeno end needs the refinement step, so a
+    fault the two share cannot hide."""
+    sys, rho0 = _stacking_case(case)
+    solver = MomentSolver(sys, rho0)
+    solver.first_moment(0.5)
+    before = solver.route_counts
+    got = solver.first_moments(STACKED_RATES)
+    route = "eigenbasis" if sys.n_sites >= 9 else "dense"
+    grown = {k: solver.route_counts[k] - before[k] for k in before}
+    assert grown == {"eigenbasis": 0, "dense": 0, route: len(STACKED_RATES)}
+    looped = MomentSolver(sys, rho0)
+    assert got.shape == (len(STACKED_RATES), sys.n_sites, sys.n_sites)
+    for gamma, s1 in zip(STACKED_RATES, got):
+        np.testing.assert_array_equal(s1, looped.first_moment(gamma))
+    for k in (0, len(STACKED_RATES) - 1):
+        liou = build_liouvillian(sys.with_dephasing(STACKED_RATES[k]))
+        want = _unvec(np.linalg.solve(liou, -_vec(rho0)), sys.n_sites)
+        assert _relative_gap(got[k], want) <= 1e-12
+
+
+def test_first_moments_take_the_dense_route_at_the_exceptional_point():
+    """No rate may use the eigenbasis of a defective H_eff, stacked or not."""
+    sys = _exceptional_point_system(0.0)
+    rho0 = np.zeros((9, 9), dtype=complex)
+    rho0[0, 0] = rho0[5, 5] = 0.5
+    gammas = np.logspace(-3, 5, 9)
+    solver = MomentSolver(sys, rho0)
+    got = solver.first_moments(gammas)
+    assert solver.route_counts == {"eigenbasis": 0, "dense": len(gammas)}
+    looped = MomentSolver(sys, rho0)
+    for gamma, s1 in zip(gammas, got):
+        np.testing.assert_array_equal(s1, looped.first_moment(gamma))
+
+
+@pytest.mark.parametrize("gammas", [[0.5, 2.0], [0.0, 2.0]])
+def test_first_moments_keep_the_guards_of_each_rate(gammas):
+    """Site 9 of the dark-site system never decays. At gamma > 0 the
+    capacitance guard trips, and at gamma = 0 the dark-mode guard: either
+    way the rate falls back to the dense solve, which refuses it."""
+    solver = MomentSolver(_dark_site_system(), np.eye(9, dtype=complex) / 9.0)
+    with pytest.raises(NonConvergentIntegralError):
+        solver.first_moments(gammas)
+    assert solver.route_counts == {"eigenbasis": 0, "dense": 1}
+
+
+@pytest.mark.parametrize("bad", [-1e-9, -1.0, float("nan"), float("inf"),
+                                 float("-inf")])
+def test_first_moments_check_every_rate_before_solving(bad):
+    sys, rho0 = _stacking_case("random10")
+    solver = MomentSolver(sys, rho0)
+    with pytest.raises(ConfigurationError):
+        solver.first_moments([0.5, 1.0, bad, 2.0])
+    with pytest.raises(ConfigurationError):
+        solver.first_moments([[0.5, 1.0]])
+    assert solver.route_counts == {"eigenbasis": 0, "dense": 0}
 
 
 def test_trajectory_csv_layout():

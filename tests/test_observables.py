@@ -52,6 +52,17 @@ def test_large_excursions_raise():
         efficiency(sys, s1)
 
 
+def test_a_nan_moment_raises_rather_than_passing_the_clamp():
+    """NaN compares false with both bounds, so a clamp written as
+    `value < lo or value > hi` would let it through as the result."""
+    sys = synthetic_system(kappa=[0.0, 0.5], gamma=0.1)
+    s1 = np.diag([np.nan, 0.2]).astype(complex)
+    with pytest.raises(NumericalConsistencyError):
+        efficiency(sys, s1)
+    with pytest.raises(NumericalConsistencyError):
+        loss_probability(sys, s1)
+
+
 def test_transfer_time_is_undefined_at_zero_efficiency():
     sys = synthetic_system(kappa=[0.0, 0.5], gamma=0.0)
     with pytest.raises(UndefinedTransferTimeError):

@@ -3,6 +3,8 @@ import io
 import numpy as np
 import pytest
 
+from enaqt import tree
+from enaqt.dynamics import MomentSolver
 from enaqt.errors import ConfigurationError, NonConvergentIntegralError
 from enaqt.model import TransportSystem, initial_density_matrix
 from enaqt.observables import transport_result
@@ -179,6 +181,37 @@ def test_optimal_dephasing_result_is_self_consistent():
     for gamma in np.logspace(-2, 3, 12):
         eta = transport_result(sys.with_dephasing(gamma), rho0).efficiency
         assert eta <= eta_star + 1e-9
+
+
+@pytest.mark.parametrize("delta_over_v, seed", [(1.0, 11), (2.0, 12),
+                                                 (3.5, 13)])
+def test_optimal_dephasing_equals_a_search_with_one_solve_per_rate(
+        delta_over_v, seed, monkeypatch):
+    """The grid scan solves its 40 rates as stacks; the search must return
+    exactly what it returns when every rate is solved on its own, and
+    still evaluate the efficiency 57 times."""
+    spec = TreeSpec(generation=4, coupling_cm1=100.0,
+                    disorder_cm1=100.0 * delta_over_v, rng_seed=seed)
+    sys = generate_tree(spec)
+    rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 15)
+    calls = []
+    efficiency = tree.efficiency
+
+    def counting(sys, s1):
+        calls.append(s1.shape)
+        return efficiency(sys, s1)
+
+    monkeypatch.setattr(tree, "efficiency", counting)
+    got = optimal_dephasing(sys, rho0)
+    assert calls == [(15, 15)] * 57
+
+    calls.clear()
+    monkeypatch.setattr(MomentSolver, "first_moments", lambda self, gammas: [
+        self.first_moment(g) for g in gammas])
+    want = optimal_dephasing(sys, rho0)
+    assert len(calls) == 57
+    assert got == want
+    assert 0.0 < got[0]
 
 
 def test_optimal_dephasing_requires_couplings():

@@ -117,5 +117,6 @@ def test_equilibration_is_unbiased_even_for_large_mismatch():
 def test_parameter_validation():
     with pytest.raises(ConfigurationError):
         TwoLevelParams(float("nan"), 1.0)
-    with pytest.raises(ConfigurationError):
-        TwoLevelParams(1.0, 1.0, dephasing_rate=-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            TwoLevelParams(1.0, 1.0, dephasing_rate=bad)
