@@ -208,9 +208,9 @@ def cmd_tree_ensemble(args):
     extras = {"tree.n_sites": spec.n_sites,
               "tree.trap_rate_ps": spec.trap_rate_ps,
               "tree.recomb_rate_ps": spec.recomb_rate_ps}
-    for kind in kinds:
-        report = disorder_ensemble(spec, deltas, n_samples=args.samples,
-                                   kind=kind, master_seed=args.seed)
+    reports = disorder_ensemble(spec, deltas, n_samples=args.samples,
+                                kinds=kinds, master_seed=args.seed)
+    for kind, report in reports.items():
         files.append(("tree_ensemble_%s.csv" % kind, report.write_csv))
         extras["summary.%s.eta_quantum_delta0" % kind] = \
             report.records[0].eta_quantum_mean

@@ -45,6 +45,7 @@ transposes the Liouvillian, so it is asserted by a property test against
 master_equation_rhs.
 """
 
+import copy
 import functools
 import threading
 from dataclasses import dataclass
@@ -267,6 +268,11 @@ _DENSE_MAX_BYTES = 2 ** 30
 # r * tmp in place as tmp * r. Complex products are not commutative to the
 # last bit, so a larger stack would no longer match one solve per rate.
 _STACK_BYTES = 2 ** 19
+# _Eigenbasis keeps this many factorisations: one tree search makes 58
+# (gamma = 0, 40 grid rates in 40 stacks at most, 17 refinement steps), so
+# a second initial state finds all of its first 41 there. At 127 sites an
+# entry takes about 0.5 MB.
+_MEMO_ENTRIES = 64
 
 
 class _Eigenbasis:
@@ -296,6 +302,8 @@ class _Eigenbasis:
         # pairs[(m, n), j] = S_mj W_jn, fixed for every gamma; built on
         # the first gamma > 0.
         self._pairs = self._pairs_conj = None
+        # factor() results by the bytes of their rates, oldest first.
+        self._memo = {}
 
     @classmethod
     def of(cls, heff):
@@ -319,7 +327,19 @@ class _Eigenbasis:
         all 0 or all > 0. ok masks the rates that pass every guard: R^-1
         without a near-zero entry (a dark mode) and a well-conditioned
         capacitance matrix. factors holds those rates, their stacked R and
-        their capacitance LUs (None at gamma = 0)."""
+        their capacitance LUs (None at gamma = 0).
+
+        The last _MEMO_ENTRIES results are kept, keyed by the exact rates,
+        so every solver that shares this basis factors a rate (or a stack
+        of rates) once. Callers only read what is returned."""
+        key = gammas.tobytes()
+        if key not in self._memo:
+            if len(self._memo) == _MEMO_ENTRIES:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = self._factor(gammas)
+        return self._memo[key]
+
+    def _factor(self, gammas):
         rinv = self._rinv0 - gammas[:, None, None]
         mag = np.abs(rinv).reshape(len(gammas), -1)
         ok = mag.min(axis=1) * _COND_LIMIT >= mag.max(axis=1)
@@ -429,24 +449,37 @@ class MomentSolver:
 
     def __init__(self, sys, rho0):
         n = sys.n_sites
-        rho0 = np.asarray(rho0, dtype=complex)
-        if rho0.shape != (n, n):
-            raise ConfigurationError(
-                "initial state has shape %s, system has %d sites"
-                % (rho0.shape, n))
         if sys.recomb_rate == 0.0 and not np.any(sys.trap_rates > 0.0):
             raise NonConvergentIntegralError(
                 "no decay channel anywhere (all kappa_m = 0 and Gamma = 0): "
                 "int_0^inf rho dt diverges")
         self.n_sites = n
-        self._rho0 = rho0
         self._heff = effective_hamiltonian(sys)
         self._eigen = (_Eigenbasis.of(self._heff)
                        if n >= _EIGENBASIS_MIN_SITES else None)
+        self._coherent = None
+        self._set_initial_state(rho0)
+
+    def with_initial_state(self, rho0):
+        """A solver for the same system from another initial state. It
+        shares this one's H_eff, eigenbasis and capacitance factorisations,
+        and its dense Liouvillian if already built, so a rate factored by
+        either is factored once; each keeps its own solves and counts."""
+        other = copy.copy(self)
+        other._set_initial_state(rho0)
+        return other
+
+    def _set_initial_state(self, rho0):
+        n = self.n_sites
+        rho0 = np.asarray(rho0, dtype=complex)
+        if rho0.shape != (n, n):
+            raise ConfigurationError(
+                "initial state has shape %s, system has %d sites"
+                % (rho0.shape, n))
+        self._rho0 = rho0
         if self._eigen is not None:
             self._b0 = -rho0
             self._b0_tilde = self._eigen.to_eigenbasis(self._b0)
-        self._coherent = None
         self._counts = {"eigenbasis": 0, "dense": 0}
 
     @property

@@ -65,7 +65,8 @@ class TaskResult:
         return self.error is None
 
 
-def _run_one(index, task, task_fn):
+def run_task(index, task, task_fn):
+    """task_fn(task) as a TaskResult, its exception captured as the error."""
     try:
         return TaskResult(index=index, value=task_fn(task))
     except Exception:
@@ -81,7 +82,7 @@ def run_sweep(plan, task_fn, failure_threshold=0.0):
     n = len(plan.tasks)
     if n == 0:
         return []
-    results = [_run_one(i, task, task_fn) for i, task in enumerate(plan.tasks)]
+    results = [run_task(i, task, task_fn) for i, task in enumerate(plan.tasks)]
     failures = [r for r in results if not r.ok]
     if len(failures) > failure_threshold * n:
         raise SweepFailureError(

@@ -13,14 +13,21 @@ The ensemble study asks, per disorder strength: how efficient is fully
 coherent transport (gamma_phi = 0), and how efficient can dephasing make
 it (gamma_phi optimized per realization)? Disorder localizes the coherent
 dynamics, and dephasing recovers much of the loss, increasingly so the
-stronger the disorder. Each realization's efficiencies come from one
-dynamics.MomentSolver, which solves for S1 alone (trees of 9 sites and
-up take its eigenbasis route): the 40 grid rates of the search as one
-stacked first_moments call, the other 17 rates one at a time. Its
-conditioning guards fail the sample rather than let an ill-posed
-realization through. The search for the optimal rate (SEARCH_*
-constants) and the ensemble's 5 % failure threshold are fixed, and a
-TreeSpec above MAX_GENERATION = 7 is refused when it is built.
+stronger the disorder. Both initial-state kinds see the same trees, so
+disorder_ensemble solves each tree once for every kind it is asked for:
+the tree is generated, H_eff diagonalized, and the gamma = 0 point and
+the 40 grid rates of the search factored once, and each kind's
+dynamics.MomentSolver (the second made by with_initial_state) shares
+those factorisations. Each kind keeps its own solves, its own
+golden-section steps and its own optimal_dephasing call, so its numbers
+are bit for bit those of a run for that kind alone. The solver finds S1
+alone (trees of 9 sites and up take its eigenbasis route): the 40 grid
+rates as one stacked first_moments call, the other 17 rates one at a
+time. Its conditioning guards fail the sample, for that kind only,
+rather than let an ill-posed realization through. The search for the
+optimal rate (SEARCH_* constants) and the ensemble's 5 % failure
+threshold are fixed, and a TreeSpec above MAX_GENERATION = 7 is refused
+when it is built.
 
 Reproducibility contract: site energies come from Box-Muller applied to a
 counter-based Philox stream keyed by a hash of (master seed, delta index,
@@ -28,6 +35,7 @@ sample index), so any sample can be regenerated in isolation and results
 are bitwise independent of execution order.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -37,7 +45,8 @@ from .dynamics import MomentSolver
 from .errors import ConfigurationError, SweepFailureError
 from .model import InitialState, TransportSystem, initial_density_matrix
 from .observables import efficiency
-from .sweep import SweepPlan, derive_seed, run_sweep, sample_mean_std
+from .sweep import (SweepPlan, derive_seed, run_sweep, run_task,
+                    sample_mean_std)
 from .units import cm1_to_angular
 
 # 127 sites; TreeSpec refuses larger trees. The moment solver's eigenbasis
@@ -194,7 +203,7 @@ def _golden_max(f, lo, hi, rel_tol):
     return math.exp(d), fd
 
 
-def optimal_dephasing(sys, rho0):
+def optimal_dephasing(sys, rho0, solver=None):
     """Maximize transfer efficiency over the dephasing rate.
 
     Scans a logarithmic grid (plus the exact zero endpoint), then refines
@@ -206,7 +215,10 @@ def optimal_dephasing(sys, rho0):
     The grid's S1 come from one MomentSolver.first_moments call, whose
     stack equals one first_moment per rate bit for bit; the zero endpoint
     and the golden-section steps solve one rate at a time. The efficiency
-    is evaluated once per rate, 57 times in all.
+    is evaluated once per rate, 57 times in all. solver, when given, is a
+    MomentSolver for (sys, rho0) to search with: disorder_ensemble passes
+    one per initial-state kind, all sharing one tree's factorisations.
+    By default the search builds its own.
 
     Returns (gamma_star, eta_star, eta(0)).
     """
@@ -218,7 +230,8 @@ def optimal_dephasing(sys, rho0):
     grid = np.logspace(math.log10(SEARCH_SPAN[0] * v_ang),
                        math.log10(SEARCH_SPAN[1] * v_ang), SEARCH_GRID_POINTS)
 
-    solver = MomentSolver(sys, rho0)
+    if solver is None:
+        solver = MomentSolver(sys, rho0)
 
     def evaluate(gamma):
         return efficiency(sys, solver.first_moment(gamma))
@@ -281,27 +294,42 @@ class DisorderEnsembleReport:
 
 
 def _solve_sample(task):
-    spec, kind = task
+    """One TaskResult per kind for one tree, holding optimal_dephasing's
+    (gamma*, eta*, eta(0)) or the error of that kind's search alone. The kinds' solvers share the tree's
+    eigenbasis and capacitance factorisations."""
+    spec, kinds = task
     sys = generate_tree(spec)
-    rho0 = initial_density_matrix(leaf_initial_state(spec, kind), sys.n_sites)
-    gamma_star, eta_star, eta_q = optimal_dephasing(sys, rho0)
-    return eta_q, gamma_star, eta_star
+    solver = None
+    results = []
+    for i, kind in enumerate(kinds):
+        rho0 = initial_density_matrix(leaf_initial_state(spec, kind),
+                                      sys.n_sites)
+        solver = (MomentSolver(sys, rho0) if solver is None
+                  else solver.with_initial_state(rho0))
+        results.append(run_task(i, rho0, functools.partial(
+            optimal_dephasing, sys, solver=solver)))
+    return results
 
 
 def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
-                      kind="mixture", master_seed=None):
+                      kinds=("mixture",), master_seed=None):
     """Ensemble statistics of eta(gamma_phi = 0) and the dephasing optimum
-    per disorder strength.
+    per disorder strength, as {kind: DisorderEnsembleReport} in the order
+    of kinds.
 
     delta_grid is in units of V (default 20 points over [0, 4]). Each
-    (delta, sample) pair gets its own derived seed. Per-sample failures are
-    recorded and excluded; any delta with more than FAILURE_THRESHOLD (5 %)
-    of its samples failing aborts the ensemble.
+    (delta, sample) pair gets its own derived seed, the same for every
+    kind, so each tree is generated, diagonalized and factored once for
+    all kinds. Per-sample failures are recorded per kind and excluded; any
+    delta with more than FAILURE_THRESHOLD (5 %) of a kind's samples
+    failing aborts the ensemble.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
-    if kind not in ("coherent", "mixture"):
-        raise ConfigurationError("kind must be 'coherent' or 'mixture'")
+    kinds = tuple(kinds)
+    if not kinds or any(k not in ("coherent", "mixture") for k in kinds):
+        raise ConfigurationError(
+            "kinds must be 'coherent' or 'mixture', got %r" % (kinds,))
     deltas = np.asarray(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid,
                         dtype=float)
     if not np.all(np.isfinite(deltas)) or np.any(deltas < 0.0):
@@ -314,28 +342,35 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
         for si in range(n_samples):
             spec = replace(spec_template, disorder_cm1=float(delta) * v,
                            rng_seed=derive_seed(seed, di, si))
-            tasks.append((spec, kind))
+            tasks.append((spec, kinds))
 
     results = run_sweep(SweepPlan(tasks=tuple(tasks)), _solve_sample,
                         failure_threshold=FAILURE_THRESHOLD)
 
-    records = []
-    for di, delta in enumerate(deltas):
-        block = results[di * n_samples:(di + 1) * n_samples]
-        ok = [r.value for r in block if r.ok]
-        n_failed = n_samples - len(ok)
-        if n_failed > FAILURE_THRESHOLD * n_samples:
-            raise SweepFailureError(
-                "%d of %d samples failed at delta/V = %g"
-                % (n_failed, n_samples, delta))
-        eta_q_mean, eta_q_std = sample_mean_std(v[0] for v in ok)
-        gamma_mean, gamma_std = sample_mean_std(v[1] for v in ok)
-        eta_o_mean, eta_o_std = sample_mean_std(v[2] for v in ok)
-        records.append(DeltaRecord(
-            delta_over_v=float(delta), n_ok=len(ok), n_failed=n_failed,
-            eta_quantum_mean=eta_q_mean, eta_quantum_std=eta_q_std,
-            eta_opt_mean=eta_o_mean, eta_opt_std=eta_o_std,
-            gamma_opt_mean_ps=gamma_mean, gamma_opt_std_ps=gamma_std))
-
-    return DisorderEnsembleReport(kind=kind, master_seed=seed,
-                                  n_samples=n_samples, records=tuple(records))
+    reports = {}
+    for ki, kind in enumerate(kinds):
+        records = []
+        for di, delta in enumerate(deltas):
+            # A tree that failed before its searches fails every kind.
+            block = [r.value[ki] if r.ok else r
+                     for r in results[di * n_samples:(di + 1) * n_samples]]
+            ok = [r.value for r in block if r.ok]
+            n_failed = n_samples - len(ok)
+            if n_failed > FAILURE_THRESHOLD * n_samples:
+                raise SweepFailureError(
+                    "%d of %d %s samples failed at delta/V = %g; first "
+                    "failure:\n%s" % (n_failed, n_samples, kind, delta,
+                                       next(r.error for r in block
+                                            if not r.ok)))
+            gamma_mean, gamma_std = sample_mean_std(v[0] for v in ok)
+            eta_o_mean, eta_o_std = sample_mean_std(v[1] for v in ok)
+            eta_q_mean, eta_q_std = sample_mean_std(v[2] for v in ok)
+            records.append(DeltaRecord(
+                delta_over_v=float(delta), n_ok=len(ok), n_failed=n_failed,
+                eta_quantum_mean=eta_q_mean, eta_quantum_std=eta_q_std,
+                eta_opt_mean=eta_o_mean, eta_opt_std=eta_o_std,
+                gamma_opt_mean_ps=gamma_mean, gamma_opt_std_ps=gamma_std))
+        reports[kind] = DisorderEnsembleReport(
+            kind=kind, master_seed=seed, n_samples=n_samples,
+            records=tuple(records))
+    return reports

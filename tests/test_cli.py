@@ -194,6 +194,22 @@ def test_tree_ensemble_writes_both_kinds(tmp_path):
     assert manifest_value(manifest, "config.seed") == "2718"
 
 
+def test_tree_ensemble_both_kinds_equal_separate_runs(tmp_path):
+    """--kind both solves each tree once for both kinds; its CSVs must be
+    byte for byte those of one run per kind with the same seed. Fifteen
+    sites take the eigenbasis route, whose factorisations are shared."""
+    base = ["tree-ensemble", "--generation", "4", "--samples", "2",
+            "--delta-grid", "0:3:3", "--seed", "11"]
+    assert main(base + ["--kind", "both", "--out-dir",
+                        str(tmp_path / "both")]) == 0
+    for kind in ("coherent", "mixture"):
+        out = tmp_path / kind
+        assert main(base + ["--kind", kind, "--out-dir", str(out)]) == 0
+        name = "tree_ensemble_%s.csv" % kind
+        assert (tmp_path / "both" / name).read_bytes() == \
+            (out / name).read_bytes()
+
+
 def test_tree_ensemble_width_does_not_change_the_csv(tmp_path):
     base = ["tree-ensemble", "--generation", "3", "--samples", "3",
             "--delta-grid", "0:2:3", "--kind", "mixture"]

@@ -618,6 +618,36 @@ def test_first_moments_equal_a_loop_of_first_moment(case):
         assert _relative_gap(got[k], want) <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["gen4", "gen5"])
+def test_a_solver_for_another_initial_state_shares_the_factorisations(
+        case, monkeypatch):
+    """with_initial_state reuses every factorisation its sibling made,
+    and its moments are bit for bit those of a solver of its own."""
+    sys, rho0 = _stacking_case(case)
+    other = np.diag(np.diag(rho0))
+    factored = []
+    real = dynamics._Eigenbasis._factor
+
+    def counting(self, gammas):
+        factored.append(len(gammas))
+        return real(self, gammas)
+
+    monkeypatch.setattr(dynamics._Eigenbasis, "_factor", counting)
+    first = MomentSolver(sys, rho0)
+    second = first.with_initial_state(other)
+    first.first_moments(STACKED_RATES)
+    first.first_moment(0.0)
+    made = len(factored)
+    got = second.first_moments(STACKED_RATES)
+    zero = second.first_moment(0.0)
+    assert len(factored) == made
+    assert second.route_counts == {"eigenbasis": len(STACKED_RATES) + 1,
+                                   "dense": 0}
+    alone = MomentSolver(sys, other)
+    np.testing.assert_array_equal(got, alone.first_moments(STACKED_RATES))
+    np.testing.assert_array_equal(zero, alone.first_moment(0.0))
+
+
 def test_first_moments_take_the_dense_route_at_the_exceptional_point():
     """No rate may use the eigenbasis of a defective H_eff, stacked or not."""
     sys = _exceptional_point_system(0.0)

@@ -5,7 +5,8 @@ import pytest
 
 from enaqt import tree
 from enaqt.dynamics import MomentSolver
-from enaqt.errors import ConfigurationError, NonConvergentIntegralError
+from enaqt.errors import (ConfigurationError, NonConvergentIntegralError,
+                          SweepFailureError)
 from enaqt.model import TransportSystem, initial_density_matrix
 from enaqt.observables import transport_result
 from enaqt.tree import (DEFAULT_DELTA_GRID, MAX_GENERATION, TreeSpec,
@@ -250,7 +251,7 @@ def test_default_delta_grid():
 def test_small_ensemble_statistics():
     spec = TreeSpec(generation=3, coupling_cm1=100.0)
     report = disorder_ensemble(spec, delta_grid=[0.0, 1.0, 2.0], n_samples=4,
-                               kind="mixture", master_seed=11)
+                               master_seed=11)["mixture"]
     assert report.kind == "mixture"
     assert report.n_samples == 4
     assert len(report.records) == 3
@@ -265,11 +266,47 @@ def test_small_ensemble_statistics():
 
 def test_ensembles_are_deterministic_and_width_independent():
     spec = TreeSpec(generation=3, coupling_cm1=100.0)
-    kwargs = dict(delta_grid=[0.0, 2.0], n_samples=3, kind="coherent",
+    kwargs = dict(delta_grid=[0.0, 2.0], n_samples=3, kinds=("coherent",),
                   master_seed=5)
     a = disorder_ensemble(spec, **kwargs)
     b = disorder_ensemble(spec, **kwargs)
     assert a == b
+
+
+def _failing_once(monkeypatch, n_fail):
+    """Make optimal_dephasing raise for the coherent kind on the first
+    n_fail trees it sees."""
+    real = tree.optimal_dephasing
+    seen = []
+
+    def search(sys, rho0, solver=None):
+        coherent = np.count_nonzero(rho0 - np.diag(np.diag(rho0))) > 0
+        if coherent and len(seen) < n_fail:
+            seen.append(sys)
+            raise NonConvergentIntegralError("injected failure")
+        return real(sys, rho0, solver)
+
+    monkeypatch.setattr(tree, "optimal_dephasing", search)
+
+
+def test_a_failed_search_counts_against_its_kind_only(monkeypatch):
+    spec = TreeSpec(generation=3, coupling_cm1=100.0)
+    kwargs = dict(delta_grid=[1.0], n_samples=20, master_seed=4)
+    want = disorder_ensemble(spec, kinds=("mixture",), **kwargs)["mixture"]
+    _failing_once(monkeypatch, 1)
+    got = disorder_ensemble(spec, kinds=("coherent", "mixture"), **kwargs)
+    (coherent,) = got["coherent"].records
+    assert (coherent.n_ok, coherent.n_failed) == (19, 1)
+    assert got["mixture"] == want
+
+
+def test_a_kind_failing_too_often_aborts_the_ensemble(monkeypatch):
+    spec = TreeSpec(generation=3, coupling_cm1=100.0)
+    _failing_once(monkeypatch, 2)
+    with pytest.raises(SweepFailureError,
+                       match="2 of 20 coherent samples(.|\n)*injected"):
+        disorder_ensemble(spec, delta_grid=[1.0], n_samples=20,
+                          kinds=("mixture", "coherent"), master_seed=4)
 
 
 def test_ensemble_validation():
@@ -277,7 +314,7 @@ def test_ensemble_validation():
     with pytest.raises(ConfigurationError):
         disorder_ensemble(spec, n_samples=0)
     with pytest.raises(ConfigurationError):
-        disorder_ensemble(spec, kind="thermal")
+        disorder_ensemble(spec, kinds=("thermal",))
     with pytest.raises(ConfigurationError):
         disorder_ensemble(spec, delta_grid=[-0.5, 1.0])
 
@@ -285,7 +322,7 @@ def test_ensemble_validation():
 def test_report_csv_layout():
     spec = TreeSpec(generation=3, coupling_cm1=100.0)
     report = disorder_ensemble(spec, delta_grid=[0.0, 1.0], n_samples=2,
-                               kind="mixture", master_seed=1)
+                               master_seed=1)["mixture"]
     buf = io.StringIO()
     report.write_csv(buf)
     lines = buf.getvalue().splitlines()
