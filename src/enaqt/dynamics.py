@@ -262,11 +262,14 @@ _EIGENVECTOR_COND_LIMIT = 1e4
 # (at most 90 sites; a generation-7 tree's would be 4.2 GB).
 _DENSE_MAX_BYTES = 2 ** 30
 # MomentSolver.first_moments stacks as many rates as keep its largest
-# temporary, pairs @ R at 16 N^3 bytes per rate, within this many bytes.
-# A stack of K >= 2 rates then keeps its (K, N, N) temporaries well below
+# temporary, the folded capacitance product's B^T at 8 N^2 (N + 1) bytes
+# per rate, within this many bytes: 18 rates at 15 sites, 2 at 31, 1 from
+# 32 up. A stack of K >= 2 rates then keeps its (K, N, N) complex
+# temporaries, at most 2^20 / (N + 1) bytes (102 KiB at 9 sites), below
 # numpy's 256 KiB threshold for eliding temporaries, which evaluates
-# r * tmp in place as tmp * r. Complex products are not commutative to the
-# last bit, so a larger stack would no longer match one solve per rate.
+# r * tmp in place as tmp * r. Complex products are not commutative to
+# the last bit, so a larger stack would no longer match one solve per rate
+# (a stack of 40 rates at 31 sites does not).
 _STACK_BYTES = 2 ** 19
 # _Eigenbasis keeps this many factorisations: one tree search makes 58
 # (gamma = 0, 40 grid rates in 40 stacks at most, 17 refinement steps), so
@@ -284,8 +287,18 @@ class _Eigenbasis:
     x~ = W x W^dag, where it multiplies element jk by
     R^-1_jk = -i(lam_j - conj(lam_k)) - gamma. The Woodbury identity then
     leaves one N x N capacitance system for the rank-N dephasing term:
-        G_mn = sum_jk S_mj W_jn R_jk conj(S_mk W_kn),
-        z = (I/gamma + G)^-1 diag(A^-1 b),  x = A^-1 b - A^-1 diag(z).
+        G = E^T A^-1 E,  G_mn = sum_jk X_m,jk R_jk Z_jk,n,
+        z = (I/gamma + G)^-1 diag(A^-1 b),  x = A^-1 b - A^-1 diag(z),
+    with X_m,jk = S_mj conj(S_mk) and Z_jk,n = W_jn conj(W_kn).
+
+    G is real for any H_eff: R_kj = conj(R_jk), and swapping j and k
+    conjugates X and Z too, so the (k, j) term of the sum is the conjugate
+    of the (j, k) term. capacitance() therefore sums over the pairs
+    u = (j, k) with j <= k only, weighting c_u = 2 off the diagonal:
+        G = Re(sum_u c_u X_u (R_u Z_u)) = [Re cX, -Im cX] @ [Re B; Im B]
+    with B = R_u Z_u, one real GEMM of N x N(N + 1) by N(N + 1) x N per
+    rate in place of a complex N^2 x N by N x N product and an N^4
+    contraction (build costs per tree size are in README.md).
     Each rate of a stack gets exactly the arithmetic it would get alone,
     so a stack's results equal those of one solve per rate bit for bit.
     """
@@ -299,9 +312,11 @@ class _Eigenbasis:
         self._w_h = self._w.conj().T
         self._rinv0 = -1j * (lam[:, None] - lam.conj()[None, :])
         self._diag = np.diag_indices(len(lam))
-        # pairs[(m, n), j] = S_mj W_jn, fixed for every gamma; built on
-        # the first gamma > 0.
-        self._pairs = self._pairs_conj = None
+        # For the pairs u = (j, k) with j <= k, in np.triu_indices order:
+        # x_real[m, 2u:2u+2] = (Re, Im) of c_u conj(S_mj) S_mk, with c_u = 1
+        # on the diagonal and 2 above it, and z_t[n, u] = W_jn conj(W_kn).
+        # Both are fixed for every gamma and built on the first gamma > 0.
+        self._upper = self._x_real = self._z_t = None
         # factor() results by the bytes of their rates, oldest first.
         self._memo = {}
 
@@ -348,14 +363,8 @@ class _Eigenbasis:
         r = 1.0 / rinv
         if not gammas.any():
             return ok, (gammas, r, None)
-        n = r.shape[1]
-        if self._pairs is None:
-            self._pairs = (self._s[:, None, :] * self._w.T[None, :, :]) \
-                .reshape(n * n, n)
-            self._pairs_conj = self._pairs.conj()
-        g = np.einsum("kij,ij->ki", self._pairs @ r, self._pairs_conj)
         # gamma (I/gamma + G), which is finite at every gamma > 0.
-        stack = gammas[:, None, None] * g.reshape(-1, n, n)
+        stack = gammas[:, None, None] * self.capacitance(r)
         stack[:, self._diag[0], self._diag[1]] += 1.0
         anorms = np.abs(stack).sum(axis=1).max(axis=1)
         caps = []
@@ -371,6 +380,19 @@ class _Eigenbasis:
             gammas, r = gammas[kept], r[kept]
             caps = [cap for cap in caps if cap is not None]
         return ok, (gammas, r, caps)
+
+    def capacitance(self, r):
+        """The real (K, N, N) stack of G = E^T A^-1 E for a stack of R."""
+        if self._upper is None:
+            j, k = self._upper = np.triu_indices(r.shape[1])
+            x = np.ascontiguousarray(self._s[:, j].conj() * self._s[:, k])
+            x[:, j != k] *= 2.0
+            self._x_real = x.view(float)
+            self._z_t = np.ascontiguousarray(
+                (self._w[j] * self._w[k].conj()).T)
+        b_t = np.multiply(self._z_t, r[:, self._upper[0], self._upper[1]]
+                          [:, None, :], order="C")
+        return self._x_real @ b_t.view(float).transpose(0, 2, 1)
 
     def _apply_inverse(self, factors, b_tilde):
         gammas, r, caps = factors
@@ -438,9 +460,10 @@ class MomentSolver:
     stacks: W(-rho0)W^dag and the pairs S_mj W_jn are computed once, and
     every step that is not a LAPACK call on one rate's capacitance matrix
     runs as one array operation over the stack. A stack holds as many
-    rates as keep pairs @ R, its largest temporary at 16 N^3 bytes per
-    rate, within _STACK_BYTES: 9 rates for a 15-site tree and one from 26
-    sites up, so memory does not grow with the number of rates. Each rate
+    rates as keep the capacitance product's B^T, its largest temporary at
+    8 N^2 (N + 1) bytes per rate, within _STACK_BYTES: 18 rates for a
+    15-site tree, 2 for a 31-site one and one from 32 sites up, so memory
+    does not grow with the number of rates. Each rate
     keeps its own guards and, when one trips, its own dense fallback. The
     results equal a loop of first_moment bit for bit. Rates of 0, and
     every rate of a system that takes the dense route, are solved one at
@@ -514,7 +537,7 @@ class MomentSolver:
         for i in np.flatnonzero(alone):
             out[i] = self.first_moment(gammas[i])
         stacked = np.flatnonzero(~alone)
-        per_stack = max(1, _STACK_BYTES // (16 * n ** 3))
+        per_stack = max(1, _STACK_BYTES // (8 * n * n * (n + 1)))
         for start in range(0, len(stacked), per_stack):
             idx = stacked[start:start + per_stack]
             ok, (s1,) = self._eigen_solve(gammas[idx], 1)
