@@ -19,13 +19,13 @@ from .model import (InitialState, TransportSystem, effective_hamiltonian,
                     initial_density_matrix, load_system, save_system)
 from .observables import (TransportResult, efficiency, loss_probability,
                           transfer_time, transport_result)
-from .spectral import OhmicBath, dephasing_rate, spectral_density
+from .spectral import OhmicBath, dephasing_rate
 from .sweep import SweepPlan, derive_seed, run_sweep
 from .tree import (DisorderEnsembleReport, TreeSpec, disorder_ensemble,
                    generate_tree, leaf_initial_state, optimal_dephasing)
 from .twolevel import (TwoLevelParams, coherent_population_2,
-                       diffusion_time_estimate, equilibrium_population_2,
-                       larmor_frequency, to_transport_system)
+                       diffusion_time_estimate, larmor_frequency,
+                       to_transport_system)
 from .units import BOLTZMANN_CM1_PER_K, CM1_TO_PS_ANGULAR
 
 __all__ = [
@@ -37,10 +37,10 @@ __all__ = [
     "TwoLevelParams", "UndefinedTransferTimeError", "build_liouvillian",
     "coherent_population_2", "dephasing_rate", "dephasing_sweep", "derive_seed",
     "diffusion_time_estimate", "disorder_ensemble", "effective_hamiltonian",
-    "efficiency", "equilibrium_population_2", "generate_tree",
+    "efficiency", "generate_tree",
     "initial_density_matrix", "integrated_state", "larmor_frequency",
     "leaf_initial_state", "load_fmo_model", "load_system", "loss_probability",
     "master_equation_rhs", "optimal_dephasing", "propagate", "run_sweep",
-    "save_system", "spectral_density", "to_transport_system", "transfer_time",
+    "save_system", "to_transport_system", "transfer_time",
     "transport_result", "trap_dephasing_surface",
 ]

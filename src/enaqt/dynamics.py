@@ -271,10 +271,11 @@ _DENSE_MAX_BYTES = 2 ** 30
 # the last bit, so a larger stack would no longer match one solve per rate
 # (a stack of 40 rates at 31 sites does not).
 _STACK_BYTES = 2 ** 19
-# _Eigenbasis keeps this many factorisations: one tree search makes 58
-# (gamma = 0, 40 grid rates in 40 stacks at most, 17 refinement steps), so
-# a second initial state finds all of its first 41 there. At 127 sites an
-# entry takes about 0.5 MB.
+# _Eigenbasis keeps this many factorisations: one tree search makes at
+# most 57 (gamma = 0, the 40 grid rates in at most 40 stacks, and 16
+# golden-section steps), so a second initial state of the same tree finds
+# its gamma = 0 and grid factorisations there. At 127 sites an entry takes
+# about 0.5 MB.
 _MEMO_ENTRIES = 64
 
 

@@ -18,8 +18,6 @@ needs it in angular ps^-1, so both are returned.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigurationError
 from .units import BOLTZMANN_CM1_PER_K, cm1_to_angular
 
@@ -34,16 +32,6 @@ class OhmicBath:
             raise ConfigurationError("reorganization energy must be > 0")
         if not self.cutoff_cm1 > 0.0:
             raise ConfigurationError("cutoff frequency must be > 0")
-
-
-def spectral_density(bath, omega_cm1):
-    """J(omega), dimensionless, for omega in cm^-1 (scalar or array)."""
-    omega = np.asarray(omega_cm1, dtype=float)
-    if np.any(omega < 0.0):
-        raise ConfigurationError("spectral density is defined for omega >= 0")
-    out = (bath.reorganization_energy_cm1 / bath.cutoff_cm1) * omega \
-        * np.exp(-omega / bath.cutoff_cm1)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -95,22 +95,6 @@ def diffusion_time_estimate(p):
     return (math.pi / theta) ** 2 / p.dephasing_rate
 
 
-def equilibrium_population_2(p):
-    """Stationary population of site 2 under dephasing: exactly 1/2.
-
-    The pure-dephasing master equation without traps has the maximally
-    mixed state as its unique fixed point whenever the sites are coupled.
-    """
-    if p.coupling_cm1 == 0.0:
-        raise ConfigurationError(
-            "V = 0: dephasing alone moves no population, site populations "
-            "are conserved and never equilibrate")
-    if p.dephasing_rate <= 0.0:
-        raise ConfigurationError(
-            "equilibrium population is defined for gamma_phi > 0")
-    return 0.5
-
-
 def to_transport_system(p, trap_rate_2=0.0, recomb_rate=0.0):
     """TransportSystem with site energies +-eps/2 and coupling V/2, so the
     closed forms above apply exactly. Optional trap on site 2."""

@@ -30,8 +30,3 @@ BOLTZMANN_CM1_PER_K = 0.695035
 def cm1_to_angular(energy_cm1):
     """Convert an energy in cm^-1 to angular frequency in ps^-1."""
     return energy_cm1 * CM1_TO_PS_ANGULAR
-
-
-def angular_to_cm1(omega_ps):
-    """Inverse of cm1_to_angular."""
-    return omega_ps / CM1_TO_PS_ANGULAR

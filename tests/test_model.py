@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -201,3 +202,22 @@ def test_corrupt_json_reports_the_location(tmp_path):
 def test_missing_system_file_is_a_configuration_error(tmp_path):
     with pytest.raises(ConfigurationError, match="cannot read"):
         load_system(str(tmp_path / "nowhere.json"))
+
+
+def test_the_readme_system_document_loads_and_is_what_save_system_writes(
+        tmp_path):
+    """The JSON block under README's "System documents" must load, and
+    save_system must write it back byte for byte."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    section = readme[readme.index("### System documents"):]
+    block = section[section.index("```json\n") + len("```json\n"):]
+    block = block[:block.index("```\n")]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    sys = load_system(str(path))
+    assert sys.n_sites == 2
+    assert sys.trap_rates.tolist() == [0.0, 1.0]
+    assert sys.recomb_rate == 0.0005
+    again = tmp_path / "again.json"
+    save_system(sys, str(again))
+    assert again.read_text() == block

@@ -1,11 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from enaqt.errors import ConfigurationError
-from enaqt.spectral import DephasingRate, OhmicBath, dephasing_rate, \
-    spectral_density
+from enaqt.spectral import DephasingRate, OhmicBath, dephasing_rate
 from enaqt.units import BOLTZMANN_CM1_PER_K, cm1_to_angular
 
 
@@ -17,25 +15,6 @@ def test_bath_defaults_and_validation():
         OhmicBath(reorganization_energy_cm1=0.0)
     with pytest.raises(ConfigurationError):
         OhmicBath(cutoff_cm1=-1.0)
-
-
-def test_spectral_density_shape():
-    bath = OhmicBath()
-    assert spectral_density(bath, 0.0) == 0.0
-    peak = spectral_density(bath, bath.cutoff_cm1)
-    assert peak == pytest.approx(35.0 / math.e)
-    assert spectral_density(bath, bath.cutoff_cm1 - 5.0) < peak
-    assert spectral_density(bath, bath.cutoff_cm1 + 5.0) < peak
-    with pytest.raises(ConfigurationError):
-        spectral_density(bath, -1.0)
-
-
-def test_spectral_density_accepts_arrays():
-    bath = OhmicBath(reorganization_energy_cm1=10.0, cutoff_cm1=50.0)
-    omega = np.array([0.0, 25.0, 50.0])
-    out = spectral_density(bath, omega)
-    want = (10.0 / 50.0) * omega * np.exp(-omega / 50.0)
-    np.testing.assert_allclose(out, want, rtol=1e-15)
 
 
 def test_dephasing_rate_formula():

@@ -7,8 +7,8 @@ from enaqt.dynamics import propagate
 from enaqt.errors import ConfigurationError
 from enaqt.model import InitialState, initial_density_matrix
 from enaqt.twolevel import (TwoLevelParams, coherent_population_2,
-                            diffusion_time_estimate, equilibrium_population_2,
-                            larmor_frequency, tilt_angle, to_transport_system)
+                            diffusion_time_estimate, larmor_frequency,
+                            tilt_angle, to_transport_system)
 from enaqt.units import CM1_TO_PS_ANGULAR
 
 SITE1 = initial_density_matrix(InitialState("site", (1,)), 2)
@@ -84,16 +84,6 @@ def test_diffusion_time_estimate():
         TwoLevelParams(3.0, 0.0, dephasing_rate=2.0)) == math.inf
     with pytest.raises(ConfigurationError):
         diffusion_time_estimate(TwoLevelParams(3.0, 4.0))
-
-
-def test_equilibrium_population_definition():
-    assert equilibrium_population_2(
-        TwoLevelParams(50.0, 4.0, dephasing_rate=1.0)) == 0.5
-    with pytest.raises(ConfigurationError):
-        equilibrium_population_2(TwoLevelParams(50.0, 0.0,
-                                                dephasing_rate=1.0))
-    with pytest.raises(ConfigurationError):
-        equilibrium_population_2(TwoLevelParams(50.0, 4.0))
 
 
 def test_dephased_dimer_reaches_the_maximally_mixed_state():
