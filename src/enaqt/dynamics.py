@@ -458,15 +458,16 @@ class MomentSolver:
     route_counts reports how many solves each route took, one per rate.
 
     first_moments takes the eigenbasis route for its positive rates in
-    stacks: W(-rho0)W^dag and the pairs S_mj W_jn are computed once, and
+    stacks: W(-rho0)W^dag and the pair products of S and W behind the
+    capacitance matrix are computed once, and
     every step that is not a LAPACK call on one rate's capacitance matrix
     runs as one array operation over the stack. A stack holds as many
     rates as keep the capacitance product's B^T, its largest temporary at
     8 N^2 (N + 1) bytes per rate, within _STACK_BYTES: 18 rates for a
     15-site tree, 2 for a 31-site one and one from 32 sites up, so memory
-    does not grow with the number of rates. Each rate
-    keeps its own guards and, when one trips, its own dense fallback. The
-    results equal a loop of first_moment bit for bit. Rates of 0, and
+    does not grow with the number of rates. Each rate keeps its own guards
+    and, when one trips, its own dense fallback. The results equal a loop
+    of first_moment bit for bit. Rates of 0, and
     every rate of a system that takes the dense route, are solved one at
     a time.
     """

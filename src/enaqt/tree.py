@@ -295,8 +295,9 @@ class DisorderEnsembleReport:
 
 def _solve_sample(task):
     """One TaskResult per kind for one tree, holding optimal_dephasing's
-    (gamma*, eta*, eta(0)) or the error of that kind's search alone. The kinds' solvers share the tree's
-    eigenbasis and capacitance factorisations."""
+    (gamma*, eta*, eta(0)) or the error of that kind's search alone. The
+    kinds' solvers share the tree's eigenbasis and capacitance
+    factorisations (on the dense route, its Liouvillian)."""
     spec, kinds = task
     sys = generate_tree(spec)
     solver = None
@@ -327,9 +328,11 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     kinds = tuple(kinds)
-    if not kinds or any(k not in ("coherent", "mixture") for k in kinds):
+    if (not kinds or len(set(kinds)) < len(kinds)
+            or any(k not in ("coherent", "mixture") for k in kinds)):
         raise ConfigurationError(
-            "kinds must be 'coherent' or 'mixture', got %r" % (kinds,))
+            "kinds must be distinct, each 'coherent' or 'mixture', got %r"
+            % (kinds,))
     deltas = np.asarray(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid,
                         dtype=float)
     if not np.all(np.isfinite(deltas)) or np.any(deltas < 0.0):

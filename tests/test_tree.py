@@ -316,6 +316,10 @@ def test_ensemble_validation():
     with pytest.raises(ConfigurationError):
         disorder_ensemble(spec, kinds=("thermal",))
     with pytest.raises(ConfigurationError):
+        disorder_ensemble(spec, kinds=())
+    with pytest.raises(ConfigurationError):
+        disorder_ensemble(spec, kinds=("mixture", "mixture"))
+    with pytest.raises(ConfigurationError):
         disorder_ensemble(spec, delta_grid=[-0.5, 1.0])
 
 
