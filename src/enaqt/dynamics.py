@@ -99,18 +99,12 @@ def _dephasing_diagonal(n):
     return d
 
 
-def _coherent_liouvillian(heff):
-    """Superoperator for -i(H_eff rho - rho H_eff^dag) alone."""
-    n = heff.shape[0]
-    eye = np.eye(n)
-    return -1j * (np.kron(eye, heff) - np.kron(heff.conj(), eye))
-
-
 def build_liouvillian(sys):
     """The dense N^2 x N^2 Liouvillian L of a system, an ndarray with
     vec(drho/dt) = L vec(rho)."""
     heff = effective_hamiltonian(sys)
-    L = _coherent_liouvillian(heff)
+    eye = np.eye(sys.n_sites)
+    L = -1j * (np.kron(eye, heff) - np.kron(heff.conj(), eye))
     if sys.dephasing_rate != 0.0:
         idx = np.arange(sys.n_sites * sys.n_sites)
         L[idx, idx] += sys.dephasing_rate * _dephasing_diagonal(sys.n_sites)
@@ -200,6 +194,8 @@ def propagate(sys, rho0, t_final, sample_times=None):
     if rho.shape != (n, n):
         raise ConfigurationError(
             "initial state has shape %s, system has %d sites" % (rho.shape, n))
+    if not np.all(np.isfinite(rho)):
+        raise ConfigurationError("initial state has non-finite entries")
 
     if sample_times is None:
         samples = np.array([0.0, t_final])
@@ -249,6 +245,8 @@ def default_horizon(sys):
 _COND_LIMIT = 1e12
 _GETRF, _GECON, _GETRS = get_lapack_funcs(("getrf", "gecon", "getrs"),
                                           dtype=np.complex128)
+_DGETRF, _DGECON, _DGETRS = get_lapack_funcs(("getrf", "gecon", "getrs"),
+                                             dtype=np.float64)
 # Systems of at least this many sites take the eigenbasis route. Below it
 # the dense solve is the faster one and stays the only route: for FMO
 # (N = 7), building a solver and solving for both moments took 0.26 ms
@@ -258,8 +256,11 @@ _EIGENBASIS_MIN_SITES = 9
 # exceeds this: the eigenvectors are then close to parallel, as near an
 # exceptional point, and their errors would be amplified by cond(S)^2.
 _EIGENVECTOR_COND_LIMIT = 1e4
-# The dense fallback refuses to allocate a Liouvillian larger than this
-# (at most 90 sites; a generation-7 tree's would be 4.2 GB).
+# The dense route holds the real N^2 x N^2 coherent Liouvillian and one
+# copy of it per rate for the LU, 16 N^4 bytes together (the build's own
+# index arrays take O(N^3)). The dense fallback refuses a system for which
+# that exceeds this: at most 90 sites; a generation-7 tree would need
+# 4.2 GB.
 _DENSE_MAX_BYTES = 2 ** 30
 # MomentSolver.first_moments stacks as many rates as keep its largest
 # temporary, the folded capacitance product's B^T at 8 N^2 (N + 1) bytes
@@ -277,6 +278,131 @@ _STACK_BYTES = 2 ** 19
 # its gamma = 0 and grid factorisations there. At 127 sites an entry takes
 # about 0.5 MB.
 _MEMO_ENTRIES = 64
+
+
+@functools.lru_cache(maxsize=8)
+def _hermitian_coordinates(n):
+    """For the real coordinates of N x N Hermitian matrices (see
+    _RealLiouvillian): the upper-triangle indices (j, k), j < k, and for
+    each entry of X in flat C order the indices re, im of the coordinates
+    it is built from and their weights alpha, beta. Read-only, as the
+    arrays are shared by every solver of N sites."""
+    j, k = upper = np.triu_indices(n, 1)
+    u = np.arange(len(j))
+    m = np.arange(n)
+    re, im = np.empty((2, n, n), dtype=np.intp)
+    alpha, beta = np.empty((2, n, n))
+    re[m, m] = im[m, m] = m
+    re[j, k] = re[k, j] = n + u
+    im[j, k] = im[k, j] = n + len(u) + u
+    alpha[m, m], beta[m, m] = 1.0, 0.0
+    alpha[j, k] = alpha[k, j] = beta[j, k] = np.sqrt(0.5)
+    beta[k, j] = -np.sqrt(0.5)
+    tables = (j, k, re.ravel(), im.ravel(), alpha.ravel(), beta.ravel())
+    for a in tables:
+        a.setflags(write=False)
+    return (upper,) + tables[2:]
+
+
+class _RealLiouvillian:
+    """L(gamma) in orthonormal real coordinates of Hermitian matrices, with
+    one real LU per rate.
+
+    L maps Hermitian matrices to Hermitian ones, so it acts on the N^2 real
+    coordinates y = (X_mm, sqrt2 Re X_jk, sqrt2 Im X_jk for j < k), an
+    orthonormal basis in the real inner product Re tr(A^dag B). Entry
+    (r, c) of X is alpha y[re] + i beta y[im]: alpha = 1, beta = 0 on the
+    diagonal, alpha = 1/sqrt2 and beta = +-1/sqrt2 above and below it. In
+    these coordinates the coherent part is M = T^dag L0 T, where column q
+    of T is vec of basis matrix q. For Hermitian X, L0 X = Z + Z^dag with
+    Z = -i H_eff X, and the coordinates of Z + Z^dag are 2 Re(T^dag vec Z),
+    so M = 2 Re(T^dag (I kron -i H_eff) T). That product has 4 N^3
+    nonzero terms, which build() sums by index into the dense real matrix
+    once, never forming T or a complex N^2 x N^2 matrix. Dephasing adds -gamma on each coherence coordinate and
+    nothing on a population one, so each rate copies M, shifts its
+    diagonal and factors it.
+    """
+
+    def __init__(self, heff):
+        self._heff = heff
+        self._n = heff.shape[0]
+        (self._upper, self._re, self._im, self._alpha,
+         self._beta) = _hermitian_coordinates(self._n)
+        self._matrix = None
+
+    def coordinates(self, x):
+        """y for the Hermitian N x N matrix x; only its upper triangle and
+        the real part of its diagonal are read."""
+        up = x[self._upper]
+        return np.concatenate([x.diagonal().real, np.sqrt(2.0) * up.real,
+                               np.sqrt(2.0) * up.imag])
+
+    def from_coordinates(self, y, y_anti=None):
+        """The Hermitian matrix X(y), or X(y) + i X(y_anti)."""
+        x = np.empty(self._n * self._n, dtype=complex)
+        x.real = self._alpha * y[self._re]
+        x.imag = self._beta * y[self._im]
+        x = x.reshape(self._n, self._n)
+        if y_anti is not None:
+            x = x + 1j * self.from_coordinates(y_anti)
+        return x
+
+    def build(self):
+        """M as a Fortran-ordered array, with the off-diagonal part of each
+        column's 1-norm (gamma moves only the diagonal)."""
+        n, nn = self._n, self._n * self._n
+        nbytes = 16 * nn * nn
+        if nbytes > _DENSE_MAX_BYTES:
+            raise NonConvergentIntegralError(
+                "the eigenbasis route does not apply and the dense "
+                "Liouvillian of %d sites would take %.2f GiB, above the "
+                "1 GiB limit of the dense fallback" % (n, nbytes / 2 ** 30))
+        # Term (r2, r, c): -i H[r2, r] carries entry (r, c) of X to entry
+        # (r2, c) of -i H X; 2 Re of its four coordinate pairs goes to M.
+        r2, r, c = np.indices((n, n, n)).reshape(3, -1)
+        dst, src = r2 * n + c, r * n + c
+        h = self._heff[r2, r]
+        a_dst, b_dst = self._alpha[dst], self._beta[dst]
+        a_src, b_src = self._alpha[src], self._beta[src]
+        re_dst, im_dst = self._re[dst], self._im[dst]
+        re_src, im_src = self._re[src], self._im[src]
+        # Indexed column-major, so the reshaped sum is M in Fortran order.
+        index = np.concatenate([re_src * nn + re_dst, im_src * nn + re_dst,
+                                re_src * nn + im_dst, im_src * nn + im_dst])
+        terms = 2.0 * np.concatenate([a_dst * a_src * h.imag,
+                                      a_dst * b_src * h.real,
+                                      -b_dst * a_src * h.real,
+                                      b_dst * b_src * h.imag])
+        self._matrix = np.bincount(index, terms, minlength=nn * nn).reshape(
+            nn, nn).T
+        offdiag = np.abs(self._matrix)
+        np.einsum("ii->i", offdiag)[:] = 0.0
+        self._offdiag_colsum = offdiag.sum(axis=0)
+
+    def factor(self, gamma):
+        """The real LU (lu, piv) of L(gamma), built on the first call. A
+        condition estimate above 1e12, or an exact zero pivot, raises
+        NonConvergentIntegralError."""
+        if self._matrix is None:
+            self.build()
+        mat = self._matrix.copy(order="F")
+        diag = np.einsum("ii->i", mat)
+        diag[self._n:] -= gamma
+        anorm = (self._offdiag_colsum + np.abs(diag)).max()
+        lu, piv, info = _DGETRF(mat, overwrite_a=True)
+        rcond = 0.0
+        if info == 0:
+            rcond, info = _DGECON(lu, anorm)
+            if info != 0:
+                raise NonConvergentIntegralError(
+                    "condition estimate failed (LAPACK info=%d)" % info)
+        if rcond == 0.0 or 1.0 / rcond > _COND_LIMIT:
+            raise NonConvergentIntegralError(
+                "Liouvillian condition estimate %.3e exceeds 1e12: the "
+                "integrals do not converge reliably; likely cause is a site "
+                "(or subspace) with no reachable decay channel"
+                % (np.inf if rcond == 0.0 else 1.0 / rcond))
+        return lu, piv
 
 
 class _Eigenbasis:
@@ -482,14 +608,15 @@ class MomentSolver:
         self._heff = effective_hamiltonian(sys)
         self._eigen = (_Eigenbasis.of(self._heff)
                        if n >= _EIGENBASIS_MIN_SITES else None)
-        self._coherent = None
+        self._dense = _RealLiouvillian(self._heff)
         self._set_initial_state(rho0)
 
     def with_initial_state(self, rho0):
         """A solver for the same system from another initial state. It
-        shares this one's H_eff, eigenbasis and capacitance factorisations,
-        and its dense Liouvillian if already built, so a rate factored by
-        either is factored once; each keeps its own solves and counts."""
+        shares this one's H_eff, eigenbasis, capacitance factorisations
+        and real Liouvillian, so a rate factored on the eigenbasis route by
+        either is factored once; each keeps its own right-hand sides,
+        solves and counts."""
         other = copy.copy(self)
         other._set_initial_state(rho0)
         return other
@@ -501,10 +628,18 @@ class MomentSolver:
             raise ConfigurationError(
                 "initial state has shape %s, system has %d sites"
                 % (rho0.shape, n))
-        self._rho0 = rho0
+        if not np.all(np.isfinite(rho0)):
+            raise ConfigurationError("initial state has non-finite entries")
         if self._eigen is not None:
             self._b0 = -rho0
             self._b0_tilde = self._eigen.to_eigenbasis(self._b0)
+        # The dense route solves for the Hermitian and anti-Hermitian parts
+        # of rho0 = P + i Q apart; Q is exactly 0 for a Hermitian rho0.
+        rho0_h = rho0.conj().T
+        anti = (rho0 - rho0_h) / 2.0j
+        self._dense_rhs = [self._dense.coordinates(-(rho0 + rho0_h) / 2.0)]
+        if anti.any():
+            self._dense_rhs.append(self._dense.coordinates(-anti))
         self._counts = {"eigenbasis": 0, "dense": 0}
 
     @property
@@ -573,45 +708,12 @@ class MomentSolver:
         return ok, moments
 
     def _dense_solve(self, gamma, n_moments):
-        n = self.n_sites
-        if self._coherent is None:
-            nbytes = 16 * n ** 4
-            if nbytes > _DENSE_MAX_BYTES:
-                raise NonConvergentIntegralError(
-                    "the eigenbasis route does not apply and the dense "
-                    "Liouvillian of %d sites would take %.2f GiB, above the "
-                    "1 GiB limit of the dense fallback" % (n, nbytes / 2 ** 30))
-            self._coherent = np.asfortranarray(
-                _coherent_liouvillian(self._heff))
-            self._dephasing = _dephasing_diagonal(n)
-            self._diag = np.arange(n * n)
-            # gamma_phi moves only the diagonal of each column's 1-norm.
-            offdiag = np.abs(self._coherent)
-            offdiag[self._diag, self._diag] = 0.0
-            self._offdiag_colsum = offdiag.sum(axis=0)
-        L = self._coherent.copy(order="F")
-        if gamma != 0.0:
-            L[self._diag, self._diag] += gamma * self._dephasing
-        anorm = np.max(self._offdiag_colsum + np.abs(L[self._diag, self._diag]))
-        lu, piv, info = _GETRF(L, overwrite_a=True)
-        if info > 0:
-            raise NonConvergentIntegralError(
-                "Liouvillian is singular: likely some initial population "
-                "cannot reach a decay channel")
-        rcond, info = _GECON(lu, anorm)
-        if info != 0:
-            raise NonConvergentIntegralError(
-                "condition estimate failed (LAPACK info=%d)" % info)
-        if rcond == 0.0 or 1.0 / rcond > _COND_LIMIT:
-            raise NonConvergentIntegralError(
-                "Liouvillian condition estimate %.3e exceeds 1e12: the "
-                "integrals do not converge reliably; likely cause is a site "
-                "(or subspace) with no reachable decay channel"
-                % (np.inf if rcond == 0.0 else 1.0 / rcond))
-        moments = [_GETRS(lu, piv, -_vec(self._rho0))[0]]
+        lu, piv = self._dense.factor(gamma)
+        ys = [_DGETRS(lu, piv, b)[0] for b in self._dense_rhs]
+        moments = [ys]
         if n_moments == 2:
-            moments.append(_GETRS(lu, piv, -moments[0])[0])
-        return tuple(_unvec(v, n) for v in moments)
+            moments.append([_DGETRS(lu, piv, -y)[0] for y in ys])
+        return tuple(self._dense.from_coordinates(*parts) for parts in moments)
 
 
 # One (key, MomentSolver) entry per thread; see integrated_state.

@@ -19,7 +19,6 @@ Site indices are 1-based in every user-facing interface, matching the usual
 chromophore numbering; internal arrays are 0-based.
 """
 
-import copy
 import json
 from dataclasses import dataclass
 
@@ -102,8 +101,8 @@ class TransportSystem:
         dep = float(gamma_phi)
         if not np.isfinite(dep) or dep < 0.0:
             raise ConfigurationError("dephasing_rate must be finite and >= 0")
-        other = copy.copy(self)
-        object.__setattr__(other, "dephasing_rate", dep)
+        other = object.__new__(type(self))
+        vars(other).update(vars(self), dephasing_rate=dep)
         return other
 
     def with_rates(self, trap_rates=None, recomb_rate=None, dephasing_rate=None):

@@ -234,6 +234,16 @@ def test_propagate_rejects_mismatched_initial_state():
         propagate(sys, np.eye(2), 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_propagate_rejects_a_non_finite_initial_state(bad):
+    rng = np.random.default_rng(17)
+    sys = random_transport_system(rng, n=3)
+    rho0 = random_density_matrix(rng, 3)
+    rho0[0, 1] = bad
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        propagate(sys, rho0, 1.0)
+
+
 def test_default_horizon_tracks_the_slowest_decay_channel():
     sys = TransportSystem(n_sites=2, site_energies=[0.0, 0.0],
                           couplings=np.zeros((2, 2)),
@@ -577,6 +587,47 @@ def test_moment_solver_rejects_bad_dephasing_rates(gamma):
         solver(gamma)
 
 
+@pytest.mark.parametrize("case", ["random7", "gen4"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_moment_solver_rejects_a_non_finite_initial_state(case, bad):
+    """On the dense route (7 sites) and the eigenbasis route (a 15-site
+    tree), for a new solver and for another initial state of one."""
+    sys, rho0 = _stacking_case(case)
+    broken = rho0.copy()
+    broken[1, 1] = bad
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        MomentSolver(sys, broken)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        MomentSolver(sys, rho0).with_initial_state(broken)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_dense_moments_of_a_hermitian_state_are_exactly_hermitian(n):
+    rng = np.random.default_rng(80 + n)
+    sys = random_transport_system(rng, n=n)
+    solver = MomentSolver(sys, random_density_matrix(rng, n))
+    for gamma in (0.0, 1e-3, 1.0, 1e3):
+        for moment in solver(gamma):
+            np.testing.assert_array_equal(moment, moment.conj().T)
+    assert solver.route_counts == {"eigenbasis": 0, "dense": 4}
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_dense_moments_of_a_non_hermitian_state_match_a_dense_solve(n):
+    """rho0 = |1><2| has no Hermitian coordinates of its own: its
+    Hermitian and anti-Hermitian parts are solved apart and recombined."""
+    rng = np.random.default_rng(90 + n)
+    sys = random_transport_system(rng, n=n)
+    rho0 = np.zeros((n, n), dtype=complex)
+    rho0[0, 1] = 1.0
+    solver = MomentSolver(sys, rho0)
+    for gamma in (0.0, 1e-3, 1.0, 1e3):
+        s1, s2 = solver(gamma)
+        w1, w2 = _dense_moments(sys.with_dephasing(gamma), rho0)
+        assert _relative_gap(s1, w1) <= 1e-12
+        assert _relative_gap(s2, w2) <= 1e-12
+
+
 STACKED_RATES = np.logspace(-3, 5, 40)
 
 
@@ -647,6 +698,39 @@ def test_a_solver_for_another_initial_state_shares_the_factorisations(
     alone = MomentSolver(sys, other)
     np.testing.assert_array_equal(got, alone.first_moments(STACKED_RATES))
     np.testing.assert_array_equal(zero, alone.first_moment(0.0))
+
+
+def test_a_dense_solver_for_another_initial_state_shares_the_liouvillian(
+        monkeypatch):
+    """On a 7-site tree, which takes the dense route, with_initial_state
+    reuses the real Liouvillian its sibling built, and its moments, from
+    its own right-hand side, are bit for bit those of a solver of its
+    own."""
+    sys, rho0 = _stacking_case("gen3")
+    other = np.diag(np.diag(rho0))
+    builds = []
+    real = dynamics._RealLiouvillian.build
+
+    def counting(self):
+        builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(dynamics._RealLiouvillian, "build", counting)
+    first = MomentSolver(sys, rho0)
+    second = first.with_initial_state(other)
+    first.first_moments(STACKED_RATES)
+    both = first(0.7)
+    assert len(builds) == 1
+    got = second.first_moments(STACKED_RATES)
+    got_both = second(0.7)
+    assert len(builds) == 1
+    assert second.route_counts == {"eigenbasis": 0,
+                                   "dense": len(STACKED_RATES) + 1}
+    alone = MomentSolver(sys, other)
+    np.testing.assert_array_equal(got, alone.first_moments(STACKED_RATES))
+    for got_moment, want, sibling in zip(got_both, alone(0.7), both):
+        np.testing.assert_array_equal(got_moment, want)
+        assert not np.array_equal(got_moment, sibling)
 
 
 def _dense_capacitance(sys, gamma):
