@@ -24,11 +24,15 @@ MomentSolver, the one place that solves for S1 = int_0^inf rho dt and
 S2 = int_0^inf t rho dt, never touches time at all: it solves
 L S1 = -rho0 and L S2 = -S1 at any dephasing rate, so integrated_state()
 reuses one solver per (H_eff, rho0) across the rates of a sweep. Systems
-of fewer than 9 sites get a dense LU of the N^2 x N^2 L. Larger ones get
-an eigenbasis route: H_eff is diagonalized once, the coherent part of L
-is inverted elementwise in that basis, and the rank-N dephasing term
-costs one N x N capacitance solve (Woodbury), followed by one step of
-iterative refinement. When the eigenvectors are ill-conditioned
+of fewer than 9 sites get a dense real LU of L: L maps Hermitian matrices
+to Hermitian ones, so it is written once as a real N^2 x N^2 matrix in the
+orthonormal coordinates y = (X_mm, sqrt2 Re X_jk, sqrt2 Im X_jk, j < k),
+and the moments of a Hermitian rho0 come out exactly Hermitian (a
+non-Hermitian rho0 is solved as its Hermitian and anti-Hermitian parts).
+Larger systems get an eigenbasis route: H_eff is diagonalized once, the
+coherent part of L is inverted elementwise in that basis, and the rank-N
+dephasing term costs one N x N capacitance solve (Woodbury), followed by
+one step of iterative refinement. When the eigenvectors are ill-conditioned
 (cond(S) > 1e4, as near an exceptional point), a mode is dark or the
 capacitance system is ill-conditioned, that rate falls back to the dense
 solve, whose 1e12 conditioning guard then applies as for small
@@ -249,8 +253,10 @@ _DGETRF, _DGECON, _DGETRS = get_lapack_funcs(("getrf", "gecon", "getrs"),
                                              dtype=np.float64)
 # Systems of at least this many sites take the eigenbasis route. Below it
 # the dense solve is the faster one and stays the only route: for FMO
-# (N = 7), building a solver and solving for both moments took 0.26 ms
-# dense against 0.37 ms by eigenbasis (one OpenBLAS thread, 2-core VM).
+# (N = 7), building a solver and solving for both moments took 0.18 ms
+# dense (real LU) against 0.50 ms by eigenbasis, medians of six runs of
+# 400 solvers, which ranged over 0.16-0.23 and 0.43-0.70 ms (one OpenBLAS
+# thread, 2-core VM shared with other load).
 _EIGENBASIS_MIN_SITES = 9
 # The eigenbasis route is not taken when cond(S) of H_eff = S Lambda S^-1
 # exceeds this: the eigenvectors are then close to parallel, as near an
@@ -318,9 +324,9 @@ class _RealLiouvillian:
     Z = -i H_eff X, and the coordinates of Z + Z^dag are 2 Re(T^dag vec Z),
     so M = 2 Re(T^dag (I kron -i H_eff) T). That product has 4 N^3
     nonzero terms, which build() sums by index into the dense real matrix
-    once, never forming T or a complex N^2 x N^2 matrix. Dephasing adds -gamma on each coherence coordinate and
-    nothing on a population one, so each rate copies M, shifts its
-    diagonal and factors it.
+    once, never forming T or a complex N^2 x N^2 matrix. Dephasing adds
+    -gamma on each coherence coordinate and nothing on a population one,
+    so each rate copies M, shifts its diagonal and factors it.
     """
 
     def __init__(self, heff):
@@ -348,8 +354,9 @@ class _RealLiouvillian:
         return x
 
     def build(self):
-        """M as a Fortran-ordered array, with the off-diagonal part of each
-        column's 1-norm (gamma moves only the diagonal)."""
+        """Build M, Fortran-ordered, and the off-diagonal part of each of
+        its column 1-norms (gamma moves only the diagonal), or refuse a
+        system above _DENSE_MAX_BYTES."""
         n, nn = self._n, self._n * self._n
         nbytes = 16 * nn * nn
         if nbytes > _DENSE_MAX_BYTES:
@@ -373,11 +380,11 @@ class _RealLiouvillian:
                                       a_dst * b_src * h.real,
                                       -b_dst * a_src * h.real,
                                       b_dst * b_src * h.imag])
-        self._matrix = np.bincount(index, terms, minlength=nn * nn).reshape(
-            nn, nn).T
-        offdiag = np.abs(self._matrix)
+        matrix = np.bincount(index, terms, minlength=nn * nn).reshape(nn, nn).T
+        offdiag = np.abs(matrix)
         np.einsum("ii->i", offdiag)[:] = 0.0
         self._offdiag_colsum = offdiag.sum(axis=0)
+        self._matrix = matrix
 
     def factor(self, gamma):
         """The real LU (lu, piv) of L(gamma), built on the first call. A
@@ -564,13 +571,18 @@ class MomentSolver:
     of S1 over an array of K rates.
 
     Two routes give the same numbers to roundoff:
-    - Dense: dephasing only adds gamma_phi times a fixed diagonal to L, so
-      the N^2 x N^2 coherent part is built once, on the first dense solve,
-      and each rate takes one LU factorization. A condition estimate above
-      1e12 aborts with NonConvergentIntegralError: the integrals are then
-      dominated by a near-null mode, which means some population has no
-      decay channel to reach. Systems of fewer than 9 sites always take
-      this route.
+    - Dense: L is written in real orthonormal coordinates of Hermitian
+      matrices (see _RealLiouvillian). Dephasing only adds -gamma_phi on
+      the coherence coordinates, so the real N^2 x N^2 coherent part is
+      built once, on the first dense solve, and each rate takes one real
+      LU factorization and one single right-hand-side solve per moment.
+      A Hermitian rho0 gives exactly Hermitian S1 and S2; a non-Hermitian
+      one is solved as rho0 = P + i Q with P and Q Hermitian, two solves
+      per moment. A condition estimate above 1e12, or an exact zero
+      pivot, aborts with NonConvergentIntegralError: the integrals are
+      then dominated by a near-null mode, which means some population has
+      no decay channel to reach. Systems of fewer than 9 sites always
+      take this route.
     - Eigenbasis (9 sites and up): H_eff is diagonalized once, and each
       rate costs one N x N capacitance solve plus O(N^4) work (see
       _Eigenbasis), with one step of iterative refinement.
