@@ -279,10 +279,10 @@ _DENSE_MAX_BYTES = 2 ** 30
 # (a stack of 40 rates at 31 sites does not).
 _STACK_BYTES = 2 ** 19
 # _Eigenbasis keeps this many factorisations: one tree search makes at
-# most 57 (gamma = 0, the 40 grid rates in at most 40 stacks, and 16
-# golden-section steps), so a second initial state of the same tree finds
-# its gamma = 0 and grid factorisations there. At 127 sites an entry takes
-# about 0.5 MB.
+# most 64 (gamma = 0, the 40 grid rates in at most 40 stacks, and at most
+# tree.SEARCH_MAX_REFINE = 23 refinement steps), so a second initial state
+# of the same tree finds its gamma = 0 and grid factorisations there. At
+# 127 sites an entry takes about 0.5 MB.
 _MEMO_ENTRIES = 64
 
 

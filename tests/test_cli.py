@@ -1,5 +1,7 @@
 import hashlib
 import importlib.resources
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -417,3 +419,19 @@ def test_module_entry_point_help():
                              capture_output=True, text=True)
     assert version.returncode == 0
     assert version.stdout.strip() == "0.1.0"
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    """scipy.optimize adds about 0.1 s of import to every CLI run; the
+    dephasing search is written so that nothing needs it."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, enaqt.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.')))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.strip()
+    assert "scipy.linalg" in loaded
+    assert "scipy.optimize" not in loaded

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from enaqt import tree
+from enaqt import dynamics, tree
 from enaqt.dynamics import MomentSolver
 from enaqt.errors import (ConfigurationError, NonConvergentIntegralError,
                           SweepFailureError)
@@ -189,30 +189,149 @@ def test_optimal_dephasing_result_is_self_consistent():
 def test_optimal_dephasing_equals_a_search_with_one_solve_per_rate(
         delta_over_v, seed, monkeypatch):
     """The grid scan solves its 40 rates as stacks; the search must return
-    exactly what it returns when every rate is solved on its own, and
-    still evaluate the efficiency 57 times."""
+    exactly what it returns when every rate is solved on its own, with the
+    same efficiency calls: gamma = 0 and the grid (41), plus one per
+    refinement step, each of which solves its own rate."""
     spec = TreeSpec(generation=4, coupling_cm1=100.0,
                     disorder_cm1=100.0 * delta_over_v, rng_seed=seed)
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 15)
     calls = []
     efficiency = tree.efficiency
+    single = []
+    first_moment = MomentSolver.first_moment
 
     def counting(sys, s1):
         calls.append(s1.shape)
         return efficiency(sys, s1)
 
+    def counting_single(self, gamma):
+        single.append(gamma)
+        return first_moment(self, gamma)
+
     monkeypatch.setattr(tree, "efficiency", counting)
+    monkeypatch.setattr(MomentSolver, "first_moment", counting_single)
     got = optimal_dephasing(sys, rho0)
-    assert calls == [(15, 15)] * 57
+    refinement = len(single) - 1
+    assert single[0] == 0.0
+    assert 1 <= refinement <= tree.SEARCH_MAX_REFINE
+    assert calls == [(15, 15)] * (41 + refinement)
 
     calls.clear()
     monkeypatch.setattr(MomentSolver, "first_moments", lambda self, gammas: [
         self.first_moment(g) for g in gammas])
     want = optimal_dephasing(sys, rho0)
-    assert len(calls) == 57
+    assert len(calls) == 41 + refinement
     assert got == want
     assert 0.0 < got[0]
+
+
+def _search_bracket(sys, solver):
+    """The grid, its efficiencies and the bracket optimal_dephasing
+    refines, worked out here from the SEARCH_* constants."""
+    v_ang = cm1_to_angular(float(np.max(np.abs(sys.couplings))))
+    grid = np.logspace(np.log10(tree.SEARCH_SPAN[0] * v_ang),
+                       np.log10(tree.SEARCH_SPAN[1] * v_ang),
+                       tree.SEARCH_GRID_POINTS)
+    etas = [tree.efficiency(sys, s1) for s1 in solver.first_moments(grid)]
+    i = int(np.argmax(etas))
+    cell = grid[1] / grid[0]
+    lo = grid[i - 1] if i > 0 else grid[0] / cell
+    hi = grid[i + 1] if i < len(grid) - 1 else grid[-1] * cell
+    return grid, i, lo, hi
+
+
+def _assert_beats_a_fine_scan(sys, rho0, solver, lo, hi):
+    gamma_star, eta_star, _ = optimal_dephasing(sys, rho0, solver=solver)
+    scan = [tree.efficiency(sys, s1)
+            for s1 in solver.first_moments(np.geomspace(lo, hi, 256))]
+    assert eta_star >= max(scan) - 1e-10
+    return gamma_star
+
+
+@pytest.mark.parametrize("kind", ["coherent", "mixture"])
+@pytest.mark.parametrize("delta_over_v", [0.5, 1.0, 2.0, 4.0])
+def test_the_refinement_beats_a_fine_scan_of_its_bracket(kind, delta_over_v):
+    """Oracle for the seeded Brent refinement: no rate of a 256-point
+    stacked scan of the bracket around the grid winner may beat eta*."""
+    spec = TreeSpec(generation=4, coupling_cm1=100.0,
+                    disorder_cm1=100.0 * delta_over_v, rng_seed=21)
+    sys = generate_tree(spec)
+    rho0 = initial_density_matrix(leaf_initial_state(spec, kind), 15)
+    solver = MomentSolver(sys, rho0)
+    _, _, lo, hi = _search_bracket(sys, solver)
+    gamma_star = _assert_beats_a_fine_scan(sys, rho0, solver, lo, hi)
+    assert gamma_star == 0.0 or lo <= gamma_star <= hi
+
+
+@pytest.mark.parametrize("edge", ["first", "last"])
+def test_the_refinement_searches_the_extended_cell_at_a_grid_edge(
+        edge, monkeypatch):
+    """With SEARCH_SPAN moved so that the optimum sits half a grid cell
+    beyond the grid, the winner is the first (or last) grid rate, and the
+    refinement must still find the optimum in the extra cell its bracket
+    takes at that edge."""
+    spec = TreeSpec(generation=4, coupling_cm1=100.0, disorder_cm1=200.0,
+                    rng_seed=21)
+    sys = generate_tree(spec)
+    rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 15)
+    solver = MomentSolver(sys, rho0)
+    gamma_free, _, _ = optimal_dephasing(sys, rho0, solver=solver)
+    ratio = gamma_free / cm1_to_angular(100.0)
+    span = tree.SEARCH_SPAN[1] / tree.SEARCH_SPAN[0]
+    half_cell = span ** (0.5 / (tree.SEARCH_GRID_POINTS - 1))
+    start = (ratio * half_cell if edge == "first"
+             else ratio / half_cell / span)
+    monkeypatch.setattr(tree, "SEARCH_SPAN", (start, start * span))
+    grid, i, lo, hi = _search_bracket(sys, solver)
+    assert i == (0 if edge == "first" else len(grid) - 1)
+    gamma_star = _assert_beats_a_fine_scan(sys, rho0, solver, lo, hi)
+    assert gamma_star == pytest.approx(gamma_free, rel=1e-3)
+    if edge == "first":
+        assert lo <= gamma_star < grid[0]
+    else:
+        assert grid[-1] < gamma_star <= hi
+
+
+def test_a_second_kind_factors_only_its_own_refinement_rates(monkeypatch):
+    """At generation 6 each grid rate is its own memo entry. A first search
+    held to SEARCH_MAX_REFINE steps (its tolerance made too fine to reach)
+    fills the memo to exactly _MEMO_ENTRIES, and the second kind must still
+    find its gamma = 0 and all 40 grid factorisations there."""
+    spec = TreeSpec(generation=6, coupling_cm1=100.0, disorder_cm1=100.0,
+                    rng_seed=3)
+    sys = generate_tree(spec)
+    rho0s = [initial_density_matrix(leaf_initial_state(spec, kind), 63)
+             for kind in ("mixture", "coherent")]
+    factored = []
+    real_factor = dynamics._Eigenbasis._factor
+
+    def counting(self, gammas):
+        factored.append(tuple(gammas))
+        return real_factor(self, gammas)
+
+    single = []
+    first_moment = MomentSolver.first_moment
+
+    def counting_single(self, gamma):
+        single.append(gamma)
+        return first_moment(self, gamma)
+
+    monkeypatch.setattr(dynamics._Eigenbasis, "_factor", counting)
+    monkeypatch.setattr(MomentSolver, "first_moment", counting_single)
+    with monkeypatch.context() as m:
+        m.setattr(tree, "SEARCH_REL_TOL", 1e-12)
+        solver = MomentSolver(sys, rho0s[0])
+        optimal_dephasing(sys, rho0s[0], solver=solver)
+    assert len(single) == 1 + tree.SEARCH_MAX_REFINE
+    assert len(set(factored)) == len(factored) == dynamics._MEMO_ENTRIES
+
+    factored.clear()
+    single.clear()
+    optimal_dephasing(sys, rho0s[1], solver=solver.with_initial_state(
+        rho0s[1]))
+    assert single[0] == 0.0
+    assert factored == [(g,) for g in single[1:]]
 
 
 def test_optimal_dephasing_requires_couplings():
