@@ -24,8 +24,7 @@ from .sweep import SweepPlan, derive_seed, run_sweep
 from .tree import (DisorderEnsembleReport, TreeSpec, disorder_ensemble,
                    generate_tree, leaf_initial_state, optimal_dephasing)
 from .twolevel import (TwoLevelParams, coherent_population_2,
-                       diffusion_time_estimate, larmor_frequency,
-                       to_transport_system)
+                       larmor_frequency, to_transport_system)
 from .units import BOLTZMANN_CM1_PER_K, CM1_TO_PS_ANGULAR
 
 __all__ = [
@@ -36,11 +35,10 @@ __all__ = [
     "Trajectory", "TransportResult", "TransportSystem", "TreeSpec",
     "TwoLevelParams", "UndefinedTransferTimeError", "build_liouvillian",
     "coherent_population_2", "dephasing_rate", "dephasing_sweep", "derive_seed",
-    "diffusion_time_estimate", "disorder_ensemble", "effective_hamiltonian",
-    "efficiency", "generate_tree",
-    "initial_density_matrix", "integrated_state", "larmor_frequency",
-    "leaf_initial_state", "load_fmo_model", "load_system", "loss_probability",
-    "master_equation_rhs", "optimal_dephasing", "propagate", "run_sweep",
-    "save_system", "to_transport_system", "transfer_time",
-    "transport_result", "trap_dephasing_surface",
+    "disorder_ensemble", "effective_hamiltonian", "efficiency",
+    "generate_tree", "initial_density_matrix", "integrated_state",
+    "larmor_frequency", "leaf_initial_state", "load_fmo_model", "load_system",
+    "loss_probability", "master_equation_rhs", "optimal_dephasing",
+    "propagate", "run_sweep", "save_system", "to_transport_system",
+    "transfer_time", "transport_result", "trap_dephasing_surface",
 ]

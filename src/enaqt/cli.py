@@ -140,6 +140,7 @@ def cmd_fmo_sweep(args):
     kgrid = _log_grid("--surface-kappa", args.surface_kappa_min,
                       args.surface_kappa_max,
                       args.surface_kappa_points) if args.surface else None
+    rate = dephasing_rate(OhmicBath(), args.annotate_temperature)
     model = load_fmo_model(data_path=args.data_file, trap_rate=args.kappa3,
                            recomb_rate=args.recomb_rate)
     if args.kappa3 == 0.0 and args.recomb_rate == 0.0:
@@ -154,7 +155,6 @@ def cmd_fmo_sweep(args):
                       lambda f: write_surface_csv(*surface, f)))
 
     extras = {"data.fmo.sha256": model.data_sha256}
-    rate = dephasing_rate(OhmicBath(), args.annotate_temperature)
     extras["annotation.temperature_k"] = args.annotate_temperature
     extras["annotation.gamma_phi_cm1"] = rate.gamma_cm1
     extras["annotation.gamma_phi_ps"] = rate.gamma_ps
@@ -174,7 +174,11 @@ def _parse_delta_grid(text):
         if len(parts) != 3:
             raise ConfigurationError(
                 "delta grid %r: expected lo:hi:n or a comma list" % text)
-        lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ConfigurationError("bad delta grid %r: %s"
+                                     % (text, exc)) from exc
         if num < 1:
             raise ConfigurationError("delta grid needs at least one point")
         grid = np.linspace(lo, hi, num)
@@ -284,15 +288,19 @@ def _parse_initial_state(text):
             "initial state %r: expected kind:sites, e.g. mixture:1,6" % text)
     kind, _, site_text = text.partition(":")
     sites = []
-    for tok in site_text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if "-" in tok[1:]:
-            lo, _, hi = tok.partition("-")
-            sites.extend(range(int(lo), int(hi) + 1))
-        else:
-            sites.append(int(tok))
+    try:
+        for tok in site_text.split(","):
+            tok = tok.strip()
+            if not tok:
+                continue
+            if "-" in tok[1:]:
+                lo, _, hi = tok.partition("-")
+                sites.extend(range(int(lo), int(hi) + 1))
+            else:
+                sites.append(int(tok))
+    except ValueError as exc:
+        raise ConfigurationError("bad initial state %r: %s"
+                                 % (text, exc)) from exc
     return InitialState(kind=kind, sites=tuple(sites))
 
 

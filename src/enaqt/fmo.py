@@ -108,24 +108,23 @@ def _parse_hamiltonian(text, path):
 
 @dataclass(frozen=True)
 class FmoModel:
-    """A ready-to-solve FMO problem: the system plus its initial state, and
-    the SHA-256 (hex) of the data file bytes the Hamiltonian was parsed
+    """A ready-to-solve FMO problem: the system, trapped at DEFAULT_TRAP_SITE,
+    and the SHA-256 (hex) of the data file bytes the Hamiltonian was parsed
     from."""
 
     system: TransportSystem
-    initial_state: InitialState
     data_sha256: str
-    trap_site: int = DEFAULT_TRAP_SITE
 
     def initial_density_matrix(self):
-        return initial_density_matrix(self.initial_state, self.system.n_sites)
+        """DEFAULT_INITIAL_STATE, the mixture of sites 1 and 6."""
+        return initial_density_matrix(DEFAULT_INITIAL_STATE,
+                                      self.system.n_sites)
 
 
-def load_fmo_model(data_path=None, trap_rate=None, recomb_rate=None,
-                   dephasing_rate=None, initial_state=None, trap_site=None):
+def load_fmo_model(data_path=None, trap_rate=None, recomb_rate=None):
     """Load the bundled (or a user-supplied) FMO Hamiltonian and assemble
-    the default transport problem. Keyword overrides replace kappa at the
-    trap site, Gamma, gamma_phi, the trap site, or the initial state.
+    the default transport problem at gamma_phi = 0. Keyword overrides
+    replace kappa at the trap site and Gamma.
 
     The file is read once. The SHA-256 of its bytes must match the digest
     in the `<file>.sha256` sidecar, and a missing or empty sidecar or a
@@ -152,24 +151,18 @@ def load_fmo_model(data_path=None, trap_rate=None, recomb_rate=None,
                                  % (path, exc)) from exc
 
     energies, couplings = _parse_hamiltonian(text, path)
-    site = DEFAULT_TRAP_SITE if trap_site is None else int(trap_site)
-    if not 1 <= site <= N_SITES:
-        raise ConfigurationError("trap site must be in 1..%d" % N_SITES)
     kappa = np.zeros(N_SITES)
-    kappa[site - 1] = DEFAULT_TRAP_RATE if trap_rate is None else float(trap_rate)
+    kappa[DEFAULT_TRAP_SITE - 1] = \
+        DEFAULT_TRAP_RATE if trap_rate is None else float(trap_rate)
     system = TransportSystem(
         n_sites=N_SITES,
         site_energies=energies,
         couplings=couplings,
         trap_rates=kappa,
         recomb_rate=DEFAULT_RECOMB_RATE if recomb_rate is None else recomb_rate,
-        dephasing_rate=0.0 if dephasing_rate is None else dephasing_rate,
+        dephasing_rate=0.0,
     )
-    state = DEFAULT_INITIAL_STATE if initial_state is None else initial_state
-    # Validate the site set against N now rather than at first solve.
-    initial_density_matrix(state, N_SITES)
-    return FmoModel(system=system, initial_state=state, data_sha256=actual,
-                    trap_site=site)
+    return FmoModel(system=system, data_sha256=actual)
 
 
 def default_gamma_grid():
@@ -223,7 +216,7 @@ def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None):
 
     def system_at(kappa):
         kap = np.zeros(base.n_sites)
-        kap[model.trap_site - 1] = kappa
+        kap[DEFAULT_TRAP_SITE - 1] = kappa
         return base.with_rates(trap_rates=kap)
 
     def solve(task):

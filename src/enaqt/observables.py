@@ -21,8 +21,6 @@ oracle, so no truncation horizon ever enters the reported numbers.
 import logging
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dynamics import integrated_state
 from .errors import NumericalConsistencyError, UndefinedTransferTimeError
 
@@ -34,20 +32,12 @@ _MIN_ETA = 1e-12
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Bundle of efficiency eta, transfer time tau (ps), loss probability,
-    and the per-site integrals S1_mm (ps) they were computed from."""
+    """Bundle of efficiency eta, transfer time tau (ps) and loss
+    probability."""
 
     efficiency: float
     transfer_time_ps: float
     loss_probability: float
-    trap_site_integrals: tuple
-
-    def to_record(self):
-        rec = {"eta": self.efficiency, "tau_ps": self.transfer_time_ps,
-               "loss": self.loss_probability}
-        for m, v in enumerate(self.trap_site_integrals, start=1):
-            rec["s1_%d_ps" % m] = v
-        return rec
 
 
 def _clamped_probability(value, name):
@@ -64,7 +54,7 @@ def _clamped_probability(value, name):
 
 def efficiency(sys, s1):
     """eta = 2 sum_m kappa_m S1_mm, clamped to [0, 1] within roundoff."""
-    diag = np.real(np.diagonal(s1))
+    diag = s1.diagonal().real
     eta = 2.0 * float(sys.trap_rates @ diag)
     return _clamped_probability(eta, "efficiency")
 
@@ -74,13 +64,13 @@ def transfer_time(sys, s2, eta):
     if eta <= _MIN_ETA:
         raise UndefinedTransferTimeError(
             "efficiency %.3e is too small to define a transfer time" % eta)
-    diag = np.real(np.diagonal(s2))
+    diag = s2.diagonal().real
     return (2.0 / eta) * float(sys.trap_rates @ diag)
 
 
 def loss_probability(sys, s1):
     """Probability lost to recombination, 2 Gamma sum_m S1_mm."""
-    diag = np.real(np.diagonal(s1))
+    diag = s1.diagonal().real
     loss = 2.0 * sys.recomb_rate * float(diag.sum())
     return _clamped_probability(loss, "loss probability")
 
@@ -98,7 +88,5 @@ def transport_result(sys, rho0):
         tau = transfer_time(sys, s2, eta)
     else:
         tau = float("inf")
-    diag = np.real(np.diagonal(s1))
     return TransportResult(efficiency=eta, transfer_time_ps=tau,
-                           loss_probability=loss,
-                           trap_site_integrals=tuple(float(x) for x in diag))
+                           loss_probability=loss)

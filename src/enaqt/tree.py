@@ -4,10 +4,9 @@ A generation-g tree has 2^g - 1 sites labeled 1..2^g - 1 with site m
 coupled to its children 2m and 2m + 1 at uniform strength V. Excitation
 starts on the outermost branch (the 2^(g-1) leaves), either as a uniform
 coherent superposition or as a statistical mixture, and is trapped at the
-root (site 1). Static disorder perturbs the site energies with i.i.d.
-normal draws of standard deviation delta about a common mean; the mean is
-physically irrelevant (global phase), so it defaults to zero and delta is
-naturally measured in units of V.
+root (site 1). Static disorder sets the site energies to i.i.d. normal
+draws of mean zero and standard deviation delta, naturally measured in
+units of V.
 
 The ensemble study asks, per disorder strength: how efficient is fully
 coherent transport (gamma_phi = 0), and how efficient can dephasing make
@@ -88,7 +87,6 @@ class TreeSpec:
     generation: int
     coupling_cm1: float
     disorder_cm1: float = 0.0
-    mean_energy_cm1: float = 0.0
     trap_rate_ps: float = None
     recomb_rate_ps: float = None
     rng_seed: int = 0
@@ -149,12 +147,11 @@ def normal_draws(seed, n):
 def generate_tree(spec):
     """TransportSystem for one seeded tree realization.
 
-    Site energies are mean + delta * normal_draws(seed); the trap sits on
-    site 1 and recombination acts everywhere.
+    Site energies are delta * normal_draws(seed); the trap sits on site 1
+    and recombination acts everywhere.
     """
     n = spec.n_sites
-    energies = spec.mean_energy_cm1 + spec.disorder_cm1 * normal_draws(
-        spec.rng_seed, n)
+    energies = spec.disorder_cm1 * normal_draws(spec.rng_seed, n)
     couplings = np.zeros((n, n))
     for m in range(1, 2 ** (spec.generation - 1)):
         for child in (2 * m, 2 * m + 1):

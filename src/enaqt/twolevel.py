@@ -15,12 +15,7 @@ Starting from site 1 with no dephasing, direct diagonalization gives
 
     P2(t) = (V^2 / (eps^2 + V^2)) sin^2(Omega t / 2)
 
-with maximum sin^2(theta), theta = arcsin(V / hbar Omega). The
-random-walk picture of dephased transport gives the order-of-magnitude
-diffusion time (pi / theta)^2 / gamma_phi for reaching the equilibrium
-populations, which are 1/2 per site for any eps as long as V != 0: pure
-dephasing plus coherent mixing drives the populations to the uniform
-fixed point regardless of bias.
+with maximum sin^2(theta), theta = arcsin(V / hbar Omega).
 """
 
 import math
@@ -35,21 +30,15 @@ from .units import cm1_to_angular
 
 @dataclass(frozen=True)
 class TwoLevelParams:
-    """Energy mismatch eps and coupling V in cm^-1, dephasing in ps^-1."""
+    """Energy mismatch eps and coupling V in cm^-1."""
 
     energy_mismatch_cm1: float
     coupling_cm1: float
-    dephasing_rate: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.energy_mismatch_cm1)
                 and math.isfinite(self.coupling_cm1)):
             raise ConfigurationError("eps and V must be finite")
-        if not (math.isfinite(self.dephasing_rate)
-                and self.dephasing_rate >= 0.0):
-            raise ConfigurationError(
-                "dephasing rate must be finite and >= 0, got %r"
-                % (self.dephasing_rate,))
 
 
 def larmor_frequency(p):
@@ -57,23 +46,8 @@ def larmor_frequency(p):
     return cm1_to_angular(math.hypot(p.energy_mismatch_cm1, p.coupling_cm1))
 
 
-def tilt_angle(p):
-    """theta = arcsin(V / hbar Omega), the mixing angle of the eigenstates.
-
-    Returns 0 for V = 0 (uncoupled sites).
-    """
-    hyp = math.hypot(p.energy_mismatch_cm1, p.coupling_cm1)
-    if hyp == 0.0:
-        raise ConfigurationError("eps = V = 0 leaves the angle undefined")
-    return math.asin(abs(p.coupling_cm1) / hyp)
-
-
 def coherent_population_2(p, t):
     """P2(t) for gamma_phi = 0, starting in site 1. t in ps (scalar or array)."""
-    if p.dephasing_rate != 0.0:
-        raise ConfigurationError(
-            "coherent_population_2 is the gamma_phi = 0 closed form; "
-            "got dephasing_rate = %g" % p.dephasing_rate)
     eps2 = p.energy_mismatch_cm1 ** 2
     v2 = p.coupling_cm1 ** 2
     if eps2 + v2 == 0.0:
@@ -83,21 +57,10 @@ def coherent_population_2(p, t):
     return amp * np.sin(0.5 * omega * np.asarray(t, dtype=float)) ** 2
 
 
-def diffusion_time_estimate(p):
-    """Order-of-magnitude time to spread the populations under dephasing,
-    (pi / theta)^2 / gamma_phi. Infinite for V = 0 (no transport channel)."""
-    if p.dephasing_rate <= 0.0:
-        raise ConfigurationError(
-            "diffusion time is defined for gamma_phi > 0 only")
-    if p.coupling_cm1 == 0.0:
-        return math.inf
-    theta = tilt_angle(p)
-    return (math.pi / theta) ** 2 / p.dephasing_rate
-
-
 def to_transport_system(p, trap_rate_2=0.0, recomb_rate=0.0):
-    """TransportSystem with site energies +-eps/2 and coupling V/2, so the
-    closed forms above apply exactly. Optional trap on site 2."""
+    """TransportSystem at gamma_phi = 0 with site energies +-eps/2 and
+    coupling V/2, so the closed forms above apply exactly. Optional trap on
+    site 2; with_dephasing() gives the dephased dimer."""
     e = 0.5 * p.energy_mismatch_cm1
     v = 0.5 * p.coupling_cm1
     return TransportSystem(
@@ -106,5 +69,5 @@ def to_transport_system(p, trap_rate_2=0.0, recomb_rate=0.0):
         couplings=[[0.0, v], [v, 0.0]],
         trap_rates=[0.0, float(trap_rate_2)],
         recomb_rate=float(recomb_rate),
-        dephasing_rate=p.dephasing_rate,
+        dephasing_rate=0.0,
     )

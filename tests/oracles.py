@@ -164,7 +164,7 @@ def bright_chain_efficiency(spec):
     trap[0] = spec.trap_rate_ps
     chain = TransportSystem(
         n_sites=g,
-        site_energies=np.full(g, spec.mean_energy_cm1),
+        site_energies=np.zeros(g),
         couplings=couplings,
         trap_rates=trap,
         recomb_rate=spec.recomb_rate_ps,

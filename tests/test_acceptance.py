@@ -238,8 +238,9 @@ def test_criterion_09_probability_conservation(fmo_model):
     systems = [(fmo_model.system, fmo_model.initial_density_matrix()),
                (fmo_model.system.with_dephasing(6.0),
                 fmo_model.initial_density_matrix())]
-    dimer = to_transport_system(TwoLevelParams(100.0, 10.0, 1.0),
-                                trap_rate_2=1.0, recomb_rate=0.0005)
+    dimer = to_transport_system(TwoLevelParams(100.0, 10.0),
+                                trap_rate_2=1.0,
+                                recomb_rate=0.0005).with_dephasing(1.0)
     systems.append((dimer, initial_density_matrix(InitialState("site", (1,)),
                                                   2)))
     for seed in (1, 2, 3):

@@ -92,6 +92,21 @@ def test_fmo_sweep_rejects_bad_kappa_grid_before_computing(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("temperature", ["0", "nan"])
+def test_fmo_sweep_rejects_a_bad_annotation_temperature_before_computing(
+        tmp_path, capsys, monkeypatch, temperature):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran before the temperature check")
+    monkeypatch.setattr(cli, "dephasing_sweep", never)
+    monkeypatch.setattr(cli, "trap_dephasing_surface", never)
+    out = tmp_path / "new"
+    rc = main(["fmo-sweep", "--out-dir", str(out), "--gamma-points", "3",
+               "--surface", "--annotate-temperature", temperature])
+    assert rc == 2
+    assert "temperature must be > 0 K" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fmo_sweep_without_decay_is_rejected_before_touching_the_output(
         tmp_path, capsys):
     out = tmp_path / "new"
@@ -248,10 +263,14 @@ def test_tree_ensemble_rejects_a_bad_spec_before_touching_the_output(
     assert not out.exists()
 
 
-def test_tree_ensemble_rejects_bad_delta_grid(tmp_path):
-    rc = main(["tree-ensemble", "--out-dir", str(tmp_path),
-               "--delta-grid", "0:4"])
-    assert rc == 2
+def test_tree_ensemble_rejects_bad_delta_grid(tmp_path, capsys):
+    out = tmp_path / "new"
+    for grid in ("0:4", "0:4:x", "a:4:2", "0:4:2.5"):
+        rc = main(["tree-ensemble", "--out-dir", str(out),
+                   "--delta-grid", grid])
+        assert rc == 2, grid
+        assert capsys.readouterr().err.startswith("error: "), grid
+        assert not out.exists(), grid
 
 
 @pytest.mark.parametrize("grid", ["", ",", " , "])
@@ -362,12 +381,15 @@ def test_propagate_parses_site_ranges(tmp_path):
     assert rc == 0
 
 
-@pytest.mark.parametrize("init", ["site1", "thermal:1", "site:3", "site:0"])
-def test_propagate_rejects_bad_initial_states(tmp_path, init):
+@pytest.mark.parametrize("init", ["site1", "thermal:1", "site:3", "site:0",
+                                  "site:abc", "site:3-", "mixture:1,x"])
+def test_propagate_rejects_bad_initial_states(tmp_path, capsys, init):
+    out = tmp_path / "new"
     rc = main(["propagate", "--system", dimer_file(tmp_path),
-               "--init", init, "--t-final", "1", "--out-dir",
-               str(tmp_path)])
+               "--init", init, "--t-final", "1", "--out-dir", str(out)])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("option", [["--t-final", "inf"],
@@ -419,6 +441,12 @@ def test_module_entry_point_help():
                              capture_output=True, text=True)
     assert version.returncode == 0
     assert version.stdout.strip() == "0.1.0"
+
+
+def test_every_exported_name_resolves():
+    import enaqt
+    missing = [name for name in enaqt.__all__ if not hasattr(enaqt, name)]
+    assert missing == []
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():

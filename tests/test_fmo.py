@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from enaqt.errors import ConfigurationError, DataIntegrityError
-from enaqt.fmo import (DEFAULT_RECOMB_RATE, DEFAULT_TRAP_RATE,
+from enaqt.fmo import (DEFAULT_INITIAL_STATE, DEFAULT_RECOMB_RATE,
+                       DEFAULT_TRAP_RATE, DEFAULT_TRAP_SITE,
                        default_gamma_grid, default_kappa_grid,
                        dephasing_sweep, load_fmo_model, trap_dephasing_surface,
                        write_surface_csv, write_sweep_csv)
-from enaqt.model import InitialState
+from enaqt.model import InitialState, initial_density_matrix
 from enaqt.observables import transport_result
 
 
@@ -53,38 +54,27 @@ def test_parsed_hamiltonian_landmarks():
 
 
 def test_default_problem_setup():
+    assert DEFAULT_TRAP_SITE == 3
+    assert DEFAULT_INITIAL_STATE == InitialState("mixture", (1, 6))
     model = load_fmo_model()
-    assert model.trap_site == 3
     np.testing.assert_array_equal(model.system.trap_rates,
                                   [0.0, 0.0, DEFAULT_TRAP_RATE, 0.0, 0.0,
                                    0.0, 0.0])
     assert model.system.recomb_rate == DEFAULT_RECOMB_RATE
     assert model.system.dephasing_rate == 0.0
-    assert model.initial_state == InitialState("mixture", (1, 6))
     rho0 = model.initial_density_matrix()
+    np.testing.assert_array_equal(
+        rho0, initial_density_matrix(DEFAULT_INITIAL_STATE, 7))
     assert rho0[0, 0] == 0.5
     assert rho0[5, 5] == 0.5
 
 
 def test_overrides_are_applied():
-    model = load_fmo_model(trap_rate=2.5, recomb_rate=0.001,
-                           dephasing_rate=7.0, trap_site=4,
-                           initial_state=InitialState("site", (1,)))
-    assert model.system.trap_rates[3] == 2.5
-    assert model.system.trap_rates[2] == 0.0
+    model = load_fmo_model(trap_rate=2.5, recomb_rate=0.001)
+    np.testing.assert_array_equal(model.system.trap_rates,
+                                  [0.0, 0.0, 2.5, 0.0, 0.0, 0.0, 0.0])
     assert model.system.recomb_rate == 0.001
-    assert model.system.dephasing_rate == 7.0
-    assert model.initial_state.sites == (1,)
-
-
-def test_invalid_trap_site_is_rejected():
-    with pytest.raises(ConfigurationError):
-        load_fmo_model(trap_site=8)
-
-
-def test_invalid_initial_sites_are_rejected():
-    with pytest.raises(ConfigurationError):
-        load_fmo_model(initial_state=InitialState("site", (9,)))
+    assert model.system.dephasing_rate == 0.0
 
 
 def test_corrupted_data_fails_the_checksum(tmp_path):
@@ -204,7 +194,7 @@ def test_surface_equals_point_by_point_transfer_times():
     for i, gamma in enumerate(gammas):
         for j, kappa in enumerate(kappas):
             kap = np.zeros(7)
-            kap[model.trap_site - 1] = kappa
+            kap[DEFAULT_TRAP_SITE - 1] = kappa
             sys = model.system.with_rates(trap_rates=kap, dephasing_rate=gamma)
             assert tau[i, j] == transport_result(sys, rho0).transfer_time_ps
 

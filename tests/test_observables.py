@@ -9,8 +9,8 @@ from enaqt.dynamics import integrated_state
 from enaqt.errors import NumericalConsistencyError, UndefinedTransferTimeError
 from enaqt.fmo import default_gamma_grid, load_fmo_model
 from enaqt.model import InitialState, TransportSystem, initial_density_matrix
-from enaqt.observables import (TransportResult, efficiency, loss_probability,
-                               transfer_time, transport_result)
+from enaqt.observables import (efficiency, loss_probability, transfer_time,
+                               transport_result)
 from enaqt.twolevel import TwoLevelParams, to_transport_system
 
 from oracles import (quadrature_integrals, random_density_matrix,
@@ -149,15 +149,3 @@ def test_raising_the_trap_rate_never_hurts_on_the_symmetric_dimer():
                                   recomb_rate=0.01).with_dephasing(1.0)
         etas.append(transport_result(sys, rho0).efficiency)
     assert np.all(np.diff(etas) > 0.0)
-
-
-def test_result_record_layout():
-    res = TransportResult(efficiency=0.8, transfer_time_ps=70.0,
-                          loss_probability=0.2,
-                          trap_site_integrals=(0.1, 0.2))
-    rec = res.to_record()
-    assert rec["eta"] == 0.8
-    assert rec["tau_ps"] == 70.0
-    assert rec["loss"] == 0.2
-    assert rec["s1_1_ps"] == 0.1
-    assert rec["s1_2_ps"] == 0.2

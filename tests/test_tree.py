@@ -106,9 +106,9 @@ def test_tree_topology_generation_3():
 
 def test_disorder_perturbs_energies_reproducibly():
     spec = TreeSpec(generation=3, coupling_cm1=100.0, disorder_cm1=50.0,
-                    mean_energy_cm1=10.0, rng_seed=99)
+                    rng_seed=99)
     sys = generate_tree(spec)
-    want = 10.0 + 50.0 * normal_draws(99, 7)
+    want = 50.0 * normal_draws(99, 7)
     np.testing.assert_array_equal(sys.site_energies, want)
     again = generate_tree(spec)
     np.testing.assert_array_equal(again.site_energies, sys.site_energies)
