@@ -30,13 +30,13 @@ import numpy as np
 from . import __version__
 from .dynamics import default_horizon, propagate
 from .errors import ConfigurationError, DataIntegrityError, EnaqtError
-from .fmo import (GAMMA_GRID_DEFAULT, KAPPA_GRID_DEFAULT, dephasing_sweep,
-                  load_fmo_model, trap_dephasing_surface, write_surface_csv,
-                  write_sweep_csv)
+from .fmo import (DEFAULT_RECOMB_RATE, DEFAULT_TRAP_RATE, GAMMA_GRID_DEFAULT,
+                  KAPPA_GRID_DEFAULT, dephasing_sweep, load_fmo_model,
+                  trap_dephasing_surface, write_surface_csv, write_sweep_csv)
 from .model import InitialState, initial_density_matrix, load_system
 from .observables import transport_result
 from .spectral import OhmicBath, dephasing_rate
-from .sweep import SweepPlan, run_sweep
+from .sweep import SweepPlan, derive_seed, run_sweep
 from .tree import (DEFAULT_COUPLING_CM1, TreeSpec, disorder_ensemble)
 from .twolevel import (TwoLevelParams, coherent_population_2, larmor_frequency,
                        to_transport_system)
@@ -206,6 +206,7 @@ def cmd_tree_ensemble(args):
     if args.samples < 1:
         raise ConfigurationError("--samples must be >= 1, got %d"
                                  % args.samples)
+    derive_seed(args.seed)  # refuses a seed outside signed 64 bits
     _ensure_out_dir(args.out_dir)
     kinds = ("coherent", "mixture") if args.kind == "both" else (args.kind,)
     files = []
@@ -213,7 +214,7 @@ def cmd_tree_ensemble(args):
               "tree.trap_rate_ps": spec.trap_rate_ps,
               "tree.recomb_rate_ps": spec.recomb_rate_ps}
     reports = disorder_ensemble(spec, deltas, n_samples=args.samples,
-                                kinds=kinds, master_seed=args.seed)
+                                kinds=kinds)
     for kind, report in reports.items():
         files.append(("tree_ensemble_%s.csv" % kind, report.write_csv))
         extras["summary.%s.eta_quantum_delta0" % kind] = \
@@ -268,7 +269,7 @@ def cmd_two_level(args):
         return transport_result(trapped.with_dephasing(gamma), rho0)
 
     plan = SweepPlan(tasks=tuple(float(g) for g in grid))
-    results = [(plan.tasks[r.index], r.value) for r in run_sweep(plan, solve)]
+    results = list(zip(plan.tasks, [r.value for r in run_sweep(plan, solve)]))
     files.append(("two_level_enaqt.csv",
                   lambda f: write_sweep_csv(results, f)))
 
@@ -356,9 +357,9 @@ def build_parser():
                    help="lowest dephasing rate, ps^-1 (default %(default)g)")
     p.add_argument("--gamma-max", type=float, default=GAMMA_GRID_DEFAULT[1])
     p.add_argument("--gamma-points", type=int, default=GAMMA_GRID_DEFAULT[2])
-    p.add_argument("--kappa3", type=float, default=1.0,
+    p.add_argument("--kappa3", type=float, default=DEFAULT_TRAP_RATE,
                    help="trap rate at site 3, ps^-1")
-    p.add_argument("--recomb-rate", type=float, default=0.0005,
+    p.add_argument("--recomb-rate", type=float, default=DEFAULT_RECOMB_RATE,
                    help="recombination rate Gamma, ps^-1 (default 1 ns lifetime)")
     p.add_argument("--data-file", default=None,
                    help="alternative Hamiltonian file (needs a .sha256 sidecar)")
@@ -422,9 +423,9 @@ def build_parser():
     p = sub.add_parser("temperature-to-rate",
                        help="Ohmic-bath dephasing rate at temperature T")
     p.add_argument("--temperature", type=float, required=True, help="kelvin")
-    p.add_argument("--reorganization-energy", type=float, default=35.0,
-                   help="E_R, cm^-1")
-    p.add_argument("--cutoff", type=float, default=150.0,
+    p.add_argument("--reorganization-energy", type=float,
+                   default=OhmicBath.reorganization_energy_cm1, help="E_R, cm^-1")
+    p.add_argument("--cutoff", type=float, default=OhmicBath.cutoff_cm1,
                    help="omega_c, cm^-1")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_temperature_to_rate)

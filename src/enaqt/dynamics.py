@@ -27,8 +27,9 @@ reuses one solver per (H_eff, rho0) across the rates of a sweep. Systems
 of fewer than 9 sites get a dense real LU of L: L maps Hermitian matrices
 to Hermitian ones, so it is written once as a real N^2 x N^2 matrix in the
 orthonormal coordinates y = (X_mm, sqrt2 Re X_jk, sqrt2 Im X_jk, j < k),
-and the moments of a Hermitian rho0 come out exactly Hermitian (a
-non-Hermitian rho0 is solved as its Hermitian and anti-Hermitian parts).
+and the moments of rho0 come out exactly Hermitian. MomentSolver takes
+only an exactly Hermitian rho0, as every state the package builds is;
+propagate() takes any.
 Larger systems get an eigenbasis route: H_eff is diagonalized once, the
 coherent part of L is inverted elementwise in that basis, and the rank-N
 dephasing term costs one N x N capacitance solve (Woodbury), followed by
@@ -343,15 +344,12 @@ class _RealLiouvillian:
         return np.concatenate([x.diagonal().real, np.sqrt(2.0) * up.real,
                                np.sqrt(2.0) * up.imag])
 
-    def from_coordinates(self, y, y_anti=None):
-        """The Hermitian matrix X(y), or X(y) + i X(y_anti)."""
+    def from_coordinates(self, y):
+        """The Hermitian matrix X(y)."""
         x = np.empty(self._n * self._n, dtype=complex)
         x.real = self._alpha * y[self._re]
         x.imag = self._beta * y[self._im]
-        x = x.reshape(self._n, self._n)
-        if y_anti is not None:
-            x = x + 1j * self.from_coordinates(y_anti)
-        return x
+        return x.reshape(self._n, self._n)
 
     def build(self):
         """Build M, Fortran-ordered, and the off-diagonal part of each of
@@ -562,7 +560,8 @@ class _Eigenbasis:
 
 class MomentSolver:
     """First two time moments of the evolution, S1 = int rho dt and
-    S2 = int t rho dt, for one (H_eff, rho0) at any dephasing rate.
+    S2 = int t rho dt, for one (H_eff, rho0) at any dephasing rate. A rho0
+    not exactly Hermitian raises ConfigurationError.
 
     S1 solves L vec(S1) = -vec(rho0); S2 solves L vec(S2) = -vec(S1)
     (integration by parts moves the factor of t into a second solve).
@@ -575,10 +574,9 @@ class MomentSolver:
       matrices (see _RealLiouvillian). Dephasing only adds -gamma_phi on
       the coherence coordinates, so the real N^2 x N^2 coherent part is
       built once, on the first dense solve, and each rate takes one real
-      LU factorization and one single right-hand-side solve per moment.
-      A Hermitian rho0 gives exactly Hermitian S1 and S2; a non-Hermitian
-      one is solved as rho0 = P + i Q with P and Q Hermitian, two solves
-      per moment. A condition estimate above 1e12, or an exact zero
+      LU factorization and one single right-hand-side solve per moment,
+      and S1 and S2 come out exactly Hermitian. A condition estimate
+      above 1e12, or an exact zero
       pivot, aborts with NonConvergentIntegralError: the integrals are
       then dominated by a near-null mode, which means some population has
       no decay channel to reach. Systems of fewer than 9 sites always
@@ -642,16 +640,14 @@ class MomentSolver:
                 % (rho0.shape, n))
         if not np.all(np.isfinite(rho0)):
             raise ConfigurationError("initial state has non-finite entries")
+        if not np.array_equal(rho0, rho0.conj().T):
+            raise ConfigurationError(
+                "initial state is not exactly Hermitian; pass (rho + "
+                "rho^dag) / 2")
         if self._eigen is not None:
             self._b0 = -rho0
             self._b0_tilde = self._eigen.to_eigenbasis(self._b0)
-        # The dense route solves for the Hermitian and anti-Hermitian parts
-        # of rho0 = P + i Q apart; Q is exactly 0 for a Hermitian rho0.
-        rho0_h = rho0.conj().T
-        anti = (rho0 - rho0_h) / 2.0j
-        self._dense_rhs = [self._dense.coordinates(-(rho0 + rho0_h) / 2.0)]
-        if anti.any():
-            self._dense_rhs.append(self._dense.coordinates(-anti))
+        self._dense_rhs = self._dense.coordinates(-rho0)
         self._counts = {"eigenbasis": 0, "dense": 0}
 
     @property
@@ -721,11 +717,10 @@ class MomentSolver:
 
     def _dense_solve(self, gamma, n_moments):
         lu, piv = self._dense.factor(gamma)
-        ys = [_DGETRS(lu, piv, b)[0] for b in self._dense_rhs]
-        moments = [ys]
+        moments = [_DGETRS(lu, piv, self._dense_rhs)[0]]
         if n_moments == 2:
-            moments.append([_DGETRS(lu, piv, -y)[0] for y in ys])
-        return tuple(self._dense.from_coordinates(*parts) for parts in moments)
+            moments.append(_DGETRS(lu, piv, -moments[0])[0])
+        return tuple(self._dense.from_coordinates(y) for y in moments)
 
 
 # One (key, MomentSolver) entry per thread; see integrated_state.

@@ -192,7 +192,7 @@ def dephasing_sweep(model, gamma_grid=None):
 
     plan = SweepPlan(tasks=tuple(float(g) for g in grid))
     results = run_sweep(plan, solve, failure_threshold=0.0)
-    return [(plan.tasks[r.index], r.value) for r in results]
+    return [(gamma, r.value) for gamma, r in zip(plan.tasks, results)]
 
 
 def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None):

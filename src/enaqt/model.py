@@ -56,21 +56,26 @@ class TransportSystem:
     dephasing_rate: float
 
     def __post_init__(self):
-        n = int(self.n_sites)
-        if n < 1:
-            raise ConfigurationError("n_sites must be >= 1, got %r" % (self.n_sites,))
-        eps = _readonly(self.site_energies)
-        V = _readonly(self.couplings)
-        kap = _readonly(self.trap_rates)
-        if eps.shape != (n,):
+        n = self.n_sites
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ConfigurationError("n_sites must be an integer >= 1, got %r"
+                                     % (n,))
+        n = int(n)
+        try:
+            eps = _readonly(self.site_energies)
+            V = _readonly(self.couplings)
+            kap = _readonly(self.trap_rates)
+            gam = float(self.recomb_rate)
+            dep = float(self.dephasing_rate)
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError(
-                "site_energies has shape %s, expected (%d,)" % (eps.shape, n))
-        if V.shape != (n, n):
-            raise ConfigurationError(
-                "couplings has shape %s, expected (%d, %d)" % (V.shape, n, n))
-        if kap.shape != (n,):
-            raise ConfigurationError(
-                "trap_rates has shape %s, expected (%d,)" % (kap.shape, n))
+                "system arrays and rates must be real numbers: %s" % exc) from exc
+        for name, a, shape in (("site_energies", eps, (n,)),
+                               ("couplings", V, (n, n)),
+                               ("trap_rates", kap, (n,))):
+            if a.shape != shape:
+                raise ConfigurationError("%s has shape %s, expected %s"
+                                         % (name, a.shape, shape))
         if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(V))
                 and np.all(np.isfinite(kap))):
             raise ConfigurationError("non-finite entries in system arrays")
@@ -80,12 +85,9 @@ class TransportSystem:
             raise ConfigurationError("couplings must be symmetric")
         if np.any(kap < 0.0):
             raise ConfigurationError("trap rates must be non-negative")
-        gam = float(self.recomb_rate)
-        dep = float(self.dephasing_rate)
-        if not np.isfinite(gam) or gam < 0.0:
-            raise ConfigurationError("recomb_rate must be finite and >= 0")
-        if not np.isfinite(dep) or dep < 0.0:
-            raise ConfigurationError("dephasing_rate must be finite and >= 0")
+        for name, rate in (("recomb_rate", gam), ("dephasing_rate", dep)):
+            if not np.isfinite(rate) or rate < 0.0:
+                raise ConfigurationError("%s must be finite and >= 0" % name)
         object.__setattr__(self, "n_sites", n)
         object.__setattr__(self, "site_energies", eps)
         object.__setattr__(self, "couplings", V)

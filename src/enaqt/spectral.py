@@ -28,10 +28,11 @@ class OhmicBath:
     cutoff_cm1: float = 150.0
 
     def __post_init__(self):
-        if not self.reorganization_energy_cm1 > 0.0:
-            raise ConfigurationError("reorganization energy must be > 0")
-        if not self.cutoff_cm1 > 0.0:
-            raise ConfigurationError("cutoff frequency must be > 0")
+        if not 0.0 < self.reorganization_energy_cm1 < math.inf:
+            raise ConfigurationError("reorganization energy must be > 0 and "
+                                     "finite")
+        if not 0.0 < self.cutoff_cm1 < math.inf:
+            raise ConfigurationError("cutoff frequency must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ def dephasing_rate(bath, temperature_k):
 
     Returns the rate in cm^-1 together with its angular ps^-1 equivalent.
     """
-    if not temperature_k > 0.0:
-        raise ConfigurationError("temperature must be > 0 K")
+    if not 0.0 < temperature_k < math.inf:
+        raise ConfigurationError("temperature must be > 0 K and finite")
     kt_cm1 = BOLTZMANN_CM1_PER_K * temperature_k
     gamma_cm1 = 2.0 * math.pi * kt_cm1 * bath.reorganization_energy_cm1 \
         / bath.cutoff_cm1

@@ -1,7 +1,7 @@
 """Deterministic parameter-sweep executor.
 
 Tasks are pure functions of their descriptor and run one after another in
-task-index order on the calling thread. Per-task failures are captured
+task order on the calling thread. Per-task failures are captured
 rather than aborting siblings; the run as a whole fails only when the
 failure fraction exceeds the configured threshold.
 
@@ -13,20 +13,24 @@ processes, and any task can be rerun in isolation.
 
 import hashlib
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SweepFailureError
+from .errors import ConfigurationError, SweepFailureError
 
 
 def derive_seed(master_seed, *indices):
     """Stable 64-bit seed for a task, hashed from the master seed and any
-    number of integer indices (for example delta index and sample index)."""
+    number of integer indices (for example delta index and sample index),
+    each within signed 64 bits (ConfigurationError otherwise)."""
     h = hashlib.blake2b(digest_size=8)
-    h.update(int(master_seed).to_bytes(8, "big", signed=True))
-    for ix in indices:
-        h.update(int(ix).to_bytes(8, "big", signed=True))
+    try:
+        for value in (master_seed,) + indices:
+            h.update(int(value).to_bytes(8, "big", signed=True))
+    except OverflowError:
+        raise ConfigurationError("seed or index %d is outside the signed "
+                                 "64-bit range" % value) from None
     return int.from_bytes(h.digest(), "big")
 
 
@@ -46,7 +50,7 @@ def sample_mean_std(values):
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Tasks to execute: opaque descriptors with dense indices 0..n-1."""
+    """Tasks to execute: opaque descriptors, run in order."""
 
     tasks: tuple
 
@@ -56,25 +60,24 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class TaskResult:
-    index: int
     value: object = None
-    error: str = field(default=None)
+    error: str = None
 
     @property
     def ok(self):
         return self.error is None
 
 
-def run_task(index, task, task_fn):
+def run_task(task, task_fn):
     """task_fn(task) as a TaskResult, its exception captured as the error."""
     try:
-        return TaskResult(index=index, value=task_fn(task))
+        return TaskResult(value=task_fn(task))
     except Exception:
-        return TaskResult(index=index, error=traceback.format_exc())
+        return TaskResult(error=traceback.format_exc())
 
 
 def run_sweep(plan, task_fn, failure_threshold=0.0):
-    """Execute every task and return TaskResults in index order.
+    """Execute every task and return TaskResults in task order.
 
     failure_threshold is the tolerated fraction of failed tasks; exceeding
     it raises SweepFailureError carrying the first captured traceback.
@@ -82,7 +85,7 @@ def run_sweep(plan, task_fn, failure_threshold=0.0):
     n = len(plan.tasks)
     if n == 0:
         return []
-    results = [run_task(i, task, task_fn) for i, task in enumerate(plan.tasks)]
+    results = [run_task(task, task_fn) for task in plan.tasks]
     failures = [r for r in results if not r.ok]
     if len(failures) > failure_threshold * n:
         raise SweepFailureError(

@@ -17,11 +17,12 @@ disorder_ensemble solves each tree once for every kind it is asked for:
 the tree is generated, H_eff diagonalized, and the gamma = 0 point and
 the 40 grid rates of the search factored once, and each kind's
 dynamics.MomentSolver (the second made by with_initial_state) shares
-those factorisations. Each kind keeps its own solves, its own refinement
-steps and its own optimal_dephasing call, so its numbers are bit for bit
-those of a run for that kind alone. The solver finds S1 alone (trees of 9
-sites and up take its eigenbasis route): the 40 grid rates as one stacked
-first_moments call, gamma = 0 and the refinement's rates one at a time.
+those factorisations. Each kind keeps its own solver, solves, refinement
+steps and optimal_dephasing call, which searches with that solver, so its
+numbers are bit for bit those of a run for that kind alone. The solver
+finds S1 alone (trees of 9 sites and up take its eigenbasis route): the
+40 grid rates as one stacked first_moments call, gamma = 0 and the
+refinement's rates one at a time.
 The refinement is a Brent search on log gamma seeded with the grid winner
 and its neighbors; over the 4000 searches of a 100-sample, 20-delta
 generation-4 ensemble for both kinds it took 5 evaluations at the median
@@ -32,9 +33,9 @@ and the ensemble's 5 % failure threshold are fixed, and a TreeSpec above
 MAX_GENERATION = 7 is refused when it is built.
 
 Reproducibility contract: site energies come from Box-Muller applied to a
-counter-based Philox stream keyed by a hash of (master seed, delta index,
-sample index), so any sample can be regenerated in isolation and results
-are bitwise independent of execution order.
+counter-based Philox stream keyed by a hash of (the template spec's
+rng_seed, delta index, sample index), so any sample can be regenerated
+in isolation and results are bitwise independent of execution order.
 """
 
 import functools
@@ -249,7 +250,7 @@ def _brent_max(f, a, b, seed, tol, max_evals):
     return x, fx
 
 
-def optimal_dephasing(sys, rho0, solver=None):
+def optimal_dephasing(sys, solver):
     """Maximize transfer efficiency over the dephasing rate.
 
     Scans a logarithmic grid (plus the exact zero endpoint), then refines
@@ -264,10 +265,10 @@ def optimal_dephasing(sys, rho0, solver=None):
     and the refinement's steps solve one rate at a time. The efficiency
     is evaluated once per rate: 41 times for gamma = 0 and the grid, plus
     once per refinement step, of which there are at most
-    SEARCH_MAX_REFINE (about 5 for most trees). solver, when given, is a
-    MomentSolver for (sys, rho0) to search with: disorder_ensemble passes
-    one per initial-state kind, all sharing one tree's factorisations.
-    By default the search builds its own.
+    SEARCH_MAX_REFINE (about 5 for most trees). solver is the
+    MomentSolver of sys and the initial state to search from:
+    disorder_ensemble passes one per initial-state kind, all sharing one
+    tree's factorisations.
 
     Returns (gamma_star, eta_star, eta(0)).
     """
@@ -278,9 +279,6 @@ def optimal_dephasing(sys, rho0, solver=None):
     v_ang = cm1_to_angular(vmax)
     grid = np.logspace(math.log10(SEARCH_SPAN[0] * v_ang),
                        math.log10(SEARCH_SPAN[1] * v_ang), SEARCH_GRID_POINTS)
-
-    if solver is None:
-        solver = MomentSolver(sys, rho0)
 
     def evaluate(gamma):
         return efficiency(sys, solver.first_moment(gamma))
@@ -336,8 +334,6 @@ class DeltaRecord:
 @dataclass(frozen=True)
 class DisorderEnsembleReport:
     kind: str
-    master_seed: int
-    n_samples: int
     records: tuple
 
     def write_csv(self, f):
@@ -362,28 +358,29 @@ def _solve_sample(task):
     sys = generate_tree(spec)
     solver = None
     results = []
-    for i, kind in enumerate(kinds):
+    for kind in kinds:
         rho0 = initial_density_matrix(leaf_initial_state(spec, kind),
                                       sys.n_sites)
         solver = (MomentSolver(sys, rho0) if solver is None
                   else solver.with_initial_state(rho0))
-        results.append(run_task(i, rho0, functools.partial(
-            optimal_dephasing, sys, solver=solver)))
+        results.append(run_task(solver, functools.partial(
+            optimal_dephasing, sys)))
     return results
 
 
 def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
-                      kinds=("mixture",), master_seed=None):
+                      kinds=("mixture",)):
     """Ensemble statistics of eta(gamma_phi = 0) and the dephasing optimum
     per disorder strength, as {kind: DisorderEnsembleReport} in the order
     of kinds.
 
     delta_grid is in units of V (default 20 points over [0, 4]). Each
-    (delta, sample) pair gets its own derived seed, the same for every
-    kind, so each tree is generated, diagonalized and factored once for
-    all kinds. Per-sample failures are recorded per kind and excluded; any
-    delta with more than FAILURE_THRESHOLD (5 %) of a kind's samples
-    failing aborts the ensemble.
+    (delta, sample) pair gets its own seed, derived from
+    spec_template.rng_seed and the same for every kind, so each tree is
+    generated, diagonalized and factored once for all kinds. Per-sample
+    failures are recorded per kind and excluded; any delta with more than
+    FAILURE_THRESHOLD (5 %) of a kind's samples failing aborts the
+    ensemble.
     """
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
@@ -397,7 +394,7 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
                         dtype=float)
     if not np.all(np.isfinite(deltas)) or np.any(deltas < 0.0):
         raise ConfigurationError("disorder values must be finite and >= 0")
-    seed = spec_template.rng_seed if master_seed is None else int(master_seed)
+    seed = spec_template.rng_seed
     v = abs(spec_template.coupling_cm1)
 
     tasks = []
@@ -433,7 +430,6 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
                 eta_quantum_mean=eta_q_mean, eta_quantum_std=eta_q_std,
                 eta_opt_mean=eta_o_mean, eta_opt_std=eta_o_std,
                 gamma_opt_mean_ps=gamma_mean, gamma_opt_std_ps=gamma_std))
-        reports[kind] = DisorderEnsembleReport(
-            kind=kind, master_seed=seed, n_samples=n_samples,
-            records=tuple(records))
+        reports[kind] = DisorderEnsembleReport(kind=kind,
+                                               records=tuple(records))
     return reports

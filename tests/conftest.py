@@ -17,8 +17,7 @@ from enaqt.tree import TreeSpec, disorder_ensemble
 
 ACCEPTANCE_LINES = []
 
-ENSEMBLE_SPEC = TreeSpec(generation=4, coupling_cm1=100.0)
-ENSEMBLE_SEED = 20240817
+ENSEMBLE_SPEC = TreeSpec(generation=4, coupling_cm1=100.0, rng_seed=20240817)
 ENSEMBLE_SAMPLES = 100
 
 
@@ -87,6 +86,5 @@ def tree_reports():
     """
     t0 = time.perf_counter()
     reports = disorder_ensemble(ENSEMBLE_SPEC, n_samples=ENSEMBLE_SAMPLES,
-                                kinds=("mixture", "coherent"),
-                                master_seed=ENSEMBLE_SEED)
+                                kinds=("mixture", "coherent"))
     return reports, time.perf_counter() - t0

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.resources
+import json
 import os
 import pathlib
 import subprocess
@@ -8,11 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from enaqt import cli
+from enaqt import cli, fmo, tree
 from enaqt.cli import main
 from enaqt.errors import EnaqtError
 from enaqt.fmo import load_fmo_model
 from enaqt.model import TransportSystem, save_system
+from enaqt.spectral import OhmicBath
 
 
 BUNDLED_SHA256 = hashlib.sha256(
@@ -92,7 +94,7 @@ def test_fmo_sweep_rejects_bad_kappa_grid_before_computing(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("temperature", ["0", "nan"])
+@pytest.mark.parametrize("temperature", ["0", "nan", "inf"])
 def test_fmo_sweep_rejects_a_bad_annotation_temperature_before_computing(
         tmp_path, capsys, monkeypatch, temperature):
     def never(*args, **kwargs):
@@ -252,7 +254,9 @@ def test_tree_ensemble_width_does_not_change_the_csv(tmp_path):
                                     ["--trap-rate", "inf"],
                                     ["--recomb-rate", "-1"],
                                     ["--recomb-rate", "nan"],
-                                    ["--trap-rate", "0", "--recomb-rate", "0"]])
+                                    ["--trap-rate", "0", "--recomb-rate", "0"],
+                                    ["--seed", str(2 ** 63)],
+                                    ["--seed", str(-2 ** 63 - 1)]])
 def test_tree_ensemble_rejects_a_bad_spec_before_touching_the_output(
         tmp_path, capsys, option):
     out = tmp_path / "new"
@@ -406,6 +410,27 @@ def test_propagate_rejects_a_bad_horizon_or_sample_count(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("n_sites", "abc"), ("n_sites", 2.7),
+                                        ("site_energies", "abc"),
+                                        ("couplings", [[0.0, 20.0], [20.0]])])
+def test_propagate_rejects_a_malformed_system_document(tmp_path, capsys, key,
+                                                       value):
+    path = dimer_file(tmp_path)
+    doc = json.loads(read(path))
+    if key == "n_sites":
+        doc[key] = value
+    else:
+        doc[key]["value"] = value
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    out = tmp_path / "new"
+    rc = main(["propagate", "--system", path, "--init", "site:1",
+               "--t-final", "1", "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_propagate_rejects_missing_system_file(tmp_path, capsys):
     rc = main(["propagate", "--system", str(tmp_path / "missing.json"),
                "--init", "site:1", "--out-dir", str(tmp_path)])
@@ -430,6 +455,32 @@ def test_temperature_to_rate_rejects_nonpositive_temperature(tmp_path):
     rc = main(["temperature-to-rate", "--temperature", "-5",
                "--out-dir", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("option", [["--temperature", "inf"],
+                                    ["--temperature", "1", "--cutoff", "inf"],
+                                    ["--temperature", "1",
+                                     "--reorganization-energy", "inf"]])
+def test_temperature_to_rate_rejects_non_finite_inputs(tmp_path, capsys,
+                                                       option):
+    out = tmp_path / "new"
+    rc = main(["temperature-to-rate", "--out-dir", str(out)] + option)
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parser_defaults_are_the_library_constants():
+    parser = cli.build_parser()
+    sweep = parser.parse_args(["fmo-sweep"])
+    assert sweep.kappa3 == fmo.DEFAULT_TRAP_RATE
+    assert sweep.recomb_rate == fmo.DEFAULT_RECOMB_RATE
+    rate = parser.parse_args(["temperature-to-rate", "--temperature", "1"])
+    assert rate.reorganization_energy == OhmicBath().reorganization_energy_cm1
+    assert rate.cutoff == OhmicBath().cutoff_cm1
+    ensemble = parser.parse_args(["tree-ensemble"])
+    np.testing.assert_array_equal(cli._parse_delta_grid(ensemble.delta_grid),
+                                  tree.DEFAULT_DELTA_GRID)
 
 
 def test_module_entry_point_help():

@@ -48,10 +48,24 @@ def test_construction_normalizes_and_freezes_arrays():
     dict(recomb_rate=float("nan")),
     dict(dephasing_rate=-2.0),
     dict(site_energies=[float("inf"), 0.0]),
+    dict(n_sites=2.7),
+    dict(n_sites=True),
+    dict(n_sites="2"),
+    dict(site_energies="abc"),
+    dict(site_energies=["abc", 0.0]),
+    dict(couplings=[[0.0, 1.0], [1.0]]),
+    dict(trap_rates={"a": 1.0}),
+    dict(recomb_rate="abc"),
+    dict(dephasing_rate=[0.1]),
 ])
 def test_invalid_systems_are_rejected(overrides):
     with pytest.raises(ConfigurationError):
         dimer(**overrides)
+
+
+def test_a_numpy_integer_site_count_is_accepted():
+    sys = dimer(n_sites=np.int64(2))
+    assert sys.n_sites == 2 and type(sys.n_sites) is int
 
 
 def test_with_dephasing_returns_modified_copy():
@@ -173,6 +187,28 @@ def test_wrong_unit_tag_is_rejected():
     doc = system_to_document(dimer())
     doc["site_energies"]["unit"] = "eV"
     with pytest.raises(ConfigurationError, match="unit"):
+        system_from_document(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_sites", "abc"),
+    ("n_sites", 2.7),
+    ("n_sites", True),
+    ("site_energies", "abc"),
+    ("site_energies", [0.0, "abc"]),
+    ("couplings", [[0.0, 20.0], [20.0]]),
+    ("recomb_rate", "abc"),
+])
+def test_malformed_document_values_are_rejected(key, value):
+    """Values that are not integers, real numbers or rectangular arrays
+    of them are configuration errors, not a ValueError or a silently
+    truncated site count."""
+    doc = system_to_document(dimer())
+    if key == "n_sites":
+        doc[key] = value
+    else:
+        doc[key]["value"] = value
+    with pytest.raises(ConfigurationError):
         system_from_document(doc)
 
 

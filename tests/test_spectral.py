@@ -15,6 +15,10 @@ def test_bath_defaults_and_validation():
         OhmicBath(reorganization_energy_cm1=0.0)
     with pytest.raises(ConfigurationError):
         OhmicBath(cutoff_cm1=-1.0)
+    for field in ("reorganization_energy_cm1", "cutoff_cm1"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ConfigurationError, match="finite"):
+                OhmicBath(**{field: bad})
 
 
 def test_dephasing_rate_formula():
@@ -39,3 +43,6 @@ def test_dephasing_rate_rejects_nonpositive_temperature():
         dephasing_rate(OhmicBath(), 0.0)
     with pytest.raises(ConfigurationError):
         dephasing_rate(OhmicBath(), -10.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="finite"):
+            dephasing_rate(OhmicBath(), bad)

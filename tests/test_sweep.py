@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enaqt.errors import SweepFailureError
+from enaqt.errors import ConfigurationError, SweepFailureError
 from enaqt.sweep import (SweepPlan, TaskResult, derive_seed, run_sweep,
                          sample_mean_std)
 
@@ -27,6 +27,13 @@ def test_derived_seeds_are_stable_and_in_range(master, indices):
     assert 0 <= first < 2 ** 64
 
 
+@pytest.mark.parametrize("values", [(I63,), (-I63 - 1,), (0, I63),
+                                    (5, 0, -I63 - 1)])
+def test_derived_seeds_refuse_values_outside_signed_64_bits(values):
+    with pytest.raises(ConfigurationError, match="signed 64-bit"):
+        derive_seed(*values)
+
+
 def test_derived_seeds_separate_neighboring_tasks():
     seeds = {derive_seed(42, i, j) for i in range(20) for j in range(50)}
     assert len(seeds) == 1000
@@ -46,10 +53,9 @@ def test_sample_mean_std_conventions():
 
 
 def test_run_sweep_returns_results_in_task_order():
-    plan = SweepPlan(tasks=tuple(range(10)))
-    results = run_sweep(plan, lambda x: x * x)
-    assert [r.index for r in results] == list(range(10))
-    assert [r.value for r in results] == [x * x for x in range(10)]
+    tasks = (3, 1, 4, 1, 5, 9, 2, 6, 5, 3)
+    results = run_sweep(SweepPlan(tasks=tasks), lambda x: x * x)
+    assert [r.value for r in results] == [x * x for x in tasks]
     assert all(r.ok for r in results)
 
 
@@ -95,5 +101,5 @@ def test_plan_validation():
 
 
 def test_task_result_ok_property():
-    assert TaskResult(index=0, value=1.0).ok
-    assert not TaskResult(index=0, error="trace").ok
+    assert TaskResult(value=1.0).ok
+    assert not TaskResult(error="trace").ok

@@ -160,7 +160,8 @@ def test_optimal_dephasing_beats_or_matches_the_coherent_limit():
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 7)
     eta_coherent = transport_result(sys, rho0).efficiency
-    gamma_star, eta_star, eta_zero = optimal_dephasing(sys, rho0)
+    gamma_star, eta_star, eta_zero = optimal_dephasing(
+        sys, MomentSolver(sys, rho0))
     assert eta_zero == eta_coherent
     assert eta_star >= eta_coherent - 1e-12
     assert gamma_star > 0.0
@@ -174,7 +175,7 @@ def test_optimal_dephasing_result_is_self_consistent():
                     rng_seed=3)
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 7)
-    gamma_star, eta_star, _ = optimal_dephasing(sys, rho0)
+    gamma_star, eta_star, _ = optimal_dephasing(sys, MomentSolver(sys, rho0))
     recomputed = transport_result(sys.with_dephasing(gamma_star),
                                   rho0).efficiency
     assert recomputed == pytest.approx(eta_star, abs=1e-9)
@@ -211,7 +212,7 @@ def test_optimal_dephasing_equals_a_search_with_one_solve_per_rate(
 
     monkeypatch.setattr(tree, "efficiency", counting)
     monkeypatch.setattr(MomentSolver, "first_moment", counting_single)
-    got = optimal_dephasing(sys, rho0)
+    got = optimal_dephasing(sys, MomentSolver(sys, rho0))
     refinement = len(single) - 1
     assert single[0] == 0.0
     assert 1 <= refinement <= tree.SEARCH_MAX_REFINE
@@ -220,7 +221,7 @@ def test_optimal_dephasing_equals_a_search_with_one_solve_per_rate(
     calls.clear()
     monkeypatch.setattr(MomentSolver, "first_moments", lambda self, gammas: [
         self.first_moment(g) for g in gammas])
-    want = optimal_dephasing(sys, rho0)
+    want = optimal_dephasing(sys, MomentSolver(sys, rho0))
     assert len(calls) == 41 + refinement
     assert got == want
     assert 0.0 < got[0]
@@ -241,8 +242,8 @@ def _search_bracket(sys, solver):
     return grid, i, lo, hi
 
 
-def _assert_beats_a_fine_scan(sys, rho0, solver, lo, hi):
-    gamma_star, eta_star, _ = optimal_dephasing(sys, rho0, solver=solver)
+def _assert_beats_a_fine_scan(sys, solver, lo, hi):
+    gamma_star, eta_star, _ = optimal_dephasing(sys, solver)
     scan = [tree.efficiency(sys, s1)
             for s1 in solver.first_moments(np.geomspace(lo, hi, 256))]
     assert eta_star >= max(scan) - 1e-10
@@ -260,7 +261,7 @@ def test_the_refinement_beats_a_fine_scan_of_its_bracket(kind, delta_over_v):
     rho0 = initial_density_matrix(leaf_initial_state(spec, kind), 15)
     solver = MomentSolver(sys, rho0)
     _, _, lo, hi = _search_bracket(sys, solver)
-    gamma_star = _assert_beats_a_fine_scan(sys, rho0, solver, lo, hi)
+    gamma_star = _assert_beats_a_fine_scan(sys, solver, lo, hi)
     assert gamma_star == 0.0 or lo <= gamma_star <= hi
 
 
@@ -276,7 +277,7 @@ def test_the_refinement_searches_the_extended_cell_at_a_grid_edge(
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 15)
     solver = MomentSolver(sys, rho0)
-    gamma_free, _, _ = optimal_dephasing(sys, rho0, solver=solver)
+    gamma_free, _, _ = optimal_dephasing(sys, solver)
     ratio = gamma_free / cm1_to_angular(100.0)
     span = tree.SEARCH_SPAN[1] / tree.SEARCH_SPAN[0]
     half_cell = span ** (0.5 / (tree.SEARCH_GRID_POINTS - 1))
@@ -285,7 +286,7 @@ def test_the_refinement_searches_the_extended_cell_at_a_grid_edge(
     monkeypatch.setattr(tree, "SEARCH_SPAN", (start, start * span))
     grid, i, lo, hi = _search_bracket(sys, solver)
     assert i == (0 if edge == "first" else len(grid) - 1)
-    gamma_star = _assert_beats_a_fine_scan(sys, rho0, solver, lo, hi)
+    gamma_star = _assert_beats_a_fine_scan(sys, solver, lo, hi)
     assert gamma_star == pytest.approx(gamma_free, rel=1e-3)
     if edge == "first":
         assert lo <= gamma_star < grid[0]
@@ -322,14 +323,13 @@ def test_a_second_kind_factors_only_its_own_refinement_rates(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(tree, "SEARCH_REL_TOL", 1e-12)
         solver = MomentSolver(sys, rho0s[0])
-        optimal_dephasing(sys, rho0s[0], solver=solver)
+        optimal_dephasing(sys, solver)
     assert len(single) == 1 + tree.SEARCH_MAX_REFINE
     assert len(set(factored)) == len(factored) == dynamics._MEMO_ENTRIES
 
     factored.clear()
     single.clear()
-    optimal_dephasing(sys, rho0s[1], solver=solver.with_initial_state(
-        rho0s[1]))
+    optimal_dephasing(sys, solver.with_initial_state(rho0s[1]))
     assert single[0] == 0.0
     assert factored == [(g,) for g in single[1:]]
 
@@ -341,7 +341,7 @@ def test_optimal_dephasing_requires_couplings():
                                 dephasing_rate=0.0)
     rho0 = np.diag([0.0, 0.5, 0.5]).astype(complex)
     with pytest.raises(ConfigurationError):
-        optimal_dephasing(uncoupled, rho0)
+        optimal_dephasing(uncoupled, MomentSolver(uncoupled, rho0))
 
 
 def test_optimal_dephasing_refuses_a_weakly_coupled_dark_site():
@@ -357,7 +357,7 @@ def test_optimal_dephasing_refuses_a_weakly_coupled_dark_site():
                           recomb_rate=0.0, dephasing_rate=0.0)
     rho0 = np.diag([0.5, 0.0, 0.5]).astype(complex)
     with pytest.raises(NonConvergentIntegralError, match="condition estimate"):
-        optimal_dephasing(sys, rho0)
+        optimal_dephasing(sys, MomentSolver(sys, rho0))
 
 
 def test_default_delta_grid():
@@ -368,11 +368,10 @@ def test_default_delta_grid():
 
 
 def test_small_ensemble_statistics():
-    spec = TreeSpec(generation=3, coupling_cm1=100.0)
-    report = disorder_ensemble(spec, delta_grid=[0.0, 1.0, 2.0], n_samples=4,
-                               master_seed=11)["mixture"]
+    spec = TreeSpec(generation=3, coupling_cm1=100.0, rng_seed=11)
+    report = disorder_ensemble(spec, delta_grid=[0.0, 1.0, 2.0],
+                               n_samples=4)["mixture"]
     assert report.kind == "mixture"
-    assert report.n_samples == 4
     assert len(report.records) == 3
     for rec in report.records:
         assert rec.n_ok == 4
@@ -384,9 +383,8 @@ def test_small_ensemble_statistics():
 
 
 def test_ensembles_are_deterministic_and_width_independent():
-    spec = TreeSpec(generation=3, coupling_cm1=100.0)
-    kwargs = dict(delta_grid=[0.0, 2.0], n_samples=3, kinds=("coherent",),
-                  master_seed=5)
+    spec = TreeSpec(generation=3, coupling_cm1=100.0, rng_seed=5)
+    kwargs = dict(delta_grid=[0.0, 2.0], n_samples=3, kinds=("coherent",))
     a = disorder_ensemble(spec, **kwargs)
     b = disorder_ensemble(spec, **kwargs)
     assert a == b
@@ -394,23 +392,28 @@ def test_ensembles_are_deterministic_and_width_independent():
 
 def _failing_once(monkeypatch, n_fail):
     """Make optimal_dephasing raise for the coherent kind on the first
-    n_fail trees it sees."""
-    real = tree.optimal_dephasing
-    seen = []
+    n_fail trees it sees. The kind searched is the one whose initial state
+    the ensemble built last."""
+    real_search, real_state = tree.optimal_dephasing, tree.leaf_initial_state
+    kinds, seen = [], []
 
-    def search(sys, rho0, solver=None):
-        coherent = np.count_nonzero(rho0 - np.diag(np.diag(rho0))) > 0
-        if coherent and len(seen) < n_fail:
+    def state(spec, kind):
+        kinds.append(kind)
+        return real_state(spec, kind)
+
+    def search(sys, solver):
+        if kinds[-1] == "coherent" and len(seen) < n_fail:
             seen.append(sys)
             raise NonConvergentIntegralError("injected failure")
-        return real(sys, rho0, solver)
+        return real_search(sys, solver)
 
+    monkeypatch.setattr(tree, "leaf_initial_state", state)
     monkeypatch.setattr(tree, "optimal_dephasing", search)
 
 
 def test_a_failed_search_counts_against_its_kind_only(monkeypatch):
-    spec = TreeSpec(generation=3, coupling_cm1=100.0)
-    kwargs = dict(delta_grid=[1.0], n_samples=20, master_seed=4)
+    spec = TreeSpec(generation=3, coupling_cm1=100.0, rng_seed=4)
+    kwargs = dict(delta_grid=[1.0], n_samples=20)
     want = disorder_ensemble(spec, kinds=("mixture",), **kwargs)["mixture"]
     _failing_once(monkeypatch, 1)
     got = disorder_ensemble(spec, kinds=("coherent", "mixture"), **kwargs)
@@ -420,12 +423,12 @@ def test_a_failed_search_counts_against_its_kind_only(monkeypatch):
 
 
 def test_a_kind_failing_too_often_aborts_the_ensemble(monkeypatch):
-    spec = TreeSpec(generation=3, coupling_cm1=100.0)
+    spec = TreeSpec(generation=3, coupling_cm1=100.0, rng_seed=4)
     _failing_once(monkeypatch, 2)
     with pytest.raises(SweepFailureError,
                        match="2 of 20 coherent samples(.|\n)*injected"):
         disorder_ensemble(spec, delta_grid=[1.0], n_samples=20,
-                          kinds=("mixture", "coherent"), master_seed=4)
+                          kinds=("mixture", "coherent"))
 
 
 def test_ensemble_validation():
@@ -443,9 +446,9 @@ def test_ensemble_validation():
 
 
 def test_report_csv_layout():
-    spec = TreeSpec(generation=3, coupling_cm1=100.0)
-    report = disorder_ensemble(spec, delta_grid=[0.0, 1.0], n_samples=2,
-                               master_seed=1)["mixture"]
+    spec = TreeSpec(generation=3, coupling_cm1=100.0, rng_seed=1)
+    report = disorder_ensemble(spec, delta_grid=[0.0, 1.0],
+                               n_samples=2)["mixture"]
     buf = io.StringIO()
     report.write_csv(buf)
     lines = buf.getvalue().splitlines()
