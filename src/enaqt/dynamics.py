@@ -71,6 +71,18 @@ def _unvec(v, n):
     return v.reshape((n, n), order="F")
 
 
+def _initial_state(rho0, n):
+    """rho0 as a complex N x N array; another shape raises ConfigurationError,
+    as does a non-finite entry."""
+    rho = np.asarray(rho0, dtype=complex)
+    if rho.shape != (n, n):
+        raise ConfigurationError(
+            "initial state has shape %s, system has %d sites" % (rho.shape, n))
+    if not np.all(np.isfinite(rho)):
+        raise ConfigurationError("initial state has non-finite entries")
+    return rho
+
+
 def master_equation_rhs(sys, rho):
     """Right-hand side drho/dt (ps^-1) for a density matrix rho.
 
@@ -195,12 +207,7 @@ def propagate(sys, rho0, t_final, sample_times=None):
         raise ConfigurationError(
             "t_final must be finite and positive, got %r" % t_final)
     n = sys.n_sites
-    rho = np.array(rho0, dtype=complex)
-    if rho.shape != (n, n):
-        raise ConfigurationError(
-            "initial state has shape %s, system has %d sites" % (rho.shape, n))
-    if not np.all(np.isfinite(rho)):
-        raise ConfigurationError("initial state has non-finite entries")
+    rho = _initial_state(rho0, n)
 
     if sample_times is None:
         samples = np.array([0.0, t_final])
@@ -280,10 +287,10 @@ _DENSE_MAX_BYTES = 2 ** 30
 # (a stack of 40 rates at 31 sites does not).
 _STACK_BYTES = 2 ** 19
 # _Eigenbasis keeps this many factorisations: one tree search makes at
-# most 64 (gamma = 0, the 40 grid rates in at most 40 stacks, and at most
-# tree.SEARCH_MAX_REFINE = 23 refinement steps), so a second initial state
-# of the same tree finds its gamma = 0 and grid factorisations there. At
-# 127 sites an entry takes about 0.5 MB.
+# most 64 (gamma = 0 and the 40 grid rates in at most 41 stacks, and at
+# most tree.SEARCH_MAX_REFINE = 23 refinement steps), so a second initial
+# state of the same tree finds its gamma = 0 and grid factorisations
+# there. At 127 sites an entry takes about 0.5 MB.
 _MEMO_ENTRIES = 64
 
 
@@ -420,7 +427,7 @@ class _Eigenbasis:
     R^-1_jk = -i(lam_j - conj(lam_k)) - gamma. The Woodbury identity then
     leaves one N x N capacitance system for the rank-N dephasing term:
         G = E^T A^-1 E,  G_mn = sum_jk X_m,jk R_jk Z_jk,n,
-        z = (I/gamma + G)^-1 diag(A^-1 b),  x = A^-1 b - A^-1 diag(z),
+        z = (I + gamma G)^-1 gamma diag(A^-1 b),  x = A^-1 b - A^-1 diag(z),
     with X_m,jk = S_mj conj(S_mk) and Z_jk,n = W_jn conj(W_kn).
 
     G is real for any H_eff: R_kj = conj(R_jk), and swapping j and k
@@ -447,8 +454,11 @@ class _Eigenbasis:
         # For the pairs u = (j, k) with j <= k, in np.triu_indices order:
         # x_real[m, 2u:2u+2] = (Re, Im) of c_u conj(S_mj) S_mk, with c_u = 1
         # on the diagonal and 2 above it, and z_t[n, u] = W_jn conj(W_kn).
-        # Both are fixed for every gamma and built on the first gamma > 0.
-        self._upper = self._x_real = self._z_t = None
+        j, k = self._upper = np.triu_indices(len(lam))
+        x = np.ascontiguousarray(s[:, j].conj() * s[:, k])
+        x[:, j != k] *= 2.0
+        self._x_real = x.view(float)
+        self._z_t = np.ascontiguousarray((self._w[j] * self._w[k].conj()).T)
         # factor() results by the bytes of their rates, oldest first.
         self._memo = {}
 
@@ -470,11 +480,11 @@ class _Eigenbasis:
         return self._w @ b @ self._w_h
 
     def factor(self, gammas):
-        """(ok, factors) for the 1-d array gammas, whose rates are either
-        all 0 or all > 0. ok masks the rates that pass every guard: R^-1
-        without a near-zero entry (a dark mode) and a well-conditioned
-        capacitance matrix. factors holds those rates, their stacked R and
-        their capacitance LUs (None at gamma = 0).
+        """(ok, factors) for the 1-d array gammas of rates >= 0. ok masks
+        the rates that pass every guard: R^-1 without a near-zero entry (a
+        dark mode) and a well-conditioned capacitance matrix. factors holds
+        those rates, their stacked R and their capacitance LUs, which at
+        gamma = 0 are the LU of the identity.
 
         The last _MEMO_ENTRIES results are kept, keyed by the exact rates,
         so every solver that shares this basis factors a rate (or a stack
@@ -493,10 +503,9 @@ class _Eigenbasis:
         if not ok.all():
             gammas, rinv = gammas[ok], rinv[ok]
         r = 1.0 / rinv
-        if not gammas.any():
-            return ok, (gammas, r, None)
-        # gamma (I/gamma + G), which is finite at every gamma > 0.
-        stack = gammas[:, None, None] * self.capacitance(r)
+        # I + gamma G, the identity at gamma = 0: a stack of zeros skips G.
+        stack = (gammas[:, None, None] * self.capacitance(r) if gammas.any()
+                 else np.zeros(r.shape))
         stack[:, self._diag[0], self._diag[1]] += 1.0
         anorms = np.abs(stack).sum(axis=1).max(axis=1)
         caps = []
@@ -515,13 +524,6 @@ class _Eigenbasis:
 
     def capacitance(self, r):
         """The real (K, N, N) stack of G = E^T A^-1 E for a stack of R."""
-        if self._upper is None:
-            j, k = self._upper = np.triu_indices(r.shape[1])
-            x = np.ascontiguousarray(self._s[:, j].conj() * self._s[:, k])
-            x[:, j != k] *= 2.0
-            self._x_real = x.view(float)
-            self._z_t = np.ascontiguousarray(
-                (self._w[j] * self._w[k].conj()).T)
         b_t = np.multiply(self._z_t, r[:, self._upper[0], self._upper[1]]
                           [:, None, :], order="C")
         return self._x_real @ b_t.view(float).transpose(0, 2, 1)
@@ -529,13 +531,12 @@ class _Eigenbasis:
     def _apply_inverse(self, factors, b_tilde):
         gammas, r, caps = factors
         t = r * b_tilde
-        if caps is not None:
-            diag_y = np.einsum("kij,ij->ki", self._s @ t, self._s_h.T)
-            rhs = gammas[:, None] * diag_y
-            z = np.empty_like(rhs)
-            for k, (lu, piv) in enumerate(caps):
-                z[k] = _GETRS(lu, piv, rhs[k])[0]
-            t -= r * ((self._w * z[:, None, :]) @ self._w_h)
+        diag_y = np.einsum("kij,ij->ki", self._s @ t, self._s_h.T)
+        rhs = gammas[:, None] * diag_y
+        z = np.empty_like(rhs)
+        for k, (lu, piv) in enumerate(caps):
+            z[k] = _GETRS(lu, piv, rhs[k])[0]
+        t -= r * ((self._w * z[:, None, :]) @ self._w_h)
         return self._s @ t @ self._s_h
 
     def solve(self, factors, b, b_tilde=None):
@@ -547,14 +548,13 @@ class _Eigenbasis:
         to_eigenbasis() when the caller already has it."""
         if b_tilde is None:
             b_tilde = self.to_eigenbasis(b)
-        gammas, _, caps = factors
+        gammas = factors[0]
         x = self._apply_inverse(factors, b_tilde)
         lx = -1j * (self._heff @ x - x @ self._heff_h)
-        if caps is not None:
-            # Populations are exempt, exactly rather than by cancellation.
-            damped = gammas[:, None, None] * x
-            damped[:, self._diag[0], self._diag[1]] = 0.0
-            lx -= damped
+        # Populations are exempt, exactly rather than by cancellation.
+        damped = gammas[:, None, None] * x
+        damped[:, self._diag[0], self._diag[1]] = 0.0
+        lx -= damped
         return x + self._apply_inverse(factors, self.to_eigenbasis(b - lx))
 
 
@@ -593,19 +593,18 @@ class MomentSolver:
     would exceed 1 GiB raises NonConvergentIntegralError instead.
     route_counts reports how many solves each route took, one per rate.
 
-    first_moments takes the eigenbasis route for its positive rates in
-    stacks: W(-rho0)W^dag and the pair products of S and W behind the
-    capacitance matrix are computed once, and
-    every step that is not a LAPACK call on one rate's capacitance matrix
-    runs as one array operation over the stack. A stack holds as many
+    first_moments takes the eigenbasis route for its rates in stacks:
+    W(-rho0)W^dag and the pair products of S and W behind the capacitance
+    matrix are computed once, and every step that is not a LAPACK call on
+    one rate's capacitance matrix runs as one array operation over the
+    stack. A stack holds as many
     rates as keep the capacitance product's B^T, its largest temporary at
     8 N^2 (N + 1) bytes per rate, within _STACK_BYTES: 18 rates for a
     15-site tree, 2 for a 31-site one and one from 32 sites up, so memory
     does not grow with the number of rates. Each rate keeps its own guards
     and, when one trips, its own dense fallback. The results equal a loop
-    of first_moment bit for bit. Rates of 0, and
-    every rate of a system that takes the dense route, are solved one at
-    a time.
+    of first_moment bit for bit. Every rate of a system that takes the
+    dense route is solved one at a time.
     """
 
     def __init__(self, sys, rho0):
@@ -632,14 +631,7 @@ class MomentSolver:
         return other
 
     def _set_initial_state(self, rho0):
-        n = self.n_sites
-        rho0 = np.asarray(rho0, dtype=complex)
-        if rho0.shape != (n, n):
-            raise ConfigurationError(
-                "initial state has shape %s, system has %d sites"
-                % (rho0.shape, n))
-        if not np.all(np.isfinite(rho0)):
-            raise ConfigurationError("initial state has non-finite entries")
+        rho0 = _initial_state(rho0, self.n_sites)
         if not np.array_equal(rho0, rho0.conj().T):
             raise ConfigurationError(
                 "initial state is not exactly Hermitian; pass (rho + "
@@ -677,18 +669,16 @@ class MomentSolver:
                 % (gammas,))
         n = self.n_sites
         out = np.empty((gammas.size, n, n), dtype=complex)
-        alone = (gammas == 0.0 if self._eigen is not None
-                 else np.ones(gammas.shape, dtype=bool))
-        for i in np.flatnonzero(alone):
-            out[i] = self.first_moment(gammas[i])
-        stacked = np.flatnonzero(~alone)
+        if self._eigen is None:
+            for i, gamma in enumerate(gammas):
+                out[i] = self.first_moment(gamma)
+            return out
         per_stack = max(1, _STACK_BYTES // (8 * n * n * (n + 1)))
-        for start in range(0, len(stacked), per_stack):
-            idx = stacked[start:start + per_stack]
+        for start in range(0, gammas.size, per_stack):
+            idx = np.arange(start, min(start + per_stack, gammas.size))
             ok, (s1,) = self._eigen_solve(gammas[idx], 1)
             out[idx[ok]] = s1
             for i in idx[~ok]:
-                self._counts["dense"] += 1
                 out[i] = self._dense_solve(float(gammas[i]), 1)[0]
         return out
 
@@ -701,21 +691,21 @@ class MomentSolver:
             ok, moments = self._eigen_solve(np.array([gamma]), n_moments)
             if ok[0]:
                 return tuple(m[0] for m in moments)
-        self._counts["dense"] += 1
         return self._dense_solve(gamma, n_moments)
 
     def _eigen_solve(self, gammas, n_moments):
-        """(ok, moments) by the eigenbasis route for the rates of gammas,
-        all 0 or all > 0: ok masks the rates that passed its guards, and
-        each moment is the stack over those rates."""
+        """(ok, moments) by the eigenbasis route for the rates of gammas:
+        ok masks the rates that passed its guards, and each moment is the
+        stack over those rates."""
         ok, factors = self._eigen.factor(gammas)
-        self._counts["eigenbasis"] += np.count_nonzero(ok)
+        self._counts["eigenbasis"] += int(np.count_nonzero(ok))
         moments = [self._eigen.solve(factors, self._b0, self._b0_tilde)]
         if n_moments == 2:
             moments.append(self._eigen.solve(factors, -moments[0]))
         return ok, moments
 
     def _dense_solve(self, gamma, n_moments):
+        self._counts["dense"] += 1
         lu, piv = self._dense.factor(gamma)
         moments = [_DGETRS(lu, piv, self._dense_rhs)[0]]
         if n_moments == 2:

@@ -28,6 +28,15 @@ from .errors import ConfigurationError
 from .units import cm1_to_angular
 
 
+def as_integer(name, value):
+    """value as an int; a bool, or anything but an int or a numpy integer
+    (a float such as 3.7 among them), raises ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError("%s must be an integer, got %r"
+                                 % (name, value))
+    return int(value)
+
+
 def _readonly(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -56,11 +65,9 @@ class TransportSystem:
     dephasing_rate: float
 
     def __post_init__(self):
-        n = self.n_sites
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ConfigurationError("n_sites must be an integer >= 1, got %r"
-                                     % (n,))
-        n = int(n)
+        n = as_integer("n_sites", self.n_sites)
+        if n < 1:
+            raise ConfigurationError("n_sites must be >= 1, got %d" % n)
         try:
             eps = _readonly(self.site_energies)
             V = _readonly(self.couplings)
@@ -154,7 +161,7 @@ class InitialState:
             raise ConfigurationError(
                 "initial state kind must be one of %s, got %r"
                 % (VALID_STATE_KINDS, self.kind))
-        sites = tuple(int(s) for s in self.sites)
+        sites = tuple(as_integer("initial state site", s) for s in self.sites)
         if len(sites) == 0:
             raise ConfigurationError("initial state needs a non-empty site set")
         if len(set(sites)) != len(sites):

@@ -20,8 +20,8 @@ dynamics.MomentSolver (the second made by with_initial_state) shares
 those factorisations. Each kind keeps its own solver, solves, refinement
 steps and optimal_dephasing call, which searches with that solver, so its
 numbers are bit for bit those of a run for that kind alone. The solver
-finds S1 alone (trees of 9 sites and up take its eigenbasis route): the
-40 grid rates as one stacked first_moments call, gamma = 0 and the
+finds S1 alone (trees of 9 sites and up take its eigenbasis route):
+gamma = 0 and the 40 grid rates as one stacked first_moments call, the
 refinement's rates one at a time.
 The refinement is a Brent search on log gamma seeded with the grid winner
 and its neighbors; over the 4000 searches of a 100-sample, 20-delta
@@ -46,7 +46,8 @@ import numpy as np
 
 from .dynamics import MomentSolver
 from .errors import ConfigurationError, SweepFailureError
-from .model import InitialState, TransportSystem, initial_density_matrix
+from .model import (InitialState, TransportSystem, as_integer,
+                    initial_density_matrix)
 from .observables import efficiency
 from .sweep import (SweepPlan, derive_seed, run_sweep, run_task,
                     sample_mean_std)
@@ -93,9 +94,11 @@ class TreeSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if int(self.generation) < 2:
+        for name in ("generation", "rng_seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        if self.generation < 2:
             raise ConfigurationError("tree generation must be >= 2")
-        if int(self.generation) > MAX_GENERATION:
+        if self.generation > MAX_GENERATION:
             raise ConfigurationError(
                 "tree generation %d exceeds the limit of %d (%d sites): the "
                 "moment solver's dense fallback grows as 4^g"
@@ -104,7 +107,6 @@ class TreeSpec:
             raise ConfigurationError("disorder must be finite and >= 0")
         if not (math.isfinite(self.coupling_cm1) and self.coupling_cm1 != 0.0):
             raise ConfigurationError("tree coupling must be finite and nonzero")
-        object.__setattr__(self, "generation", int(self.generation))
         # Default rates scale with the coupling: kappa = 2V, Gamma = 0.005V
         # (V as an angular frequency, hbar = 1).
         v_ang = abs(cm1_to_angular(self.coupling_cm1))
@@ -151,6 +153,9 @@ def generate_tree(spec):
     Site energies are delta * normal_draws(seed); the trap sits on site 1
     and recombination acts everywhere.
     """
+    if not 0 <= spec.rng_seed < 2 ** 128:
+        raise ConfigurationError("tree seed %d is outside [0, 2^128), the "
+                                 "keys of a Philox stream" % spec.rng_seed)
     n = spec.n_sites
     energies = spec.disorder_cm1 * normal_draws(spec.rng_seed, n)
     couplings = np.zeros((n, n))
@@ -260,11 +265,11 @@ def optimal_dephasing(sys, solver):
     happens to regress, the grid winner is kept, and the zero endpoint
     always participates, so eta* >= eta(0) is guaranteed.
 
-    The grid's S1 come from one MomentSolver.first_moments call, whose
-    stack equals one first_moment per rate bit for bit; the zero endpoint
-    and the refinement's steps solve one rate at a time. The efficiency
-    is evaluated once per rate: 41 times for gamma = 0 and the grid, plus
-    once per refinement step, of which there are at most
+    The S1 of the zero endpoint and the grid come from one
+    MomentSolver.first_moments call, whose stack equals one first_moment
+    per rate bit for bit; the refinement's steps solve one rate at a time.
+    The efficiency is evaluated once per rate: 41 times for gamma = 0 and
+    the grid, plus once per refinement step, of which there are at most
     SEARCH_MAX_REFINE (about 5 for most trees). solver is the
     MomentSolver of sys and the initial state to search from:
     disorder_ensemble passes one per initial-state kind, all sharing one
@@ -279,12 +284,8 @@ def optimal_dephasing(sys, solver):
     v_ang = cm1_to_angular(vmax)
     grid = np.logspace(math.log10(SEARCH_SPAN[0] * v_ang),
                        math.log10(SEARCH_SPAN[1] * v_ang), SEARCH_GRID_POINTS)
-
-    def evaluate(gamma):
-        return efficiency(sys, solver.first_moment(gamma))
-
-    eta0 = evaluate(0.0)
-    etas = np.array([efficiency(sys, s1) for s1 in solver.first_moments(grid)])
+    eta0, *etas = (efficiency(sys, s1)
+                   for s1 in solver.first_moments(np.r_[0.0, grid]))
     i = int(np.argmax(etas))
     best_gamma, best_eta = float(grid[i]), float(etas[i])
 
@@ -302,7 +303,8 @@ def optimal_dephasing(sys, solver):
     # came out at most 1.1e-10 below a golden-section search that closes
     # the bracket to SEARCH_REL_TOL (and up to 1.8e-9 above it).
     x_ref, eta_ref = _brent_max(
-        lambda x: evaluate(math.exp(x)), math.log(lo), math.log(hi),
+        lambda x: efficiency(sys, solver.first_moment(math.exp(x))),
+        math.log(lo), math.log(hi),
         [(math.log(best_gamma), best_eta)] + seed,
         math.log1p(SEARCH_REL_TOL) / 12.0, SEARCH_MAX_REFINE)
     if eta_ref > best_eta:

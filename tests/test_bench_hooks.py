@@ -1,17 +1,25 @@
-"""The benchmark tracer's hooks still resolve against the package.
+"""The benchmark tracer's hooks still resolve against the package, and a
+traced run still works.
 
 bench/tracing.py wraps functions by (owner, attribute) from outside the
 package, so renaming or deleting one of them breaks traced benchmark runs.
 This imports the tracer as it is, without installing it, and checks every
-name it will look up.
+name it will look up. It then installs the tracer in a child interpreter,
+as bench/child.py does, runs two small CLI commands under it and checks
+the per-layer counts the run reports against the grid sizes.
 """
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def load_tracing():
@@ -33,3 +41,53 @@ def test_every_traced_span_resolves(target, attr, name):
 @pytest.mark.parametrize("module", tracing.SWEEP_CALLERS)
 def test_every_sweep_caller_has_run_sweep(module):
     assert callable(getattr(tracing._resolve(module), "run_sweep"))
+
+
+# Installs the tracer, runs the CLI argv lists given as JSON in argv[1]
+# under a cli.main span each, as bench/child.py does, and writes the spans
+# to argv[2].
+TRACED_RUN = """
+import json, sys
+import enaqt.cli as cli
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+for argv in json.loads(sys.argv[1]):
+    if tracer.span("cli.main", cli.main, argv) != 0:
+        sys.exit("%r failed" % (argv,))
+tracer.dump(sys.argv[2])
+"""
+
+
+def traced_metrics(tmp_path, argv):
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench")]))
+    subprocess.run([sys.executable, "-c", TRACED_RUN, json.dumps([argv]),
+                    str(spans)], check=True, env=env, cwd=tmp_path)
+    return tracing.layer_metrics(json.loads(spans.read_text()), 0)
+
+
+def test_a_traced_fmo_surface_run_counts_its_grid(tmp_path):
+    """4 dephasing rates, and a surface of 4 rates by 3 trap rates: one
+    sweep task and one moment solve per grid point."""
+    metrics = traced_metrics(tmp_path, [
+        "fmo-sweep", "--surface", "--gamma-points", "4",
+        "--surface-kappa-points", "3", "--out-dir", str(tmp_path)])
+    assert metrics["sweep.failed"] == 0
+    assert metrics["sweep.tasks"] == 4 + 4 * 3
+    assert metrics["dynamics.integrated_state_calls"] == 4 + 4 * 3
+
+
+def test_a_traced_tree_ensemble_run_counts_its_searches(tmp_path):
+    """2 disorder strengths by 2 samples: one sweep task per tree, one
+    search per tree and kind, each evaluating gamma = 0 and the 40 grid
+    rates at least."""
+    metrics = traced_metrics(tmp_path, [
+        "tree-ensemble", "--generation", "4", "--kind", "both",
+        "--delta-grid", "0:2:2", "--samples", "2", "--out-dir",
+        str(tmp_path)])
+    assert metrics["sweep.failed"] == 0
+    assert metrics["sweep.tasks"] == 2 * 2
+    assert metrics["tree.optimal_dephasing_calls"] == 2 * 2 * 2
+    assert metrics["tree.eta_evals_per_opt"] >= 41

@@ -16,9 +16,9 @@ from enaqt.model import (TransportSystem, effective_hamiltonian,
 from enaqt.tree import TreeSpec, generate_tree, leaf_initial_state
 from enaqt.units import CM1_TO_PS_ANGULAR
 
-from oracles import (quadrature_integrals, quadrature_trajectory,
-                     random_density_matrix, random_transport_system,
-                     reference_rhs)
+from oracles import (eigen_integrals, quadrature_integrals,
+                     quadrature_trajectory, random_density_matrix,
+                     random_transport_system, reference_rhs)
 
 
 def test_rhs_matches_the_textbook_form():
@@ -649,9 +649,9 @@ def _stacking_case(case):
 @pytest.mark.parametrize("case", ["gen4", "gen5", "random10", "random4"])
 def test_first_moments_equal_a_loop_of_first_moment(case):
     """The stack is bit for bit a loop of first_moment and counts one
-    solve per rate. Both are also checked against a dense solve at the
-    ends of the grid, where the Zeno end needs the refinement step, so a
-    fault the two share cannot hide."""
+    solve per rate, as a Python int. Both are also checked against a dense
+    solve at the ends of the grid, where the Zeno end needs the refinement
+    step, so a fault the two share cannot hide."""
     sys, rho0 = _stacking_case(case)
     solver = MomentSolver(sys, rho0)
     solver.first_moment(0.5)
@@ -660,6 +660,7 @@ def test_first_moments_equal_a_loop_of_first_moment(case):
     route = "eigenbasis" if sys.n_sites >= 9 else "dense"
     grown = {k: solver.route_counts[k] - before[k] for k in before}
     assert grown == {"eigenbasis": 0, "dense": 0, route: len(STACKED_RATES)}
+    assert all(type(v) is int for v in solver.route_counts.values())
     looped = MomentSolver(sys, rho0)
     assert got.shape == (len(STACKED_RATES), sys.n_sites, sys.n_sites)
     for gamma, s1 in zip(STACKED_RATES, got):
@@ -668,6 +669,22 @@ def test_first_moments_equal_a_loop_of_first_moment(case):
         liou = build_liouvillian(sys.with_dephasing(STACKED_RATES[k]))
         want = _unvec(np.linalg.solve(liou, -_vec(rho0)), sys.n_sites)
         assert _relative_gap(got[k], want) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["gen4", "gen5"])
+def test_first_moments_stack_gamma_zero_with_positive_rates(case):
+    """gamma = 0 is one more rate of a stack, whose capacitance matrix is
+    then the identity: the stack is bit for bit a loop of first_moment,
+    and its gamma = 0 slice matches the eigen-formula oracle."""
+    sys, rho0 = _stacking_case(case)
+    gammas = np.r_[0.3, 0.0, STACKED_RATES]
+    solver = MomentSolver(sys, rho0)
+    got = solver.first_moments(gammas)
+    assert solver.route_counts == {"eigenbasis": len(gammas), "dense": 0}
+    looped = MomentSolver(sys, rho0)
+    for gamma, s1 in zip(gammas, got):
+        np.testing.assert_array_equal(s1, looped.first_moment(gamma))
+    assert _relative_gap(got[1], eigen_integrals(sys, rho0)[0]) <= 1e-10
 
 
 @pytest.mark.parametrize("case", ["gen4", "gen5"])

@@ -120,6 +120,15 @@ def test_initial_state_validation():
     assert state.sites == (1, 6)
 
 
+@pytest.mark.parametrize("kind, sites", [("site", (1.5,)),
+                                         ("site", ("1",)),
+                                         ("mixture", (True, 2)),
+                                         ("mixture", (1, 2.0))])
+def test_initial_state_sites_must_be_integers(kind, sites):
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        InitialState(kind=kind, sites=sites)
+
+
 def test_single_site_density_matrix():
     rho = initial_density_matrix(InitialState("site", (3,)), 7)
     expected = np.zeros((7, 7))

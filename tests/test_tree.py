@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -46,12 +47,38 @@ def test_spec_validation_and_derived_rates():
     dict(recomb_rate_ps=-1.0),
     dict(recomb_rate_ps=float("nan")),
     dict(trap_rate_ps=0.0, recomb_rate_ps=0.0),
+    dict(generation=3.7),
+    dict(generation=3.0),
+    dict(generation="x"),
+    dict(generation=True),
+    dict(rng_seed=1.5),
+    dict(rng_seed=True),
 ])
 def test_spec_rejects_inputs_every_sample_would_fail_on(overrides):
     fields = dict(generation=3, coupling_cm1=100.0)
     fields.update(overrides)
     with pytest.raises(ConfigurationError):
         TreeSpec(**fields)
+
+
+def test_spec_takes_numpy_integers_as_ints():
+    spec = TreeSpec(generation=np.int64(3), coupling_cm1=100.0,
+                    rng_seed=np.uint64(5))
+    assert type(spec.generation) is int and spec.generation == 3
+    assert type(spec.rng_seed) is int and spec.rng_seed == 5
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_a_tree_seed_outside_the_philox_keys_generates_no_tree(seed):
+    """generate_tree refuses such a seed by name; a negative one is still
+    a master seed for an ensemble, whose derived seeds are all >= 0."""
+    spec = TreeSpec(generation=3, coupling_cm1=100.0, disorder_cm1=10.0,
+                    rng_seed=seed)
+    with pytest.raises(ConfigurationError, match="outside"):
+        generate_tree(spec)
+    if seed < 0:
+        report = disorder_ensemble(spec, [0.5], n_samples=2)["mixture"]
+        assert report.records[0].n_ok == 2
 
 
 @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.5])
@@ -189,10 +216,11 @@ def test_optimal_dephasing_result_is_self_consistent():
                                                  (3.5, 13)])
 def test_optimal_dephasing_equals_a_search_with_one_solve_per_rate(
         delta_over_v, seed, monkeypatch):
-    """The grid scan solves its 40 rates as stacks; the search must return
-    exactly what it returns when every rate is solved on its own, with the
-    same efficiency calls: gamma = 0 and the grid (41), plus one per
-    refinement step, each of which solves its own rate."""
+    """The scan solves gamma = 0 and its 40 grid rates in one stacked
+    first_moments call; the search must return exactly what it returns
+    when every rate is solved on its own, with the same efficiency calls:
+    gamma = 0 and the grid (41), plus one per refinement step, each of
+    which solves its own rate by first_moment."""
     spec = TreeSpec(generation=4, coupling_cm1=100.0,
                     disorder_cm1=100.0 * delta_over_v, rng_seed=seed)
     sys = generate_tree(spec)
@@ -201,6 +229,8 @@ def test_optimal_dephasing_equals_a_search_with_one_solve_per_rate(
     efficiency = tree.efficiency
     single = []
     first_moment = MomentSolver.first_moment
+    stacked = []
+    first_moments = MomentSolver.first_moments
 
     def counting(sys, s1):
         calls.append(s1.shape)
@@ -210,11 +240,18 @@ def test_optimal_dephasing_equals_a_search_with_one_solve_per_rate(
         single.append(gamma)
         return first_moment(self, gamma)
 
+    def counting_stacked(self, gammas):
+        stacked.append(np.array(gammas))
+        return first_moments(self, gammas)
+
     monkeypatch.setattr(tree, "efficiency", counting)
     monkeypatch.setattr(MomentSolver, "first_moment", counting_single)
+    monkeypatch.setattr(MomentSolver, "first_moments", counting_stacked)
     got = optimal_dephasing(sys, MomentSolver(sys, rho0))
-    refinement = len(single) - 1
-    assert single[0] == 0.0
+    assert len(stacked) == 1
+    np.testing.assert_array_equal(stacked[0], np.r_[0.0, _search_grid(sys)])
+    refinement = len(single)
+    assert 0.0 not in single
     assert 1 <= refinement <= tree.SEARCH_MAX_REFINE
     assert calls == [(15, 15)] * (41 + refinement)
 
@@ -227,13 +264,19 @@ def test_optimal_dephasing_equals_a_search_with_one_solve_per_rate(
     assert 0.0 < got[0]
 
 
+def _search_grid(sys):
+    """The grid optimal_dephasing scans, worked out here from the
+    SEARCH_* constants."""
+    v_ang = cm1_to_angular(float(np.max(np.abs(sys.couplings))))
+    return np.logspace(math.log10(tree.SEARCH_SPAN[0] * v_ang),
+                       math.log10(tree.SEARCH_SPAN[1] * v_ang),
+                       tree.SEARCH_GRID_POINTS)
+
+
 def _search_bracket(sys, solver):
     """The grid, its efficiencies and the bracket optimal_dephasing
-    refines, worked out here from the SEARCH_* constants."""
-    v_ang = cm1_to_angular(float(np.max(np.abs(sys.couplings))))
-    grid = np.logspace(np.log10(tree.SEARCH_SPAN[0] * v_ang),
-                       np.log10(tree.SEARCH_SPAN[1] * v_ang),
-                       tree.SEARCH_GRID_POINTS)
+    refines."""
+    grid = _search_grid(sys)
     etas = [tree.efficiency(sys, s1) for s1 in solver.first_moments(grid)]
     i = int(np.argmax(etas))
     cell = grid[1] / grid[0]
@@ -295,10 +338,12 @@ def test_the_refinement_searches_the_extended_cell_at_a_grid_edge(
 
 
 def test_a_second_kind_factors_only_its_own_refinement_rates(monkeypatch):
-    """At generation 6 each grid rate is its own memo entry. A first search
-    held to SEARCH_MAX_REFINE steps (its tolerance made too fine to reach)
-    fills the memo to exactly _MEMO_ENTRIES, and the second kind must still
-    find its gamma = 0 and all 40 grid factorisations there."""
+    """At generation 6 gamma = 0 and each grid rate are a memo entry of
+    their own. A first search held to SEARCH_MAX_REFINE steps (its
+    tolerance made too fine to reach) fills the memo to exactly
+    _MEMO_ENTRIES, and the second kind must still find its gamma = 0 and
+    all 40 grid factorisations there, factoring only its own refinement
+    rates."""
     spec = TreeSpec(generation=6, coupling_cm1=100.0, disorder_cm1=100.0,
                     rng_seed=3)
     sys = generate_tree(spec)
@@ -324,14 +369,15 @@ def test_a_second_kind_factors_only_its_own_refinement_rates(monkeypatch):
         m.setattr(tree, "SEARCH_REL_TOL", 1e-12)
         solver = MomentSolver(sys, rho0s[0])
         optimal_dephasing(sys, solver)
-    assert len(single) == 1 + tree.SEARCH_MAX_REFINE
+    assert len(single) == tree.SEARCH_MAX_REFINE
     assert len(set(factored)) == len(factored) == dynamics._MEMO_ENTRIES
+    assert (0.0,) in factored
 
     factored.clear()
     single.clear()
     optimal_dephasing(sys, solver.with_initial_state(rho0s[1]))
-    assert single[0] == 0.0
-    assert factored == [(g,) for g in single[1:]]
+    assert single
+    assert factored == [(g,) for g in single]
 
 
 def test_optimal_dephasing_requires_couplings():
