@@ -10,7 +10,7 @@ binary-tree ensembles.
 __version__ = "0.1.0"
 
 from .dynamics import (MomentSolver, Trajectory, build_liouvillian,
-                       integrated_state, master_equation_rhs, propagate)
+                       integrated_state, propagate)
 from .errors import (ConfigurationError, DataIntegrityError, EnaqtError,
                      NonConvergentIntegralError, NumericalConsistencyError,
                      SweepFailureError, UndefinedTransferTimeError)
@@ -38,7 +38,7 @@ __all__ = [
     "disorder_ensemble", "effective_hamiltonian", "efficiency",
     "generate_tree", "initial_density_matrix", "integrated_state",
     "larmor_frequency", "leaf_initial_state", "load_fmo_model", "load_system",
-    "loss_probability", "master_equation_rhs", "optimal_dephasing",
+    "loss_probability", "optimal_dephasing",
     "propagate", "run_sweep", "save_system", "to_transport_system",
     "transfer_time", "transport_result", "trap_dephasing_surface",
 ]

@@ -12,24 +12,27 @@ A_m are projectors, the dephasing dissipator reduces to
 
 which leaves populations untouched and damps every coherence at gamma_phi.
 
-Both computational routes write the equation as vec(drho/dt) = L vec(rho)
-with a column-stacked Liouvillian and are exact up to linear-algebra
-roundoff. build_liouvillian() returns L as a plain ndarray. propagate()
-samples rho(t) = expm(L t) rho0 by stepping the matrix exponential between
-sample times up to a finite, positive horizon. It computes one exponential
-per distinct step size and reuses it from a small cache keyed by the exact
-step, so evenly spaced samples cost at most ~20 exponentials whatever
-their count, with states bit for bit those of one exponential per step.
+The right-hand side L rho maps Hermitian matrices to Hermitian ones, and
+every initial state here is exactly Hermitian (any other raises
+ConfigurationError), so L is written once, by build_liouvillian(), as a
+real N^2 x N^2 matrix on the orthonormal real coordinates
+
+    y = (X_mm, sqrt2 Re X_jk, sqrt2 Im X_jk for j < k)
+
+of a Hermitian X, which coordinates() and from_coordinates() convert.
+Both computational routes are exact up to linear-algebra roundoff.
+propagate() samples y(t) = expm(L t) y0 by stepping the matrix exponential
+between sample times up to a finite, positive horizon. It computes one
+exponential per distinct step size and reuses it from a small cache keyed
+by the exact step, so evenly spaced samples cost at most ~20 exponentials
+whatever their count, with states bit for bit those of one exponential per
+step.
 MomentSolver, the one place that solves for S1 = int_0^inf rho dt and
 S2 = int_0^inf t rho dt, never touches time at all: it solves
 L S1 = -rho0 and L S2 = -S1 at any dephasing rate, so integrated_state()
 reuses one solver per (H_eff, rho0) across the rates of a sweep. Systems
-of fewer than 9 sites get a dense real LU of L: L maps Hermitian matrices
-to Hermitian ones, so it is written once as a real N^2 x N^2 matrix in the
-orthonormal coordinates y = (X_mm, sqrt2 Re X_jk, sqrt2 Im X_jk, j < k),
-and the moments of rho0 come out exactly Hermitian. MomentSolver takes
-only an exactly Hermitian rho0, as every state the package builds is;
-propagate() takes any.
+of fewer than 9 sites get a dense real LU of build_liouvillian's matrix,
+and the moments of rho0 come out exactly Hermitian.
 Larger systems get an eigenbasis route: H_eff is diagonalized once, the
 coherent part of L is inverted elementwise in that basis, and the rank-N
 dephasing term costs one N x N capacitance solve (Woodbury), followed by
@@ -43,15 +46,11 @@ eigenbasis route in stacks of bounded size, with the same numbers bit
 for bit as one first_moment() per rate.
 The test suite checks both against the independent DOP853 and eigenbasis
 oracles in tests/oracles.py.
-
-vec() convention: columns are stacked, so vec(rho)[col * N + row] =
-rho[row, col] and vec(A rho B) = (B^T kron A) vec(rho). Mixing this up
-transposes the Liouvillian, so it is asserted by a property test against
-master_equation_rhs.
 """
 
 import copy
 import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -62,70 +61,102 @@ from .errors import ConfigurationError, NonConvergentIntegralError
 from .model import effective_hamiltonian
 
 
-def _vec(mat):
-    """Column-stacked vectorization."""
-    return mat.flatten(order="F")
-
-
-def _unvec(v, n):
-    return v.reshape((n, n), order="F")
-
-
 def _initial_state(rho0, n):
-    """rho0 as a complex N x N array; another shape raises ConfigurationError,
-    as does a non-finite entry."""
+    """rho0 as a complex N x N array. Another shape, a non-finite entry or
+    a matrix that is not exactly Hermitian raises ConfigurationError."""
     rho = np.asarray(rho0, dtype=complex)
     if rho.shape != (n, n):
         raise ConfigurationError(
             "initial state has shape %s, system has %d sites" % (rho.shape, n))
     if not np.all(np.isfinite(rho)):
         raise ConfigurationError("initial state has non-finite entries")
+    if not np.array_equal(rho, rho.conj().T):
+        raise ConfigurationError(
+            "initial state is not exactly Hermitian; pass (rho + rho^dag) / 2")
     return rho
 
 
-def master_equation_rhs(sys, rho):
-    """Right-hand side drho/dt (ps^-1) for a density matrix rho.
+@functools.lru_cache(maxsize=8)
+def _hermitian_coordinates(n):
+    """The upper-triangle indices (j, k), j < k, of N x N matrices, and
+    for each entry of X in flat C order the (N^2, 2) tables index and
+    weight: entry (r, c) of X is w0 y[i0] + i w1 y[i1], with
+    (w0, w1) = (1, 0) on the diagonal and (1/sqrt2, +-1/sqrt2) above and
+    below it. Read-only, as the arrays are shared by every caller of N
+    sites."""
+    j, k = upper = np.triu_indices(n, 1)
+    u = np.arange(len(j))
+    m = np.arange(n)
+    index = np.empty((n, n, 2), dtype=np.intp)
+    weight = np.empty((n, n, 2))
+    index[m, m] = m[:, None]
+    index[j, k, 0] = index[k, j, 0] = n + u
+    index[j, k, 1] = index[k, j, 1] = n + len(u) + u
+    weight[m, m] = 1.0, 0.0
+    weight[j, k] = weight[k, j] = np.sqrt(0.5)
+    weight[k, j, 1] = -np.sqrt(0.5)
+    tables = (j, k, index.reshape(-1, 2), weight.reshape(-1, 2))
+    for a in tables:
+        a.setflags(write=False)
+    return (upper,) + tables[2:]
 
-    Written so exact Hermiticity of the result is preserved when rho is
-    Hermitian: -i(M - M^dag) with M = H_eff rho is manifestly
-    anti-symmetrized.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    n = sys.n_sites
-    if rho.shape != (n, n):
-        raise ConfigurationError(
-            "density matrix has shape %s, system has %d sites" % (rho.shape, n))
-    M = effective_hamiltonian(sys) @ rho
-    out = -1j * (M - M.conj().T)
-    gamma_phi = sys.dephasing_rate
-    if gamma_phi != 0.0:
-        out -= gamma_phi * rho
-        d = np.einsum("ii->i", out)
-        d += gamma_phi * np.einsum("ii->i", rho)
-    return out
+
+def coordinates(x):
+    """y for the Hermitian N x N matrix x; only its upper triangle and the
+    real part of its diagonal are read."""
+    up = x[_hermitian_coordinates(len(x))[0]]
+    return np.concatenate([x.diagonal().real, np.sqrt(2.0) * up.real,
+                           np.sqrt(2.0) * up.imag])
 
 
-def _dephasing_diagonal(n):
-    """Diagonal of the dephasing superoperator sum_m E_mm kron E_mm - I.
-
-    It is -1 on coherence indices and 0 on population indices, so the full
-    dephasing contribution to L is gamma_phi times this diagonal.
-    """
-    d = -np.ones(n * n)
-    d[(n + 1) * np.arange(n)] = 0.0
-    return d
+def from_coordinates(y):
+    """The Hermitian matrix X(y), or the stack of them for a stack of
+    coordinate vectors along the last axis of y."""
+    n = math.isqrt(y.shape[-1])
+    _, index, weight = _hermitian_coordinates(n)
+    # Each (real, imaginary) pair of x is one complex entry of X.
+    x = y.take(index, axis=-1)
+    x *= weight
+    return x.view(complex).reshape(*y.shape[:-1], n, n)
 
 
 def build_liouvillian(sys):
-    """The dense N^2 x N^2 Liouvillian L of a system, an ndarray with
-    vec(drho/dt) = L vec(rho)."""
+    """The dense Liouvillian of a system: the real N^2 x N^2 matrix L,
+    Fortran-ordered, with coordinates(drho/dt) = L coordinates(rho).
+
+    The coordinates are orthonormal in the real inner product
+    Re tr(A^dag B), so the coherent part is M = T^dag L0 T, where column q
+    of T is basis matrix q, flattened. For Hermitian X, L0 X = Z + Z^dag
+    with Z = -i H_eff X, and the coordinates of Z + Z^dag are
+    2 Re(T^dag Z), so M = 2 Re(T^dag (-i H_eff acting on X) T). That
+    product has 4 N^3 nonzero terms, which are summed by index into the
+    dense real matrix, never forming T or a complex N^2 x N^2 matrix.
+    Dephasing adds -gamma_phi on each coherence coordinate and nothing on
+    a population one.
+    """
     heff = effective_hamiltonian(sys)
-    eye = np.eye(sys.n_sites)
-    L = -1j * (np.kron(eye, heff) - np.kron(heff.conj(), eye))
-    if sys.dephasing_rate != 0.0:
-        idx = np.arange(sys.n_sites * sys.n_sites)
-        L[idx, idx] += sys.dephasing_rate * _dephasing_diagonal(sys.n_sites)
-    return L
+    n, nn = sys.n_sites, sys.n_sites * sys.n_sites
+    _, index, weight = _hermitian_coordinates(n)
+    (re, im), (alpha, beta) = index.T, weight.T
+    # Term (r2, r, c): -i H[r2, r] carries entry (r, c) of X to entry
+    # (r2, c) of -i H X; 2 Re of its four coordinate pairs goes to M.
+    r2, r, c = np.indices((n, n, n)).reshape(3, -1)
+    dst, src = r2 * n + c, r * n + c
+    h = heff[r2, r]
+    a_dst, b_dst = alpha[dst], beta[dst]
+    a_src, b_src = alpha[src], beta[src]
+    re_dst, im_dst = re[dst], im[dst]
+    re_src, im_src = re[src], im[src]
+    # Indexed column-major, so the reshaped sum is M in Fortran order.
+    index = np.concatenate([re_src * nn + re_dst, im_src * nn + re_dst,
+                            re_src * nn + im_dst, im_src * nn + im_dst])
+    terms = 2.0 * np.concatenate([a_dst * a_src * h.imag,
+                                  a_dst * b_src * h.real,
+                                  -b_dst * a_src * h.real,
+                                  b_dst * b_src * h.imag])
+    matrix = np.bincount(index, terms, minlength=nn * nn).reshape(nn, nn).T
+    np.einsum("ii->i", matrix)[n:] -= sys.dephasing_rate
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +214,12 @@ def propagate(sys, rho0, t_final, sample_times=None):
     """Evolve rho0 from t=0 to t_final and return the sampled trajectory.
 
     The generator is time independent, so each sample is exact up to
-    roundoff: y(t + dt) = expm(G dt) y(t) on y = (vec rho, loss_integral),
-    where G is the Liouvillian bordered by one row that accumulates the
-    bleed rate 2 Gamma Tr rho + 2 sum_m kappa_m rho_mm. That row is built
-    from Gamma and kappa directly, not from H_eff, so the balance
+    roundoff: y(t + dt) = expm(G dt) y(t) on
+    y = (coordinates(rho), loss_integral), where G is build_liouvillian's
+    matrix bordered by one row that accumulates the bleed rate
+    2 Gamma Tr rho + 2 sum_m kappa_m rho_mm from the population
+    coordinates. That row is built from Gamma and kappa directly, not from
+    H_eff, so the balance
     trace(rho(t)) + loss_integral(t) = trace(rho0) remains a check on
     the Liouvillian rather than holding by construction.
 
@@ -200,7 +233,8 @@ def propagate(sys, rho0, t_final, sample_times=None):
 
     sample_times selects the output grid (finite values in [0, t_final];
     0 is always included, duplicates are dropped). When omitted, the
-    endpoints 0 and t_final are returned.
+    endpoints 0 and t_final are returned. The t = 0 state is rho0 itself,
+    which must be exactly Hermitian.
     """
     t_final = float(t_final)
     if not (np.isfinite(t_final) and t_final > 0.0):
@@ -221,20 +255,20 @@ def propagate(sys, rho0, t_final, sample_times=None):
             samples = np.concatenate([[0.0], samples])
 
     nn = n * n
-    gen = np.zeros((nn + 1, nn + 1), dtype=complex)
+    gen = np.zeros((nn + 1, nn + 1))
     gen[:nn, :nn] = build_liouvillian(sys)
-    gen[nn, (n + 1) * np.arange(n)] = 2.0 * (sys.recomb_rate + sys.trap_rates)
+    gen[nn, :n] = 2.0 * (sys.recomb_rate + sys.trap_rates)
 
-    ys = np.zeros((samples.size, nn + 1), dtype=complex)
-    ys[0, :nn] = _vec(rho)
+    ys = np.zeros((samples.size, nn + 1))
+    ys[0, :nn] = coordinates(rho)
     step = functools.lru_cache(maxsize=8)(lambda dt: expm(gen * dt))
     for i, dt in enumerate(np.diff(samples)):
         ys[i + 1] = step(dt) @ ys[i]
 
-    # Column-major reshape undoes the column stacking of each row, as _unvec.
-    states = ys[:, :nn].reshape((samples.size, n, n), order="F")
-    return Trajectory(times=samples, states=states,
-                      loss_integral=ys[:, nn].real)
+    states = from_coordinates(ys[:, :nn])
+    # The round trip through the coordinates is exact only to roundoff.
+    states[0] = rho
+    return Trajectory(times=samples, states=states, loss_integral=ys[:, nn])
 
 
 HORIZON_CAP_PS = 1000.0
@@ -294,98 +328,29 @@ _STACK_BYTES = 2 ** 19
 _MEMO_ENTRIES = 64
 
 
-@functools.lru_cache(maxsize=8)
-def _hermitian_coordinates(n):
-    """For the real coordinates of N x N Hermitian matrices (see
-    _RealLiouvillian): the upper-triangle indices (j, k), j < k, and for
-    each entry of X in flat C order the indices re, im of the coordinates
-    it is built from and their weights alpha, beta. Read-only, as the
-    arrays are shared by every solver of N sites."""
-    j, k = upper = np.triu_indices(n, 1)
-    u = np.arange(len(j))
-    m = np.arange(n)
-    re, im = np.empty((2, n, n), dtype=np.intp)
-    alpha, beta = np.empty((2, n, n))
-    re[m, m] = im[m, m] = m
-    re[j, k] = re[k, j] = n + u
-    im[j, k] = im[k, j] = n + len(u) + u
-    alpha[m, m], beta[m, m] = 1.0, 0.0
-    alpha[j, k] = alpha[k, j] = beta[j, k] = np.sqrt(0.5)
-    beta[k, j] = -np.sqrt(0.5)
-    tables = (j, k, re.ravel(), im.ravel(), alpha.ravel(), beta.ravel())
-    for a in tables:
-        a.setflags(write=False)
-    return (upper,) + tables[2:]
+class _DenseRoute:
+    """The dense moment route: build_liouvillian's coherent matrix M,
+    built on the first factor() call, and one real LU per rate.
+    Dephasing adds -gamma on each coherence coordinate and nothing on a
+    population one, so each rate copies M, shifts its diagonal and
+    factors it."""
 
-
-class _RealLiouvillian:
-    """L(gamma) in orthonormal real coordinates of Hermitian matrices, with
-    one real LU per rate.
-
-    L maps Hermitian matrices to Hermitian ones, so it acts on the N^2 real
-    coordinates y = (X_mm, sqrt2 Re X_jk, sqrt2 Im X_jk for j < k), an
-    orthonormal basis in the real inner product Re tr(A^dag B). Entry
-    (r, c) of X is alpha y[re] + i beta y[im]: alpha = 1, beta = 0 on the
-    diagonal, alpha = 1/sqrt2 and beta = +-1/sqrt2 above and below it. In
-    these coordinates the coherent part is M = T^dag L0 T, where column q
-    of T is vec of basis matrix q. For Hermitian X, L0 X = Z + Z^dag with
-    Z = -i H_eff X, and the coordinates of Z + Z^dag are 2 Re(T^dag vec Z),
-    so M = 2 Re(T^dag (I kron -i H_eff) T). That product has 4 N^3
-    nonzero terms, which build() sums by index into the dense real matrix
-    once, never forming T or a complex N^2 x N^2 matrix. Dephasing adds
-    -gamma on each coherence coordinate and nothing on a population one,
-    so each rate copies M, shifts its diagonal and factors it.
-    """
-
-    def __init__(self, heff):
-        self._heff = heff
-        self._n = heff.shape[0]
-        (self._upper, self._re, self._im, self._alpha,
-         self._beta) = _hermitian_coordinates(self._n)
+    def __init__(self, sys):
+        self._coherent = sys.with_dephasing(0.0)
         self._matrix = None
 
-    def coordinates(self, x):
-        """y for the Hermitian N x N matrix x; only its upper triangle and
-        the real part of its diagonal are read."""
-        up = x[self._upper]
-        return np.concatenate([x.diagonal().real, np.sqrt(2.0) * up.real,
-                               np.sqrt(2.0) * up.imag])
-
-    def from_coordinates(self, y):
-        """The Hermitian matrix X(y)."""
-        x = np.empty(self._n * self._n, dtype=complex)
-        x.real = self._alpha * y[self._re]
-        x.imag = self._beta * y[self._im]
-        return x.reshape(self._n, self._n)
-
     def build(self):
-        """Build M, Fortran-ordered, and the off-diagonal part of each of
-        its column 1-norms (gamma moves only the diagonal), or refuse a
-        system above _DENSE_MAX_BYTES."""
-        n, nn = self._n, self._n * self._n
-        nbytes = 16 * nn * nn
+        """Build M and the off-diagonal part of each of its column 1-norms
+        (gamma moves only the diagonal), or refuse a system above
+        _DENSE_MAX_BYTES."""
+        n = self._coherent.n_sites
+        nbytes = 16 * n ** 4
         if nbytes > _DENSE_MAX_BYTES:
             raise NonConvergentIntegralError(
                 "the eigenbasis route does not apply and the dense "
                 "Liouvillian of %d sites would take %.2f GiB, above the "
                 "1 GiB limit of the dense fallback" % (n, nbytes / 2 ** 30))
-        # Term (r2, r, c): -i H[r2, r] carries entry (r, c) of X to entry
-        # (r2, c) of -i H X; 2 Re of its four coordinate pairs goes to M.
-        r2, r, c = np.indices((n, n, n)).reshape(3, -1)
-        dst, src = r2 * n + c, r * n + c
-        h = self._heff[r2, r]
-        a_dst, b_dst = self._alpha[dst], self._beta[dst]
-        a_src, b_src = self._alpha[src], self._beta[src]
-        re_dst, im_dst = self._re[dst], self._im[dst]
-        re_src, im_src = self._re[src], self._im[src]
-        # Indexed column-major, so the reshaped sum is M in Fortran order.
-        index = np.concatenate([re_src * nn + re_dst, im_src * nn + re_dst,
-                                re_src * nn + im_dst, im_src * nn + im_dst])
-        terms = 2.0 * np.concatenate([a_dst * a_src * h.imag,
-                                      a_dst * b_src * h.real,
-                                      -b_dst * a_src * h.real,
-                                      b_dst * b_src * h.imag])
-        matrix = np.bincount(index, terms, minlength=nn * nn).reshape(nn, nn).T
+        matrix = build_liouvillian(self._coherent)
         offdiag = np.abs(matrix)
         np.einsum("ii->i", offdiag)[:] = 0.0
         self._offdiag_colsum = offdiag.sum(axis=0)
@@ -399,7 +364,7 @@ class _RealLiouvillian:
             self.build()
         mat = self._matrix.copy(order="F")
         diag = np.einsum("ii->i", mat)
-        diag[self._n:] -= gamma
+        diag[self._coherent.n_sites:] -= gamma
         anorm = (self._offdiag_colsum + np.abs(diag)).max()
         lu, piv, info = _DGETRF(mat, overwrite_a=True)
         rcond = 0.0
@@ -451,14 +416,6 @@ class _Eigenbasis:
         self._w_h = self._w.conj().T
         self._rinv0 = -1j * (lam[:, None] - lam.conj()[None, :])
         self._diag = np.diag_indices(len(lam))
-        # For the pairs u = (j, k) with j <= k, in np.triu_indices order:
-        # x_real[m, 2u:2u+2] = (Re, Im) of c_u conj(S_mj) S_mk, with c_u = 1
-        # on the diagonal and 2 above it, and z_t[n, u] = W_jn conj(W_kn).
-        j, k = self._upper = np.triu_indices(len(lam))
-        x = np.ascontiguousarray(s[:, j].conj() * s[:, k])
-        x[:, j != k] *= 2.0
-        self._x_real = x.view(float)
-        self._z_t = np.ascontiguousarray((self._w[j] * self._w[k].conj()).T)
         # factor() results by the bytes of their rates, oldest first.
         self._memo = {}
 
@@ -522,11 +479,25 @@ class _Eigenbasis:
             caps = [cap for cap in caps if cap is not None]
         return ok, (gammas, r, caps)
 
+    @functools.cached_property
+    def _pair_products(self):
+        """(upper, x_real, z_t) for the pairs u = (j, k) with j <= k, in
+        np.triu_indices order: x_real[m, 2u:2u+2] = (Re, Im) of
+        c_u conj(S_mj) S_mk, with c_u = 1 on the diagonal and 2 above it,
+        and z_t[n, u] = W_jn conj(W_kn). Built by the first capacitance()
+        call, so a solver that only solves gamma = 0 never holds them."""
+        j, k = upper = np.triu_indices(len(self._s))
+        x = np.ascontiguousarray(self._s[:, j].conj() * self._s[:, k])
+        x[:, j != k] *= 2.0
+        z_t = np.ascontiguousarray((self._w[j] * self._w[k].conj()).T)
+        return upper, x.view(float), z_t
+
     def capacitance(self, r):
         """The real (K, N, N) stack of G = E^T A^-1 E for a stack of R."""
-        b_t = np.multiply(self._z_t, r[:, self._upper[0], self._upper[1]]
-                          [:, None, :], order="C")
-        return self._x_real @ b_t.view(float).transpose(0, 2, 1)
+        upper, x_real, z_t = self._pair_products
+        b_t = np.multiply(z_t, r[:, upper[0], upper[1]][:, None, :],
+                          order="C")
+        return x_real @ b_t.view(float).transpose(0, 2, 1)
 
     def _apply_inverse(self, factors, b_tilde):
         gammas, r, caps = factors
@@ -542,8 +513,9 @@ class _Eigenbasis:
     def solve(self, factors, b, b_tilde=None):
         """The stack x with L(gamma) x = b for the factored rates, refined
         once against the exact operator
-        -i(H_eff x - x H_eff^dag) + gamma (diag x - x). That operator, not
-        master_equation_rhs, because x need not be Hermitian to roundoff.
+        -i(H_eff x - x H_eff^dag) + gamma (diag x - x), written out for
+        complex x rather than through build_liouvillian, because x need
+        not be Hermitian to roundoff.
         b is one N x N matrix or a stack of one per rate, and b_tilde its
         to_eigenbasis() when the caller already has it."""
         if b_tilde is None:
@@ -563,17 +535,17 @@ class MomentSolver:
     S2 = int t rho dt, for one (H_eff, rho0) at any dephasing rate. A rho0
     not exactly Hermitian raises ConfigurationError.
 
-    S1 solves L vec(S1) = -vec(rho0); S2 solves L vec(S2) = -vec(S1)
+    S1 solves L S1 = -rho0; S2 solves L S2 = -S1
     (integration by parts moves the factor of t into a second solve).
     solver(gamma_phi) returns (S1, S2); solver.first_moment(gamma_phi)
     returns S1 alone, and solver.first_moments(gammas) the (K, N, N) stack
     of S1 over an array of K rates.
 
     Two routes give the same numbers to roundoff:
-    - Dense: L is written in real orthonormal coordinates of Hermitian
-      matrices (see _RealLiouvillian). Dephasing only adds -gamma_phi on
-      the coherence coordinates, so the real N^2 x N^2 coherent part is
-      built once, on the first dense solve, and each rate takes one real
+    - Dense: L is build_liouvillian's real matrix on the coordinates of
+      Hermitian matrices. Dephasing only adds -gamma_phi on the coherence
+      coordinates, so the coherent part is built once, on the first dense
+      solve (see _DenseRoute), and each rate takes one real
       LU factorization and one single right-hand-side solve per moment,
       and S1 and S2 come out exactly Hermitian. A condition estimate
       above 1e12, or an exact zero
@@ -595,10 +567,11 @@ class MomentSolver:
 
     first_moments takes the eigenbasis route for its rates in stacks:
     W(-rho0)W^dag and the pair products of S and W behind the capacitance
-    matrix are computed once, and every step that is not a LAPACK call on
-    one rate's capacitance matrix runs as one array operation over the
-    stack. A stack holds as many
-    rates as keep the capacitance product's B^T, its largest temporary at
+    matrix are computed once (the pair products by the first rate above
+    0, so a solver that only solves gamma = 0 never holds them), and every
+    step that is not a LAPACK call on one rate's capacitance matrix runs
+    as one array operation over the stack. A stack holds as many rates as
+    keep the capacitance product's B^T, its largest temporary at
     8 N^2 (N + 1) bytes per rate, within _STACK_BYTES: 18 rates for a
     15-site tree, 2 for a 31-site one and one from 32 sites up, so memory
     does not grow with the number of rates. Each rate keeps its own guards
@@ -614,16 +587,15 @@ class MomentSolver:
                 "no decay channel anywhere (all kappa_m = 0 and Gamma = 0): "
                 "int_0^inf rho dt diverges")
         self.n_sites = n
-        self._heff = effective_hamiltonian(sys)
-        self._eigen = (_Eigenbasis.of(self._heff)
+        self._eigen = (_Eigenbasis.of(effective_hamiltonian(sys))
                        if n >= _EIGENBASIS_MIN_SITES else None)
-        self._dense = _RealLiouvillian(self._heff)
+        self._dense = _DenseRoute(sys)
         self._set_initial_state(rho0)
 
     def with_initial_state(self, rho0):
         """A solver for the same system from another initial state. It
         shares this one's H_eff, eigenbasis, capacitance factorisations
-        and real Liouvillian, so a rate factored on the eigenbasis route by
+        and dense Liouvillian, so a rate factored on the eigenbasis route by
         either is factored once; each keeps its own right-hand sides,
         solves and counts."""
         other = copy.copy(self)
@@ -632,14 +604,10 @@ class MomentSolver:
 
     def _set_initial_state(self, rho0):
         rho0 = _initial_state(rho0, self.n_sites)
-        if not np.array_equal(rho0, rho0.conj().T):
-            raise ConfigurationError(
-                "initial state is not exactly Hermitian; pass (rho + "
-                "rho^dag) / 2")
         if self._eigen is not None:
             self._b0 = -rho0
             self._b0_tilde = self._eigen.to_eigenbasis(self._b0)
-        self._dense_rhs = self._dense.coordinates(-rho0)
+        self._dense_rhs = coordinates(-rho0)
         self._counts = {"eigenbasis": 0, "dense": 0}
 
     @property
@@ -710,7 +678,7 @@ class MomentSolver:
         moments = [_DGETRS(lu, piv, self._dense_rhs)[0]]
         if n_moments == 2:
             moments.append(_DGETRS(lu, piv, -moments[0])[0])
-        return tuple(self._dense.from_coordinates(y) for y in moments)
+        return tuple(from_coordinates(y) for y in moments)
 
 
 # One (key, MomentSolver) entry per thread; see integrated_state.

@@ -20,6 +20,7 @@ chromophore numbering; internal arrays are 0-based.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,15 @@ def as_integer(name, value):
         raise ConfigurationError("%s must be an integer, got %r"
                                  % (name, value))
     return int(value)
+
+
+def as_real(name, value):
+    """value as a float; a bool, or anything but a real number (a string
+    such as "1.5" among them), raises ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError("%s must be a real number, got %r"
+                                 % (name, value))
+    return float(value)
 
 
 def _readonly(a):

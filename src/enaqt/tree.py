@@ -46,7 +46,7 @@ import numpy as np
 
 from .dynamics import MomentSolver
 from .errors import ConfigurationError, SweepFailureError
-from .model import (InitialState, TransportSystem, as_integer,
+from .model import (InitialState, TransportSystem, as_integer, as_real,
                     initial_density_matrix)
 from .observables import efficiency
 from .sweep import (SweepPlan, derive_seed, run_sweep, run_task,
@@ -96,6 +96,8 @@ class TreeSpec:
     def __post_init__(self):
         for name in ("generation", "rng_seed"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        for name in ("coupling_cm1", "disorder_cm1"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if self.generation < 2:
             raise ConfigurationError("tree generation must be >= 2")
         if self.generation > MAX_GENERATION:
@@ -115,7 +117,8 @@ class TreeSpec:
         if self.recomb_rate_ps is None:
             object.__setattr__(self, "recomb_rate_ps", RECOMB_OVER_V * v_ang)
         for name in ("trap_rate_ps", "recomb_rate_ps"):
-            rate = getattr(self, name)
+            rate = as_real(name, getattr(self, name))
+            object.__setattr__(self, name, rate)
             if not (math.isfinite(rate) and rate >= 0.0):
                 raise ConfigurationError(
                     "%s must be finite and >= 0, got %r" % (name, rate))
@@ -384,6 +387,7 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
     FAILURE_THRESHOLD (5 %) of a kind's samples failing aborts the
     ensemble.
     """
+    n_samples = as_integer("n_samples", n_samples)
     if n_samples < 1:
         raise ConfigurationError("n_samples must be >= 1")
     kinds = tuple(kinds)

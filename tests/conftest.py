@@ -59,6 +59,22 @@ def solver_builds(monkeypatch):
     return builds
 
 
+@pytest.fixture
+def pair_product_builds(monkeypatch):
+    """Count the eigenbasis routes that build their capacitance pair
+    products: returns a list with one entry per build so far."""
+    builds = []
+    products = vars(dynamics._Eigenbasis)["_pair_products"]
+    real = products.func
+
+    def counting(eigen):
+        builds.append(eigen)
+        return real(eigen)
+
+    monkeypatch.setattr(products, "func", counting)
+    return builds
+
+
 @pytest.fixture(scope="session")
 def fmo_model():
     return load_fmo_model()

@@ -2,13 +2,13 @@
 
 Everything here restates the physics from scratch on purpose. The
 effective Hamiltonian is rebuilt directly from the system fields, the
-master equation right-hand side is written in its textbook form, and the
-infinite-horizon moments come either from a high-order adaptive ODE solver
-with the quadrature carried alongside the state (any dephasing rate) or
-from the exact eigendecomposition formula (coherent case only). The same
-ODE solver also samples finite-time trajectories. Nothing
-calls into enaqt.dynamics, so agreement between the two codebases is
-evidence rather than tautology.
+master equation right-hand side is written in its textbook form and as a
+complex column-stacked superoperator, and the infinite-horizon moments
+come either from a high-order adaptive ODE solver with the quadrature
+carried alongside the state (any dephasing rate) or from the exact
+eigendecomposition formula (coherent case only). The same ODE solver also
+samples finite-time trajectories. Nothing calls into enaqt.dynamics, so
+agreement between the two codebases is evidence rather than tautology.
 """
 
 import math
@@ -36,6 +36,19 @@ def reference_rhs(sys, rho):
     if g != 0.0:
         out = out + g * (np.diag(np.diag(rho)) - rho)
     return out
+
+
+def reference_liouvillian(sys):
+    """The complex N^2 x N^2 superoperator of reference_rhs on column-
+    stacked matrices: vec(drho/dt) = L vec(rho) with vec(rho)[c * N + r] =
+    rho[r, c], so vec(A rho B) = (B^T kron A) vec(rho). Unlike the
+    engine's real-coordinate Liouvillian, it acts on any complex rho."""
+    n = sys.n_sites
+    h = reference_heff(sys)
+    eye = np.eye(n)
+    liou = -1j * (np.kron(eye, h) - np.kron(h.conj(), eye))
+    liou -= np.diag(sys.dephasing_rate * (1.0 - eye).flatten(order="F"))
+    return liou
 
 
 def quadrature_integrals(sys, rho0, rtol=1e-11, atol=1e-13, trace_floor=1e-12,

@@ -7,65 +7,85 @@ import pytest
 from scipy.linalg import expm
 
 from enaqt import dynamics
-from enaqt.dynamics import (HORIZON_CAP_PS, MomentSolver, Trajectory, _unvec,
-                            _vec, build_liouvillian, default_horizon,
-                            integrated_state, master_equation_rhs, propagate)
+from enaqt.dynamics import (HORIZON_CAP_PS, MomentSolver, Trajectory,
+                            build_liouvillian, coordinates, default_horizon,
+                            from_coordinates, integrated_state, propagate)
 from enaqt.errors import ConfigurationError, NonConvergentIntegralError
-from enaqt.model import (TransportSystem, effective_hamiltonian,
+from enaqt.model import (InitialState, TransportSystem, effective_hamiltonian,
                          initial_density_matrix)
 from enaqt.tree import TreeSpec, generate_tree, leaf_initial_state
 from enaqt.units import CM1_TO_PS_ANGULAR
 
 from oracles import (eigen_integrals, quadrature_integrals,
                      quadrature_trajectory, random_density_matrix,
-                     random_transport_system, reference_rhs)
+                     random_transport_system, reference_liouvillian,
+                     reference_rhs)
+
+
+def _vec(rho):
+    """Column stacking, the convention of oracles.reference_liouvillian."""
+    return np.asarray(rho, dtype=complex).flatten(order="F")
+
+
+def _unvec(v, n):
+    return v.reshape((n, n), order="F")
 
 
 def test_rhs_matches_the_textbook_form():
+    """The oracles' column-stacked superoperator reproduces their textbook
+    right-hand side on arbitrary complex matrices, so the checks below
+    that take it as their reference cannot use a transposed one."""
     rng = np.random.default_rng(7)
     for _ in range(8):
         sys = random_transport_system(rng)
-        rho = random_density_matrix(rng, sys.n_sites)
-        got = master_equation_rhs(sys, rho)
-        want = reference_rhs(sys, rho)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        n = sys.n_sites
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        np.testing.assert_allclose(
+            _unvec(reference_liouvillian(sys) @ _vec(x), n),
+            reference_rhs(sys, x), rtol=0.0, atol=1e-13)
 
 
-def test_rhs_preserves_hermiticity_exactly():
+def test_coordinates_are_orthonormal_and_invert():
+    """The real inner product of two Hermitian matrices is the dot product
+    of their coordinates, and from_coordinates undoes coordinates, one
+    matrix or a stack of them."""
     rng = np.random.default_rng(8)
-    sys = random_transport_system(rng, n=4)
-    rho = random_density_matrix(rng, 4)
-    out = master_equation_rhs(sys, rho)
-    np.testing.assert_array_equal(out, out.conj().T)
-
-
-def test_rhs_rejects_mismatched_shapes():
-    rng = np.random.default_rng(9)
-    sys = random_transport_system(rng, n=3)
-    with pytest.raises(ConfigurationError):
-        master_equation_rhs(sys, np.eye(4))
+    a, b = (random_density_matrix(rng, 4) for _ in range(2))
+    ya, yb = coordinates(a), coordinates(b)
+    assert ya.dtype == float and ya.shape == (16,)
+    assert np.dot(ya, yb) == pytest.approx(np.trace(a.conj().T @ b).real,
+                                           rel=1e-14)
+    np.testing.assert_allclose(from_coordinates(ya), a, rtol=0.0, atol=1e-16)
+    np.testing.assert_allclose(from_coordinates(np.array([ya, yb])),
+                               [a, b], rtol=0.0, atol=1e-16)
 
 
 def test_liouvillian_reproduces_the_rhs_on_random_states():
-    """The column-stacked superoperator and the direct right-hand side are
-    two independent code paths; they must agree to roundoff."""
+    """build_liouvillian's real matrix, acting on the coordinates of a
+    state, and the oracles' textbook right-hand side are two independent
+    code paths; they must agree to roundoff."""
     rng = np.random.default_rng(10)
     for _ in range(5):
         sys = random_transport_system(rng)
         liou = build_liouvillian(sys)
+        assert liou.dtype == float and liou.shape == (sys.n_sites ** 2,) * 2
         for _ in range(4):
             rho = random_density_matrix(rng, sys.n_sites)
-            np.testing.assert_allclose(_unvec(liou @ _vec(rho), sys.n_sites),
-                                       master_equation_rhs(sys, rho),
+            np.testing.assert_allclose(from_coordinates(liou @ coordinates(rho)),
+                                       reference_rhs(sys, rho),
                                        rtol=0.0, atol=1e-12)
 
 
 def test_pure_dephasing_damps_coherences_and_keeps_populations():
+    """Without a Hamiltonian or decay, L is -gamma_phi on the coherence
+    coordinates and zero everywhere else."""
     sys = TransportSystem(n_sites=2, site_energies=[0.0, 0.0],
                           couplings=np.zeros((2, 2)), trap_rates=[0.0, 0.0],
                           recomb_rate=0.0, dephasing_rate=1.7)
+    liou = build_liouvillian(sys)
+    np.testing.assert_array_equal(liou, np.diag([0.0, 0.0, -1.7, -1.7]))
     rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
-    out = master_equation_rhs(sys, rho)
+    out = from_coordinates(liou @ coordinates(rho))
     np.testing.assert_allclose(np.diag(out), [0.0, 0.0], atol=1e-16)
     np.testing.assert_allclose(out[0, 1], -1.7 * rho[0, 1], rtol=1e-15)
 
@@ -74,7 +94,7 @@ def test_propagate_matches_the_matrix_exponential():
     rng = np.random.default_rng(11)
     sys = random_transport_system(rng, n=3)
     rho0 = random_density_matrix(rng, 3)
-    liou = build_liouvillian(sys)
+    liou = reference_liouvillian(sys)
     times = [0.0, 0.7, 1.9, 4.0]
     traj = propagate(sys, rho0, 4.0, sample_times=times)
     for i, t in enumerate(times):
@@ -85,12 +105,14 @@ def test_propagate_matches_the_matrix_exponential():
 
 
 def test_propagated_states_stay_hermitian_with_decreasing_trace():
+    """Every state is rebuilt from real coordinates, so it is Hermitian
+    exactly, not just to roundoff."""
     rng = np.random.default_rng(12)
     sys = random_transport_system(rng, n=4)
     rho0 = random_density_matrix(rng, 4)
     traj = propagate(sys, rho0, 5.0, sample_times=np.linspace(0.0, 5.0, 21))
     for state in traj.states:
-        np.testing.assert_allclose(state, state.conj().T, atol=1e-12)
+        np.testing.assert_array_equal(state, state.conj().T)
     tr = traj.trace()
     assert np.all(np.diff(tr) <= 1e-12)
     assert tr[0] == pytest.approx(1.0, abs=1e-14)
@@ -129,19 +151,21 @@ def test_reused_exponentials_equal_one_exponential_per_step():
 
     traj = propagate(sys, rho0, times[-1], sample_times=times)
 
-    # The Liouvillian bordered by the row that accumulates the bleed rate.
-    gen = np.zeros((10, 10), dtype=complex)
+    # The Liouvillian bordered by the row that accumulates the bleed rate
+    # from the population coordinates.
+    gen = np.zeros((10, 10))
     gen[:9, :9] = build_liouvillian(sys)
-    gen[9, [0, 4, 8]] = 2.0 * (sys.recomb_rate + sys.trap_rates)
-    y = np.concatenate([_vec(rho0.astype(complex)), [0.0]])
+    gen[9, :3] = 2.0 * (sys.recomb_rate + sys.trap_rates)
+    y = np.concatenate([coordinates(rho0), [0.0]])
     ys = [y]
     for dt in np.diff(times):
         y = expm(gen * dt) @ y
         ys.append(y)
     ys = np.array(ys)
-    np.testing.assert_array_equal(traj.states,
-                                  ys[:, :9].reshape((-1, 3, 3), order="F"))
-    np.testing.assert_array_equal(traj.loss_integral, ys[:, 9].real)
+    np.testing.assert_array_equal(traj.states[0], rho0)
+    np.testing.assert_array_equal(traj.states[1:],
+                                  from_coordinates(ys[1:, :9]))
+    np.testing.assert_array_equal(traj.loss_integral, ys[:, 9])
 
 
 def test_propagate_computes_one_exponential_per_distinct_step(expm_calls):
@@ -461,9 +485,10 @@ def test_integrated_state_is_safe_across_threads(monkeypatch):
 
 
 def _dense_moments(sys, rho0):
-    """S1 and S2 from a direct dense solve of build_liouvillian(sys)."""
+    """S1 and S2 from a direct dense solve of the oracles' complex
+    column-stacked Liouvillian."""
     n = sys.n_sites
-    liou = build_liouvillian(sys)
+    liou = reference_liouvillian(sys)
     s1 = np.linalg.solve(liou, -_vec(rho0))
     s2 = np.linalg.solve(liou, -s1)
     return _unvec(s1, n), _unvec(s2, n)
@@ -604,17 +629,41 @@ def test_moment_solver_rejects_a_non_finite_initial_state(case, bad):
 @pytest.mark.parametrize("case", ["random7", "gen4"])
 def test_moment_solver_rejects_a_non_hermitian_initial_state(case):
     """rho0 = |1><2| on the dense route (7 sites) and the eigenbasis route
-    (a 15-site tree), for a new solver and for another initial state of
-    one. Its Hermitian part is accepted, and propagate takes rho0 as is."""
+    (a 15-site tree), for a new solver, for another initial state of one
+    and for propagate, all with the same message. Its Hermitian part is
+    accepted by each."""
     sys, rho0 = _stacking_case(case)
     broken = np.zeros_like(rho0)
     broken[0, 1] = 1.0
-    with pytest.raises(ConfigurationError, match=r"\(rho \+ rho\^dag\) / 2"):
+    message = r"not exactly Hermitian; pass \(rho \+ rho\^dag\) / 2"
+    with pytest.raises(ConfigurationError, match=message):
         MomentSolver(sys, broken)
-    with pytest.raises(ConfigurationError, match="not exactly Hermitian"):
+    with pytest.raises(ConfigurationError, match=message):
         MomentSolver(sys, rho0).with_initial_state(broken)
-    MomentSolver(sys, (broken + broken.conj().T) / 2.0)
-    propagate(sys, broken, 1.0)
+    with pytest.raises(ConfigurationError, match=message):
+        propagate(sys, broken, 1.0)
+    hermitian = (broken + broken.conj().T) / 2.0
+    MomentSolver(sys, rho0).with_initial_state(hermitian)(0.7)
+    propagate(sys, hermitian, 1.0)
+
+
+@pytest.mark.parametrize("kind, sites", [("site", (3,)),
+                                         ("mixture", (1, 6)),
+                                         ("coherent", (1, 2, 6))])
+@pytest.mark.parametrize("n", [7, 15])
+def test_every_built_initial_state_passes_the_hermitian_check(kind, sites, n):
+    """Site, mixture and coherent states from initial_density_matrix are
+    exactly Hermitian, so propagate and both moment routes take them."""
+    rng = np.random.default_rng(90 + n)
+    sys = random_transport_system(rng, n=n)
+    rho0 = initial_density_matrix(InitialState(kind, sites), n)
+    np.testing.assert_array_equal(rho0, rho0.conj().T)
+    traj = propagate(sys, rho0, 0.5)
+    np.testing.assert_array_equal(traj.states[0], rho0)
+    solver = MomentSolver(sys, rho0)
+    solver.first_moment(0.7)
+    route = "eigenbasis" if n >= 9 else "dense"
+    assert solver.route_counts[route] == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
@@ -666,7 +715,7 @@ def test_first_moments_equal_a_loop_of_first_moment(case):
     for gamma, s1 in zip(STACKED_RATES, got):
         np.testing.assert_array_equal(s1, looped.first_moment(gamma))
     for k in (0, len(STACKED_RATES) - 1):
-        liou = build_liouvillian(sys.with_dephasing(STACKED_RATES[k]))
+        liou = reference_liouvillian(sys.with_dephasing(STACKED_RATES[k]))
         want = _unvec(np.linalg.solve(liou, -_vec(rho0)), sys.n_sites)
         assert _relative_gap(got[k], want) <= 1e-12
 
@@ -685,6 +734,21 @@ def test_first_moments_stack_gamma_zero_with_positive_rates(case):
     for gamma, s1 in zip(gammas, got):
         np.testing.assert_array_equal(s1, looped.first_moment(gamma))
     assert _relative_gap(got[1], eigen_integrals(sys, rho0)[0]) <= 1e-10
+
+
+def test_a_coherent_solver_never_builds_the_pair_products(
+        pair_product_builds):
+    """gamma = 0 needs no capacitance matrix, so a solver asked only for
+    it, one rate or a stack, builds none of the O(N^3) pair products
+    behind one. The first positive rate builds them, once."""
+    sys, rho0 = _stacking_case("gen5")
+    solver = MomentSolver(sys, rho0)
+    solver(0.0)
+    solver.first_moments([0.0, 0.0])
+    assert pair_product_builds == []
+    solver.first_moment(0.7)
+    solver.first_moments(STACKED_RATES)
+    assert pair_product_builds == [solver._eigen]
 
 
 @pytest.mark.parametrize("case", ["gen4", "gen5"])
@@ -720,27 +784,27 @@ def test_a_solver_for_another_initial_state_shares_the_factorisations(
 def test_a_dense_solver_for_another_initial_state_shares_the_liouvillian(
         monkeypatch):
     """On a 7-site tree, which takes the dense route, with_initial_state
-    reuses the real Liouvillian its sibling built, and its moments, from
-    its own right-hand side, are bit for bit those of a solver of its
-    own."""
+    reuses the coherent Liouvillian its sibling built, by one call of
+    build_liouvillian at gamma_phi = 0, and its moments, from its own
+    right-hand side, are bit for bit those of a solver of its own."""
     sys, rho0 = _stacking_case("gen3")
     other = np.diag(np.diag(rho0))
     builds = []
-    real = dynamics._RealLiouvillian.build
+    real = dynamics.build_liouvillian
 
-    def counting(self):
-        builds.append(self)
-        return real(self)
+    def counting(system):
+        builds.append(system.dephasing_rate)
+        return real(system)
 
-    monkeypatch.setattr(dynamics._RealLiouvillian, "build", counting)
+    monkeypatch.setattr(dynamics, "build_liouvillian", counting)
     first = MomentSolver(sys, rho0)
     second = first.with_initial_state(other)
     first.first_moments(STACKED_RATES)
     both = first(0.7)
-    assert len(builds) == 1
+    assert builds == [0.0]
     got = second.first_moments(STACKED_RATES)
     got_both = second(0.7)
-    assert len(builds) == 1
+    assert builds == [0.0]
     assert second.route_counts == {"eigenbasis": 0,
                                    "dense": len(STACKED_RATES) + 1}
     alone = MomentSolver(sys, other)
@@ -752,10 +816,10 @@ def test_a_dense_solver_for_another_initial_state_shares_the_liouvillian(
 
 def _dense_capacitance(sys, gamma):
     """E^T A^-1 E with A = L(0) - gamma I, from a dense solve of the
-    Liouvillian refined once against a long-double residual, so that its
-    own error stays near roundoff at cond(A) ~ 1e3."""
+    oracles' column-stacked Liouvillian refined once against a long-double
+    residual, so that its own error stays near roundoff at cond(A) ~ 1e3."""
     n = sys.n_sites
-    a = build_liouvillian(sys) - gamma * np.eye(n * n)
+    a = reference_liouvillian(sys) - gamma * np.eye(n * n)
     pops = (n + 1) * np.arange(n)
     e = np.zeros((n * n, n))
     e[pops, np.arange(n)] = 1.0

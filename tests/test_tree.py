@@ -53,6 +53,14 @@ def test_spec_validation_and_derived_rates():
     dict(generation=True),
     dict(rng_seed=1.5),
     dict(rng_seed=True),
+    dict(coupling_cm1="100"),
+    dict(coupling_cm1=None),
+    dict(coupling_cm1=True),
+    dict(disorder_cm1="10"),
+    dict(disorder_cm1=[10.0]),
+    dict(trap_rate_ps="1"),
+    dict(recomb_rate_ps="0.1"),
+    dict(recomb_rate_ps=1j),
 ])
 def test_spec_rejects_inputs_every_sample_would_fail_on(overrides):
     fields = dict(generation=3, coupling_cm1=100.0)
@@ -481,6 +489,9 @@ def test_ensemble_validation():
     spec = TreeSpec(generation=3, coupling_cm1=100.0)
     with pytest.raises(ConfigurationError):
         disorder_ensemble(spec, n_samples=0)
+    for bad in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ConfigurationError, match="n_samples"):
+            disorder_ensemble(spec, n_samples=bad)
     with pytest.raises(ConfigurationError):
         disorder_ensemble(spec, kinds=("thermal",))
     with pytest.raises(ConfigurationError):
@@ -489,6 +500,17 @@ def test_ensemble_validation():
         disorder_ensemble(spec, kinds=("mixture", "mixture"))
     with pytest.raises(ConfigurationError):
         disorder_ensemble(spec, delta_grid=[-0.5, 1.0])
+
+
+def test_a_both_kinds_search_builds_the_pair_products_once_per_tree(
+        pair_product_builds):
+    """The two kinds' solvers share one eigenbasis route per tree, so the
+    capacitance pair products are built once for each of the 4 trees."""
+    spec = TreeSpec(generation=4, coupling_cm1=100.0, rng_seed=3)
+    disorder_ensemble(spec, [0.5, 1.0], n_samples=2,
+                      kinds=("mixture", "coherent"))
+    assert len(pair_product_builds) == 4
+    assert len(set(map(id, pair_product_builds))) == 4
 
 
 def test_report_csv_layout():
