@@ -36,14 +36,14 @@ and the moments of rho0 come out exactly Hermitian.
 Larger systems get an eigenbasis route: H_eff is diagonalized once, the
 coherent part of L is inverted elementwise in that basis, and the rank-N
 dephasing term costs one N x N capacitance solve (Woodbury), followed by
-one step of iterative refinement. When the eigenvectors are ill-conditioned
-(cond(S) > 1e4, as near an exceptional point), a mode is dark or the
-capacitance system is ill-conditioned, that rate falls back to the dense
-solve, whose 1e12 conditioning guard then applies as for small
-systems; a fallback that would need more than 1 GiB is refused instead.
-MomentSolver.first_moments() solves S1 over an array of rates, on the
-eigenbasis route in stacks of bounded size, with the same numbers bit
-for bit as one first_moment() per rate.
+one step of iterative refinement. Both routes factor by one guarded real
+LU (_guarded_lu). When the eigenvectors are ill-conditioned (cond(S) >
+1e4, as near an exceptional point), a mode is dark or the capacitance
+system is ill-conditioned, that rate falls back to the dense solve, whose
+1e12 guard then raises as for small systems; a fallback that would need
+more than 1 GiB is refused instead. MomentSolver.first_moments() solves
+S1 over an array of rates, bit for bit as one first_moment() per rate,
+and keeps that scan's factorisations for solvers of other initial states.
 The test suite checks both against the independent DOP853 and eigenbasis
 oracles in tests/oracles.py.
 """
@@ -290,9 +290,7 @@ def default_horizon(sys):
 
 _COND_LIMIT = 1e12
 _GETRF, _GECON, _GETRS = get_lapack_funcs(("getrf", "gecon", "getrs"),
-                                          dtype=np.complex128)
-_DGETRF, _DGECON, _DGETRS = get_lapack_funcs(("getrf", "gecon", "getrs"),
-                                             dtype=np.float64)
+                                          dtype=np.float64)
 # Systems of at least this many sites take the eigenbasis route. Below it
 # the dense solve is the faster one and stays the only route: for FMO
 # (N = 7), building a solver and solving for both moments took 0.18 ms
@@ -320,15 +318,34 @@ _DENSE_MAX_BYTES = 2 ** 30
 # the last bit, so a larger stack would no longer match one solve per rate
 # (a stack of 40 rates at 31 sites does not).
 _STACK_BYTES = 2 ** 19
-# _Eigenbasis keeps this many factorisations: one tree search makes at
-# most 64 (gamma = 0 and the 40 grid rates in at most 41 stacks, and at
-# most tree.SEARCH_MAX_REFINE = 23 refinement steps), so a second initial
-# state of the same tree finds its gamma = 0 and grid factorisations
-# there. At 127 sites an entry takes about 0.5 MB.
-_MEMO_ENTRIES = 64
 
 
-class _DenseRoute:
+def _guarded_lu(a, anorm):
+    """(lu, cond): the condition estimate cond of the real matrix a of
+    1-norm anorm (inf at an exact zero pivot) and its LU (lu, piv), or
+    None when cond exceeds 1e12. Overwrites a Fortran-ordered a."""
+    lu, piv, info = _GETRF(a, overwrite_a=True)
+    rcond, info = _GECON(lu, anorm) if info == 0 else (0.0, info)
+    cond = 1.0 / rcond if info == 0 and rcond > 0.0 else math.inf
+    return ((lu, piv) if cond <= _COND_LIMIT else None), cond
+
+
+class _Route:
+    """scan(gammas) returns _factor_scan(gammas), the factorisations of an
+    array of rates, and keeps the last one, keyed by the exact rates."""
+
+    _scan = (None, None)
+
+    def scan(self, gammas):
+        key = gammas.tobytes()
+        if self._scan[0] != key:
+            # The old scan goes before the new one is factored.
+            self._scan = (None, None)
+            self._scan = (key, self._factor_scan(gammas))
+        return self._scan[1]
+
+
+class _DenseRoute(_Route):
     """The dense moment route: build_liouvillian's coherent matrix M,
     built on the first factor() call, and one real LU per rate.
     Dephasing adds -gamma on each coherence coordinate and nothing on a
@@ -365,24 +382,19 @@ class _DenseRoute:
         mat = self._matrix.copy(order="F")
         diag = np.einsum("ii->i", mat)
         diag[self._coherent.n_sites:] -= gamma
-        anorm = (self._offdiag_colsum + np.abs(diag)).max()
-        lu, piv, info = _DGETRF(mat, overwrite_a=True)
-        rcond = 0.0
-        if info == 0:
-            rcond, info = _DGECON(lu, anorm)
-            if info != 0:
-                raise NonConvergentIntegralError(
-                    "condition estimate failed (LAPACK info=%d)" % info)
-        if rcond == 0.0 or 1.0 / rcond > _COND_LIMIT:
+        lu, cond = _guarded_lu(mat, (self._offdiag_colsum + np.abs(diag)).max())
+        if lu is None:
             raise NonConvergentIntegralError(
                 "Liouvillian condition estimate %.3e exceeds 1e12: the "
                 "integrals do not converge reliably; likely cause is a site "
-                "(or subspace) with no reachable decay channel"
-                % (np.inf if rcond == 0.0 else 1.0 / rcond))
-        return lu, piv
+                "(or subspace) with no reachable decay channel" % cond)
+        return lu
+
+    def _factor_scan(self, gammas):
+        return [self.factor(gamma) for gamma in gammas]
 
 
-class _Eigenbasis:
+class _Eigenbasis(_Route):
     """Solves L(gamma) x = b in the eigenbasis of H_eff = S diag(lam) W,
     for a stack of rates at once.
 
@@ -416,8 +428,6 @@ class _Eigenbasis:
         self._w_h = self._w.conj().T
         self._rinv0 = -1j * (lam[:, None] - lam.conj()[None, :])
         self._diag = np.diag_indices(len(lam))
-        # factor() results by the bytes of their rates, oldest first.
-        self._memo = {}
 
     @classmethod
     def of(cls, heff):
@@ -441,43 +451,32 @@ class _Eigenbasis:
         the rates that pass every guard: R^-1 without a near-zero entry (a
         dark mode) and a well-conditioned capacitance matrix. factors holds
         those rates, their stacked R and their capacitance LUs, which at
-        gamma = 0 are the LU of the identity.
-
-        The last _MEMO_ENTRIES results are kept, keyed by the exact rates,
-        so every solver that shares this basis factors a rate (or a stack
-        of rates) once. Callers only read what is returned."""
-        key = gammas.tobytes()
-        if key not in self._memo:
-            if len(self._memo) == _MEMO_ENTRIES:
-                del self._memo[next(iter(self._memo))]
-            self._memo[key] = self._factor(gammas)
-        return self._memo[key]
-
-    def _factor(self, gammas):
+        gamma = 0 are the LU of the identity. Callers only read what is
+        returned."""
         rinv = self._rinv0 - gammas[:, None, None]
         mag = np.abs(rinv).reshape(len(gammas), -1)
         ok = mag.min(axis=1) * _COND_LIMIT >= mag.max(axis=1)
-        if not ok.all():
-            gammas, rinv = gammas[ok], rinv[ok]
-        r = 1.0 / rinv
+        gammas, r = gammas[ok], 1.0 / rinv[ok]
         # I + gamma G, the identity at gamma = 0: a stack of zeros skips G.
         stack = (gammas[:, None, None] * self.capacitance(r) if gammas.any()
                  else np.zeros(r.shape))
         stack[:, self._diag[0], self._diag[1]] += 1.0
         anorms = np.abs(stack).sum(axis=1).max(axis=1)
-        caps = []
-        for cap, anorm in zip(stack, anorms):
-            lu, piv, info = _GETRF(cap)
-            if info == 0:
-                rcond, info = _GECON(lu, anorm)
-            well_posed = info == 0 and rcond * _COND_LIMIT >= 1.0
-            caps.append((lu, piv) if well_posed else None)
-        kept = [cap is not None for cap in caps]
-        if not all(kept):
-            ok[ok] = kept
-            gammas, r = gammas[kept], r[kept]
-            caps = [cap for cap in caps if cap is not None]
-        return ok, (gammas, r, caps)
+        caps = [_guarded_lu(cap, anorm)[0] for cap, anorm in zip(stack, anorms)]
+        kept = np.array([cap is not None for cap in caps], dtype=bool)
+        ok[ok] = kept
+        return ok, (gammas[kept], r[kept], [c for c in caps if c is not None])
+
+    def _factor_scan(self, gammas):
+        """[(idx, ok, factors)] over stacks of consecutive rates, idx the
+        stack's indices into gammas."""
+        n = len(self._s)
+        per_stack = max(1, _STACK_BYTES // (8 * n * n * (n + 1)))
+        stacks = []
+        for start in range(0, gammas.size, per_stack):
+            idx = np.arange(start, min(start + per_stack, gammas.size))
+            stacks.append((idx, *self.factor(gammas[idx])))
+        return stacks
 
     @functools.cached_property
     def _pair_products(self):
@@ -505,8 +504,11 @@ class _Eigenbasis:
         diag_y = np.einsum("kij,ij->ki", self._s @ t, self._s_h.T)
         rhs = gammas[:, None] * diag_y
         z = np.empty_like(rhs)
+        # The LU is real, so the real and imaginary parts are solved in
+        # turn: OpenBLAS runs a two-column getrs on its threads.
         for k, (lu, piv) in enumerate(caps):
-            z[k] = _GETRS(lu, piv, rhs[k])[0]
+            z[k].real = _GETRS(lu, piv, rhs[k].real)[0]
+            z[k].imag = _GETRS(lu, piv, rhs[k].imag)[0]
         t -= r * ((self._w * z[:, None, :]) @ self._w_h)
         return self._s @ t @ self._s_h
 
@@ -545,17 +547,16 @@ class MomentSolver:
     - Dense: L is build_liouvillian's real matrix on the coordinates of
       Hermitian matrices. Dephasing only adds -gamma_phi on the coherence
       coordinates, so the coherent part is built once, on the first dense
-      solve (see _DenseRoute), and each rate takes one real
-      LU factorization and one single right-hand-side solve per moment,
-      and S1 and S2 come out exactly Hermitian. A condition estimate
-      above 1e12, or an exact zero
-      pivot, aborts with NonConvergentIntegralError: the integrals are
-      then dominated by a near-null mode, which means some population has
-      no decay channel to reach. Systems of fewer than 9 sites always
-      take this route.
+      solve (see _DenseRoute), and each rate takes one real LU
+      factorization and one single right-hand-side solve per moment, and
+      S1 and S2 come out exactly Hermitian. A condition estimate above
+      1e12, or an exact zero pivot, aborts with NonConvergentIntegralError:
+      the integrals are then dominated by a near-null mode, which means
+      some population has no decay channel to reach. Systems of fewer than
+      9 sites always take this route.
     - Eigenbasis (9 sites and up): H_eff is diagonalized once, and each
-      rate costs one N x N capacitance solve plus O(N^4) work (see
-      _Eigenbasis), with one step of iterative refinement.
+      rate costs one real N x N capacitance LU and solve plus O(N^4) work
+      (see _Eigenbasis), with one step of iterative refinement.
 
     The eigenbasis route falls back to the dense one, with its guard, when
     cond(S) of the eigenvectors exceeds 1e4 (every rate then goes dense),
@@ -570,14 +571,15 @@ class MomentSolver:
     matrix are computed once (the pair products by the first rate above
     0, so a solver that only solves gamma = 0 never holds them), and every
     step that is not a LAPACK call on one rate's capacitance matrix runs
-    as one array operation over the stack. A stack holds as many rates as
-    keep the capacitance product's B^T, its largest temporary at
-    8 N^2 (N + 1) bytes per rate, within _STACK_BYTES: 18 rates for a
-    15-site tree, 2 for a 31-site one and one from 32 sites up, so memory
-    does not grow with the number of rates. Each rate keeps its own guards
-    and, when one trips, its own dense fallback. The results equal a loop
-    of first_moment bit for bit. Every rate of a system that takes the
-    dense route is solved one at a time.
+    as one array operation over the stack, sized by _STACK_BYTES so that
+    memory does not grow with the number of rates. Each rate keeps its
+    own guards and, when one trips, its own dense fallback. The results
+    equal a loop of first_moment bit for bit. On the dense route every
+    rate is solved one at a time.
+
+    The last first_moments scan's factorisations stay on the routes, which
+    with_initial_state shares, so a sibling scanning the same rates factors
+    nothing. Single-rate solves are not kept, nor dense LUs from 9 sites up.
     """
 
     def __init__(self, sys, rho0):
@@ -594,10 +596,10 @@ class MomentSolver:
 
     def with_initial_state(self, rho0):
         """A solver for the same system from another initial state. It
-        shares this one's H_eff, eigenbasis, capacitance factorisations
-        and dense Liouvillian, so a rate factored on the eigenbasis route by
-        either is factored once; each keeps its own right-hand sides,
-        solves and counts."""
+        shares this one's routes: H_eff, eigenbasis and dense Liouvillian,
+        and the factorisations of the last first_moments scan, so a scan
+        of the same rates by either is factored once. Each keeps its own
+        right-hand sides, solves and counts."""
         other = copy.copy(self)
         other._set_initial_state(rho0)
         return other
@@ -638,14 +640,13 @@ class MomentSolver:
         n = self.n_sites
         out = np.empty((gammas.size, n, n), dtype=complex)
         if self._eigen is None:
-            for i, gamma in enumerate(gammas):
-                out[i] = self.first_moment(gamma)
+            lus = (self._dense.scan(gammas) if n < _EIGENBASIS_MIN_SITES
+                   else [None] * gammas.size)
+            for i, lu in enumerate(lus):
+                out[i] = self._dense_solve(float(gammas[i]), 1, lu)[0]
             return out
-        per_stack = max(1, _STACK_BYTES // (8 * n * n * (n + 1)))
-        for start in range(0, gammas.size, per_stack):
-            idx = np.arange(start, min(start + per_stack, gammas.size))
-            ok, (s1,) = self._eigen_solve(gammas[idx], 1)
-            out[idx[ok]] = s1
+        for idx, ok, factors in self._eigen.scan(gammas):
+            out[idx[ok]] = self._eigen_solve(factors, 1)[0]
             for i in idx[~ok]:
                 out[i] = self._dense_solve(float(gammas[i]), 1)[0]
         return out
@@ -656,28 +657,25 @@ class MomentSolver:
             raise ConfigurationError(
                 "dephasing rate must be finite and >= 0, got %r" % (gamma_phi,))
         if self._eigen is not None:
-            ok, moments = self._eigen_solve(np.array([gamma]), n_moments)
+            ok, factors = self._eigen.factor(np.array([gamma]))
             if ok[0]:
-                return tuple(m[0] for m in moments)
+                return tuple(m[0] for m in self._eigen_solve(factors, n_moments))
         return self._dense_solve(gamma, n_moments)
 
-    def _eigen_solve(self, gammas, n_moments):
-        """(ok, moments) by the eigenbasis route for the rates of gammas:
-        ok masks the rates that passed its guards, and each moment is the
-        stack over those rates."""
-        ok, factors = self._eigen.factor(gammas)
-        self._counts["eigenbasis"] += int(np.count_nonzero(ok))
+    def _eigen_solve(self, factors, n_moments):
+        """The moments, stacked over the rates factored in factors."""
+        self._counts["eigenbasis"] += len(factors[0])
         moments = [self._eigen.solve(factors, self._b0, self._b0_tilde)]
         if n_moments == 2:
             moments.append(self._eigen.solve(factors, -moments[0]))
-        return ok, moments
+        return moments
 
-    def _dense_solve(self, gamma, n_moments):
+    def _dense_solve(self, gamma, n_moments, lu=None):
         self._counts["dense"] += 1
-        lu, piv = self._dense.factor(gamma)
-        moments = [_DGETRS(lu, piv, self._dense_rhs)[0]]
+        lu, piv = self._dense.factor(gamma) if lu is None else lu
+        moments = [_GETRS(lu, piv, self._dense_rhs)[0]]
         if n_moments == 2:
-            moments.append(_DGETRS(lu, piv, -moments[0])[0])
+            moments.append(_GETRS(lu, piv, -moments[0])[0])
         return tuple(from_coordinates(y) for y in moments)
 
 

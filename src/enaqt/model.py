@@ -47,8 +47,12 @@ def as_real(name, value):
     return float(value)
 
 
-def _readonly(a):
-    a = np.array(a, dtype=float)
+def _real_array(name, value):
+    """value as a read-only float array, each entry taken by as_real, so a
+    bool, a string or a ragged nesting raises ConfigurationError."""
+    entries = np.array(value, dtype=object)
+    a = np.array([as_real(name + " entry", v)
+                  for v in entries.flat]).reshape(entries.shape)
     a.setflags(write=False)
     return a
 
@@ -78,15 +82,11 @@ class TransportSystem:
         n = as_integer("n_sites", self.n_sites)
         if n < 1:
             raise ConfigurationError("n_sites must be >= 1, got %d" % n)
-        try:
-            eps = _readonly(self.site_energies)
-            V = _readonly(self.couplings)
-            kap = _readonly(self.trap_rates)
-            gam = float(self.recomb_rate)
-            dep = float(self.dephasing_rate)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                "system arrays and rates must be real numbers: %s" % exc) from exc
+        eps = _real_array("site_energies", self.site_energies)
+        V = _real_array("couplings", self.couplings)
+        kap = _real_array("trap_rates", self.trap_rates)
+        gam = as_real("recomb_rate", self.recomb_rate)
+        dep = as_real("dephasing_rate", self.dephasing_rate)
         for name, a, shape in (("site_energies", eps, (n,)),
                                ("couplings", V, (n, n)),
                                ("trap_rates", kap, (n,))):
@@ -117,7 +117,7 @@ class TransportSystem:
 
         Only the new rate is checked: the copy shares this system's arrays,
         which were validated when it was built and are read-only."""
-        dep = float(gamma_phi)
+        dep = as_real("dephasing_rate", gamma_phi)
         if not np.isfinite(dep) or dep < 0.0:
             raise ConfigurationError("dephasing_rate must be finite and >= 0")
         other = object.__new__(type(self))

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
+from .model import as_real
 from .units import BOLTZMANN_CM1_PER_K, cm1_to_angular
 
 
@@ -28,6 +29,8 @@ class OhmicBath:
     cutoff_cm1: float = 150.0
 
     def __post_init__(self):
+        for name in ("reorganization_energy_cm1", "cutoff_cm1"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if not 0.0 < self.reorganization_energy_cm1 < math.inf:
             raise ConfigurationError("reorganization energy must be > 0 and "
                                      "finite")
@@ -48,6 +51,7 @@ def dephasing_rate(bath, temperature_k):
 
     Returns the rate in cm^-1 together with its angular ps^-1 equivalent.
     """
+    temperature_k = as_real("temperature_k", temperature_k)
     if not 0.0 < temperature_k < math.inf:
         raise ConfigurationError("temperature must be > 0 K and finite")
     kt_cm1 = BOLTZMANN_CM1_PER_K * temperature_k

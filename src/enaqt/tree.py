@@ -13,16 +13,13 @@ coherent transport (gamma_phi = 0), and how efficient can dephasing make
 it (gamma_phi optimized per realization)? Disorder localizes the coherent
 dynamics, and dephasing recovers much of the loss, increasingly so the
 stronger the disorder. Both initial-state kinds see the same trees, so
-disorder_ensemble solves each tree once for every kind it is asked for:
-the tree is generated, H_eff diagonalized, and the gamma = 0 point and
-the 40 grid rates of the search factored once, and each kind's
-dynamics.MomentSolver (the second made by with_initial_state) shares
-those factorisations. Each kind keeps its own solver, solves, refinement
-steps and optimal_dephasing call, which searches with that solver, so its
-numbers are bit for bit those of a run for that kind alone. The solver
-finds S1 alone (trees of 9 sites and up take its eigenbasis route):
-gamma = 0 and the 40 grid rates as one stacked first_moments call, the
-refinement's rates one at a time.
+disorder_ensemble solves each tree once for every kind it is asked for.
+A search solves S1 for gamma = 0 and the 40 grid rates in one
+first_moments scan, then its refinement's rates one at a time. Each
+kind's dynamics.MomentSolver (the second made by with_initial_state)
+shares the tree's routes and the factorisations of that scan, so each
+kind factors only its own refinement rates, and its numbers are bit for
+bit those of a run for that kind alone.
 The refinement is a Brent search on log gamma seeded with the grid winner
 and its neighbors; over the 4000 searches of a 100-sample, 20-delta
 generation-4 ensemble for both kinds it took 5 evaluations at the median
@@ -71,11 +68,8 @@ FAILURE_THRESHOLD = 0.05
 # Dephasing search: SEARCH_GRID_POINTS log-spaced rates over SEARCH_SPAN
 # times V (the largest coupling, angular), plus the exact gamma_phi = 0
 # endpoint; a Brent search on log gamma, seeded with the grid winner and
-# its neighbors, then shrinks the bracket to SEARCH_REL_TOL in gamma. That
-# is 41 efficiency evaluations plus the refinement's, which take at most
-# SEARCH_MAX_REFINE: 1 + 40 + 23 fills dynamics._MEMO_ENTRIES (64), so a
-# second initial state of the same tree still finds its gamma = 0 and grid
-# factorisations there.
+# its neighbors, then shrinks the bracket to SEARCH_REL_TOL in gamma: 41
+# efficiency evaluations plus at most SEARCH_MAX_REFINE for the refinement.
 SEARCH_GRID_POINTS = 40
 SEARCH_SPAN = (1e-3, 1e3)
 SEARCH_REL_TOL = 1e-3
@@ -275,8 +269,8 @@ def optimal_dephasing(sys, solver):
     the grid, plus once per refinement step, of which there are at most
     SEARCH_MAX_REFINE (about 5 for most trees). solver is the
     MomentSolver of sys and the initial state to search from:
-    disorder_ensemble passes one per initial-state kind, all sharing one
-    tree's factorisations.
+    disorder_ensemble passes one per initial-state kind, all sharing the
+    factorisations of one tree's scan.
 
     Returns (gamma_star, eta_star, eta(0)).
     """
@@ -357,8 +351,8 @@ class DisorderEnsembleReport:
 def _solve_sample(task):
     """One TaskResult per kind for one tree, holding optimal_dephasing's
     (gamma*, eta*, eta(0)) or the error of that kind's search alone. The
-    kinds' solvers share the tree's eigenbasis and capacitance
-    factorisations (on the dense route, its Liouvillian)."""
+    kinds' solvers share the tree's eigenbasis (on the dense route, its
+    Liouvillian) and the factorisations of the search's scan."""
     spec, kinds = task
     sys = generate_tree(spec)
     solver = None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import TransportSystem
+from .model import TransportSystem, as_real
 from .units import cm1_to_angular
 
 
@@ -36,6 +36,8 @@ class TwoLevelParams:
     coupling_cm1: float
 
     def __post_init__(self):
+        for name in ("energy_mismatch_cm1", "coupling_cm1"):
+            object.__setattr__(self, name, as_real(name, getattr(self, name)))
         if not (math.isfinite(self.energy_mismatch_cm1)
                 and math.isfinite(self.coupling_cm1)):
             raise ConfigurationError("eps and V must be finite")

@@ -412,7 +412,11 @@ def test_propagate_rejects_a_bad_horizon_or_sample_count(tmp_path, capsys,
 
 @pytest.mark.parametrize("key, value", [("n_sites", "abc"), ("n_sites", 2.7),
                                         ("site_energies", "abc"),
-                                        ("couplings", [[0.0, 20.0], [20.0]])])
+                                        ("couplings", [[0.0, 20.0], [20.0]]),
+                                        ("recomb_rate", True),
+                                        ("recomb_rate", "0.001"),
+                                        ("trap_rates", [False, True]),
+                                        ("site_energies", ["50", "-50"])])
 def test_propagate_rejects_a_malformed_system_document(tmp_path, capsys, key,
                                                        value):
     path = dimer_file(tmp_path)
@@ -483,11 +487,20 @@ def test_parser_defaults_are_the_library_constants():
                                   tree.DEFAULT_DELTA_GRID)
 
 
-def test_module_entry_point_help():
+def test_module_entry_point_help(capsys):
+    """The top-level help, and each subcommand's, whose option help
+    strings argparse fills in (%(default)g among them) only when it
+    renders them."""
     proc = subprocess.run([sys.executable, "-m", "enaqt", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    assert "fmo-sweep" in proc.stdout
+    for command in ("fmo-sweep", "tree-ensemble", "two-level", "propagate",
+                    "temperature-to-rate"):
+        assert command in proc.stdout
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: enaqt " + command)
     version = subprocess.run([sys.executable, "-m", "enaqt", "--version"],
                              capture_output=True, text=True)
     assert version.returncode == 0

@@ -751,31 +751,37 @@ def test_a_coherent_solver_never_builds_the_pair_products(
     assert pair_product_builds == [solver._eigen]
 
 
-@pytest.mark.parametrize("case", ["gen4", "gen5"])
+@pytest.mark.parametrize("case", ["gen3", "gen4", "gen5"])
 def test_a_solver_for_another_initial_state_shares_the_factorisations(
-        case, monkeypatch):
-    """with_initial_state reuses every factorisation its sibling made,
-    and its moments are bit for bit those of a solver of its own."""
+        case, factored_rates):
+    """with_initial_state shares the factorisations of the last
+    first_moments scan, on the dense route (gen3) and the eigenbasis
+    route: a sibling's scan of the same rates factors nothing, made
+    before or after that scan. A single-rate solve is never shared, and a
+    scan of other rates replaces the shared one. Each solver's moments are
+    bit for bit those of a solver of its own."""
     sys, rho0 = _stacking_case(case)
     other = np.diag(np.diag(rho0))
-    factored = []
-    real = dynamics._Eigenbasis._factor
-
-    def counting(self, gammas):
-        factored.append(len(gammas))
-        return real(self, gammas)
-
-    monkeypatch.setattr(dynamics._Eigenbasis, "_factor", counting)
     first = MomentSolver(sys, rho0)
-    second = first.with_initial_state(other)
+    early = first.with_initial_state(other)
     first.first_moments(STACKED_RATES)
     first.first_moment(0.0)
-    made = len(factored)
-    got = second.first_moments(STACKED_RATES)
-    zero = second.first_moment(0.0)
-    assert len(factored) == made
-    assert second.route_counts == {"eigenbasis": len(STACKED_RATES) + 1,
-                                   "dense": 0}
+    assert factored_rates == [*STACKED_RATES, 0.0]
+    late = first.with_initial_state(rho0)
+    factored_rates.clear()
+    got = early.first_moments(STACKED_RATES)
+    np.testing.assert_array_equal(late.first_moments(STACKED_RATES),
+                                  first.first_moments(STACKED_RATES))
+    assert factored_rates == []
+    zero = early.first_moment(0.0)
+    assert factored_rates == [0.0]
+    factored_rates.clear()
+    late.first_moments(STACKED_RATES[:3])
+    early.first_moments(STACKED_RATES)
+    assert factored_rates == [*STACKED_RATES[:3], *STACKED_RATES]
+    route = "eigenbasis" if sys.n_sites >= 9 else "dense"
+    assert early.route_counts == {"eigenbasis": 0, "dense": 0,
+                                  route: 2 * len(STACKED_RATES) + 1}
     alone = MomentSolver(sys, other)
     np.testing.assert_array_equal(got, alone.first_moments(STACKED_RATES))
     np.testing.assert_array_equal(zero, alone.first_moment(0.0))

@@ -57,6 +57,14 @@ def test_construction_normalizes_and_freezes_arrays():
     dict(trap_rates={"a": 1.0}),
     dict(recomb_rate="abc"),
     dict(dephasing_rate=[0.1]),
+    dict(recomb_rate=True),
+    dict(recomb_rate="0.001"),
+    dict(dephasing_rate=False),
+    dict(trap_rates=[False, True]),
+    dict(trap_rates=np.array([False, True])),
+    dict(site_energies=["1.0", "2.0"]),
+    dict(site_energies=[1.0, True]),
+    dict(site_energies=np.array([1.0, 2.0], dtype=complex)),
 ])
 def test_invalid_systems_are_rejected(overrides):
     with pytest.raises(ConfigurationError):
@@ -85,6 +93,8 @@ def test_with_dephasing_checks_the_new_rate(gamma):
     with pytest.raises(ConfigurationError,
                        match="dephasing_rate must be finite and >= 0"):
         dimer().with_dephasing(gamma)
+    with pytest.raises(ConfigurationError, match="must be a real number"):
+        dimer().with_dephasing(True)
 
 
 def test_with_rates_replaces_only_named_fields():
@@ -207,11 +217,15 @@ def test_wrong_unit_tag_is_rejected():
     ("site_energies", [0.0, "abc"]),
     ("couplings", [[0.0, 20.0], [20.0]]),
     ("recomb_rate", "abc"),
+    ("recomb_rate", True),
+    ("recomb_rate", "0.001"),
+    ("trap_rates", [False, True]),
+    ("site_energies", ["50.0", "-50.0"]),
 ])
 def test_malformed_document_values_are_rejected(key, value):
     """Values that are not integers, real numbers or rectangular arrays
-    of them are configuration errors, not a ValueError or a silently
-    truncated site count."""
+    of them are configuration errors, not a ValueError, a silently
+    truncated site count or a bool or string read as a number."""
     doc = system_to_document(dimer())
     if key == "n_sites":
         doc[key] = value

@@ -19,6 +19,10 @@ def test_bath_defaults_and_validation():
         for bad in (math.inf, math.nan):
             with pytest.raises(ConfigurationError, match="finite"):
                 OhmicBath(**{field: bad})
+        for bad in ("35", True, None):
+            with pytest.raises(ConfigurationError, match="real number"):
+                OhmicBath(**{field: bad})
+    assert type(OhmicBath(35).reorganization_energy_cm1) is float
 
 
 def test_dephasing_rate_formula():
@@ -45,4 +49,7 @@ def test_dephasing_rate_rejects_nonpositive_temperature():
         dephasing_rate(OhmicBath(), -10.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="finite"):
+            dephasing_rate(OhmicBath(), bad)
+    for bad in ("300", True, None):
+        with pytest.raises(ConfigurationError, match="real number"):
             dephasing_rate(OhmicBath(), bad)

@@ -345,25 +345,16 @@ def test_the_refinement_searches_the_extended_cell_at_a_grid_edge(
         assert grid[-1] < gamma_star <= hi
 
 
-def test_a_second_kind_factors_only_its_own_refinement_rates(monkeypatch):
-    """At generation 6 gamma = 0 and each grid rate are a memo entry of
-    their own. A first search held to SEARCH_MAX_REFINE steps (its
-    tolerance made too fine to reach) fills the memo to exactly
-    _MEMO_ENTRIES, and the second kind must still find its gamma = 0 and
-    all 40 grid factorisations there, factoring only its own refinement
-    rates."""
-    spec = TreeSpec(generation=6, coupling_cm1=100.0, disorder_cm1=100.0,
-                    rng_seed=3)
-    sys = generate_tree(spec)
-    rho0s = [initial_density_matrix(leaf_initial_state(spec, kind), 63)
-             for kind in ("mixture", "coherent")]
-    factored = []
-    real_factor = dynamics._Eigenbasis._factor
-
-    def counting(self, gammas):
-        factored.append(tuple(gammas))
-        return real_factor(self, gammas)
-
+def test_a_second_kind_factors_only_its_own_refinement_rates(
+        factored_rates, monkeypatch):
+    """A second kind's search shares the first one's scan, on the dense
+    route (generation 3) and on the eigenbasis one (generation 6, one
+    rate per stack), and factors each of its own refinement rates once
+    and nothing else. That holds however many steps the first search
+    took: here its tolerance is made too fine to reach and its cap is
+    raised, so it runs past the default SEARCH_MAX_REFINE."""
+    default_cap = tree.SEARCH_MAX_REFINE
+    monkeypatch.setattr(tree, "SEARCH_MAX_REFINE", 1000)
     single = []
     first_moment = MomentSolver.first_moment
 
@@ -371,21 +362,28 @@ def test_a_second_kind_factors_only_its_own_refinement_rates(monkeypatch):
         single.append(gamma)
         return first_moment(self, gamma)
 
-    monkeypatch.setattr(dynamics._Eigenbasis, "_factor", counting)
     monkeypatch.setattr(MomentSolver, "first_moment", counting_single)
-    with monkeypatch.context() as m:
-        m.setattr(tree, "SEARCH_REL_TOL", 1e-12)
-        solver = MomentSolver(sys, rho0s[0])
-        optimal_dephasing(sys, solver)
-    assert len(single) == tree.SEARCH_MAX_REFINE
-    assert len(set(factored)) == len(factored) == dynamics._MEMO_ENTRIES
-    assert (0.0,) in factored
+    for generation in (3, 6):
+        spec = TreeSpec(generation=generation, coupling_cm1=100.0,
+                        disorder_cm1=100.0, rng_seed=3)
+        sys = generate_tree(spec)
+        rho0s = [initial_density_matrix(leaf_initial_state(spec, kind),
+                                        sys.n_sites)
+                 for kind in ("mixture", "coherent")]
+        with monkeypatch.context() as m:
+            m.setattr(tree, "SEARCH_REL_TOL", 1e-12)
+            solver = MomentSolver(sys, rho0s[0])
+            factored_rates.clear()
+            single.clear()
+            optimal_dephasing(sys, solver)
+        assert len(single) > default_cap
+        assert factored_rates == [0.0, *_search_grid(sys), *single]
 
-    factored.clear()
-    single.clear()
-    optimal_dephasing(sys, solver.with_initial_state(rho0s[1]))
-    assert single
-    assert factored == [(g,) for g in single]
+        factored_rates.clear()
+        single.clear()
+        optimal_dephasing(sys, solver.with_initial_state(rho0s[1]))
+        assert single
+        assert factored_rates == single
 
 
 def test_optimal_dephasing_requires_couplings():
@@ -511,6 +509,20 @@ def test_a_both_kinds_search_builds_the_pair_products_once_per_tree(
                       kinds=("mixture", "coherent"))
     assert len(pair_product_builds) == 4
     assert len(set(map(id, pair_product_builds))) == 4
+
+
+@pytest.mark.parametrize("generation", [3, 4])
+def test_each_kind_of_a_both_kinds_ensemble_equals_that_kind_alone(
+        generation):
+    """The kinds share each tree's scan factorisations, on the dense
+    route (generation 3) and the eigenbasis one, and each kind's report
+    is bit for bit that of an ensemble for that kind alone."""
+    spec = TreeSpec(generation=generation, coupling_cm1=100.0, rng_seed=7)
+    kwargs = dict(delta_grid=[0.5, 2.0], n_samples=3)
+    both = disorder_ensemble(spec, kinds=("mixture", "coherent"), **kwargs)
+    for kind in ("mixture", "coherent"):
+        alone = disorder_ensemble(spec, kinds=(kind,), **kwargs)[kind]
+        assert both[kind] == alone
 
 
 def test_report_csv_layout():

@@ -86,3 +86,10 @@ def test_parameter_validation():
         TwoLevelParams(float("nan"), 1.0)
     with pytest.raises(ConfigurationError):
         TwoLevelParams(1.0, float("inf"))
+    for bad in ("100", True, None):
+        with pytest.raises(ConfigurationError, match="real number"):
+            TwoLevelParams(bad, 10.0)
+        with pytest.raises(ConfigurationError, match="real number"):
+            TwoLevelParams(100.0, bad)
+    p = TwoLevelParams(100, np.float32(10.0))
+    assert type(p.energy_mismatch_cm1) is type(p.coupling_cm1) is float
