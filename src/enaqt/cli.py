@@ -230,8 +230,10 @@ def cmd_two_level(args):
     if args.epsilon == 0.0 and args.coupling == 0.0:
         raise ConfigurationError("epsilon and coupling are both zero: the "
                                  "two-site system has no dynamics")
-    grid = np.concatenate([[0.0], _log_grid("--gamma", 1e-3, 1e4,
-                                            args.gamma_points)])
+    if args.gamma_points < 2:
+        raise ConfigurationError("need --gamma-points >= 2, got %d"
+                                 % args.gamma_points)
+    grid = np.concatenate([[0.0], np.logspace(-3.0, 4.0, args.gamma_points)])
     params = TwoLevelParams(energy_mismatch_cm1=args.epsilon,
                             coupling_cm1=args.coupling)
     trapped = to_transport_system(params, trap_rate_2=args.trap_rate,
@@ -245,11 +247,10 @@ def cmd_two_level(args):
     if args.coupling != 0.0:
         # Closed form vs propagated populations over ten oscillation periods.
         omega = larmor_frequency(params)
-        t_final = 10.0 * 2.0 * np.pi / omega
-        times = np.linspace(0.0, t_final, 400)
+        times = np.linspace(0.0, 10.0 * 2.0 * np.pi / omega, 400)
         sys = to_transport_system(params)
         rho0 = initial_density_matrix(InitialState("site", (1,)), 2)
-        traj = propagate(sys, rho0, t_final, sample_times=times)
+        traj = propagate(sys, rho0, times)
         p2 = traj.populations()[:, 1]
         oracle = coherent_population_2(params, traj.times)
 
@@ -317,7 +318,7 @@ def cmd_propagate(args):
         raise ConfigurationError("--t-final must be finite and > 0, got %r"
                                  % t_final)
     times = np.linspace(0.0, t_final, args.samples)
-    traj = propagate(sys, rho0, t_final, sample_times=times)
+    traj = propagate(sys, rho0, times)
     extras = {"t_final_ps": t_final,
               "final_trace": float(traj.trace()[-1]),
               "final_loss_integral": float(traj.loss_integral[-1])}

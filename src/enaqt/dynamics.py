@@ -22,11 +22,11 @@ real N^2 x N^2 matrix on the orthonormal real coordinates
 of a Hermitian X, which coordinates() and from_coordinates() convert.
 Both computational routes are exact up to linear-algebra roundoff.
 propagate() samples y(t) = expm(L t) y0 by stepping the matrix exponential
-between sample times up to a finite, positive horizon. It computes one
-exponential per distinct step size and reuses it from a small cache keyed
-by the exact step, so evenly spaced samples cost at most ~20 exponentials
-whatever their count, with states bit for bit those of one exponential per
-step.
+between sample times, which start at 0 and increase strictly. It computes
+one exponential per distinct step size and reuses it from a small cache
+keyed by the exact step, so evenly spaced samples cost at most ~20
+exponentials whatever their count, with states bit for bit those of one
+exponential per step.
 MomentSolver, the one place that solves for S1 = int_0^inf rho dt and
 S2 = int_0^inf t rho dt, never touches time at all: it solves
 L S1 = -rho0 and L S2 = -S1 at any dephasing rate, so integrated_state()
@@ -210,8 +210,8 @@ class Trajectory:
             f.write(",".join(row) + "\n")
 
 
-def propagate(sys, rho0, t_final, sample_times=None):
-    """Evolve rho0 from t=0 to t_final and return the sampled trajectory.
+def propagate(sys, rho0, times):
+    """Evolve rho0 and return its trajectory sampled at the given times.
 
     The generator is time independent, so each sample is exact up to
     roundoff: y(t + dt) = expm(G dt) y(t) on
@@ -231,28 +231,19 @@ def propagate(sys, rho0, t_final, sample_times=None):
     and cost that many exponentials whatever their count; a grid whose
     steps are all distinct costs one per step.
 
-    sample_times selects the output grid (finite values in [0, t_final];
-    0 is always included, duplicates are dropped). When omitted, the
-    endpoints 0 and t_final are returned. The t = 0 state is rho0 itself,
-    which must be exactly Hermitian.
+    times is a 1-D array of finite times, strictly increasing from a first
+    entry of exactly 0; its last entry is the horizon. Anything else raises
+    ConfigurationError. The t = 0 state is rho0 itself, which must be
+    exactly Hermitian.
     """
-    t_final = float(t_final)
-    if not (np.isfinite(t_final) and t_final > 0.0):
-        raise ConfigurationError(
-            "t_final must be finite and positive, got %r" % t_final)
+    samples = np.array(times, dtype=float)
+    if not (samples.ndim == 1 and samples.size and samples[0] == 0.0
+            and np.all(np.isfinite(samples))
+            and np.all(np.diff(samples) > 0.0)):
+        raise ConfigurationError("times must be a 1-D array of finite times, "
+                                 "strictly increasing from 0")
     n = sys.n_sites
     rho = _initial_state(rho0, n)
-
-    if sample_times is None:
-        samples = np.array([0.0, t_final])
-    else:
-        samples = np.unique(np.asarray(sample_times, dtype=float))
-        if not np.all(np.isfinite(samples)):
-            raise ConfigurationError("sample times must be finite")
-        if samples.size and (samples[0] < 0.0 or samples[-1] > t_final * (1 + 1e-12)):
-            raise ConfigurationError("sample times must lie in [0, t_final]")
-        if samples.size == 0 or samples[0] > 0.0:
-            samples = np.concatenate([[0.0], samples])
 
     nn = n * n
     gen = np.zeros((nn + 1, nn + 1))

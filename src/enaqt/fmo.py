@@ -14,16 +14,15 @@ dephasing_sweep() maps transfer efficiency and transfer time over a
 logarithmic grid of pure-dephasing rates, which exhibits the three
 transport regimes (coherent/localized at small gamma_phi, assisted in the
 middle, Zeno-suppressed at large gamma_phi). trap_dephasing_surface() maps
-the transfer time over a (gamma_phi, kappa_3) grid. Both solve every point
-through observables.transport_result, and the surface runs kappa-major, so
-dynamics.integrated_state reuses one moment solver per (H_eff, rho0): one
-for the sweep and one per kappa_3 of the surface, not one per point.
+the transfer time over a (gamma_phi, kappa_3) grid as one dephasing sweep
+per kappa_3. Every point is solved through observables.transport_result,
+and dynamics.integrated_state reuses one moment solver per sweep.
 """
 
 import hashlib
 import importlib.resources
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -199,38 +198,24 @@ def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None):
     """Transfer time tau over the (gamma_phi, kappa_trap) grid.
 
     Returns (gamma_grid, kappa_grid, tau) with tau[i, j] for gamma_grid[i]
-    and kappa_grid[j], suitable for a log-log-log surface plot. Points are
-    solved kappa-major, one system per kappa, so each kappa builds one
-    moment solver; the values are those of one solve per point.
+    and kappa_grid[j], suitable for a log-log-log surface plot. Column j
+    is the dephasing_sweep of the model whose only trap is kappa_grid[j]
+    at DEFAULT_TRAP_SITE.
     """
     gammas = default_gamma_grid() if gamma_grid is None else np.asarray(
         gamma_grid, dtype=float)
     kappas = default_kappa_grid() if kappa_grid is None else np.asarray(
         kappa_grid, dtype=float)
-    if not (np.all(np.isfinite(gammas)) and np.all(np.isfinite(kappas))) \
-            or np.any(gammas < 0.0) or np.any(kappas <= 0.0):
-        raise ConfigurationError("surface grids must be finite, with "
-                                 "gamma_phi >= 0 and kappa > 0")
-    rho0 = model.initial_density_matrix()
-    base = model.system
-
-    def system_at(kappa):
-        kap = np.zeros(base.n_sites)
-        kap[DEFAULT_TRAP_SITE - 1] = kappa
-        return base.with_rates(trap_rates=kap)
-
-    def solve(task):
-        sys, gamma = task
-        return transport_result(sys.with_dephasing(gamma),
-                                rho0).transfer_time_ps
-
-    # kappa-major, so consecutive points differ only in gamma_phi and share
-    # integrated_state's solver: one per kappa rather than one per point.
-    systems = [system_at(float(k)) for k in kappas]
-    tasks = tuple((sys, float(g)) for sys in systems for g in gammas)
-    results = run_sweep(SweepPlan(tasks=tasks), solve, failure_threshold=0.0)
-    tau = np.array([r.value for r in results]).reshape(len(kappas),
-                                                       len(gammas)).T
+    if not (np.all(np.isfinite(kappas)) and np.all(kappas > 0.0)):
+        raise ConfigurationError("trap-rate grid must be finite and > 0")
+    tau = np.empty((len(gammas), len(kappas)))
+    for j, kappa in enumerate(kappas):
+        trap_rates = np.zeros(model.system.n_sites)
+        trap_rates[DEFAULT_TRAP_SITE - 1] = kappa
+        trapped = replace(
+            model, system=model.system.with_rates(trap_rates=trap_rates))
+        sweep = dephasing_sweep(trapped, gammas)
+        tau[:, j] = [result.transfer_time_ps for _, result in sweep]
     return gammas, kappas, tau
 
 

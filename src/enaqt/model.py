@@ -39,12 +39,17 @@ def as_integer(name, value):
 
 
 def as_real(name, value):
-    """value as a float; a bool, or anything but a real number (a string
-    such as "1.5" among them), raises ConfigurationError."""
+    """value as a float; a bool, anything but a real number (a string such
+    as "1.5" among them) or an integer beyond the float range raises
+    ConfigurationError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigurationError("%s must be a real number, got %r"
                                  % (name, value))
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError("%s is too large for a float" % name) \
+            from None
 
 
 def _real_array(name, value):

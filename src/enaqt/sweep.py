@@ -37,14 +37,18 @@ def derive_seed(master_seed, *indices):
 def sample_mean_std(values):
     """Mean and sample standard deviation (n-1 denominator) of a sequence.
 
-    The std of fewer than two values is reported as 0. Input order matters
-    for bitwise reproducibility, so callers must pass index-sorted data.
+    The std of fewer than two values is reported as 0. Both are computed
+    from the deviations about the first value, which are exactly 0 for
+    identical values, so those give exactly (value, 0.0). Input order
+    matters for bitwise reproducibility, so callers must pass index-sorted
+    data.
     """
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         return float("nan"), float("nan")
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    dev = arr - arr[0]
+    mean = float(arr[0] + dev.mean())
+    std = float(dev.std(ddof=1)) if arr.size > 1 else 0.0
     return mean, std
 
 

@@ -264,9 +264,9 @@ def test_criterion_09_probability_conservation(fmo_model):
                            trap_rates=[0.0, 0.0], recomb_rate=0.0,
                            dephasing_rate=gamma)
     rho0 = initial_density_matrix(InitialState("coherent", (1, 2)), 2)
-    times = [0.1, 0.5, 1.0, 2.0, 3.0]
-    traj = propagate(bare, rho0, 3.0, sample_times=times)
-    decay_err = max(abs(abs(traj.states[i + 1][0, 1])
+    times = [0.0, 0.1, 0.5, 1.0, 2.0, 3.0]
+    traj = propagate(bare, rho0, times)
+    decay_err = max(abs(abs(traj.states[i][0, 1])
                         - 0.5 * math.exp(-gamma * t))
                     for i, t in enumerate(times))
 

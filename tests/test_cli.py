@@ -316,7 +316,10 @@ def test_two_level_rejects_a_bad_gamma_count_before_touching_the_output(
     out = tmp_path / "new"
     rc = main(["two-level", "--out-dir", str(out), "--gamma-points", points])
     assert rc == 2
-    assert "--gamma-points >= 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--gamma-points >= 2" in err
+    # two-level has no --gamma-min or --gamma-max to name.
+    assert "--gamma-min" not in err and "--gamma-max" not in err
     assert not out.exists()
 
 
@@ -416,7 +419,10 @@ def test_propagate_rejects_a_bad_horizon_or_sample_count(tmp_path, capsys,
                                         ("recomb_rate", True),
                                         ("recomb_rate", "0.001"),
                                         ("trap_rates", [False, True]),
-                                        ("site_energies", ["50", "-50"])])
+                                        ("site_energies", ["50", "-50"]),
+                                        pytest.param(
+                                            "recomb_rate", 10 ** 400,
+                                            id="recomb_rate-huge_int")])
 def test_propagate_rejects_a_malformed_system_document(tmp_path, capsys, key,
                                                        value):
     path = dimer_file(tmp_path)

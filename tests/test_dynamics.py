@@ -96,7 +96,7 @@ def test_propagate_matches_the_matrix_exponential():
     rho0 = random_density_matrix(rng, 3)
     liou = reference_liouvillian(sys)
     times = [0.0, 0.7, 1.9, 4.0]
-    traj = propagate(sys, rho0, 4.0, sample_times=times)
+    traj = propagate(sys, rho0, times)
     for i, t in enumerate(times):
         exact = expm(liou * t) @ rho0.flatten(order="F")
         np.testing.assert_allclose(traj.states[i],
@@ -110,7 +110,7 @@ def test_propagated_states_stay_hermitian_with_decreasing_trace():
     rng = np.random.default_rng(12)
     sys = random_transport_system(rng, n=4)
     rho0 = random_density_matrix(rng, 4)
-    traj = propagate(sys, rho0, 5.0, sample_times=np.linspace(0.0, 5.0, 21))
+    traj = propagate(sys, rho0, np.linspace(0.0, 5.0, 21))
     for state in traj.states:
         np.testing.assert_array_equal(state, state.conj().T)
     tr = traj.trace()
@@ -124,18 +124,20 @@ def test_trace_plus_bled_probability_is_conserved():
     rng = np.random.default_rng(13)
     sys = random_transport_system(rng, n=3)
     rho0 = random_density_matrix(rng, 3)
-    traj = propagate(sys, rho0, 8.0, sample_times=np.linspace(0.0, 8.0, 17))
+    traj = propagate(sys, rho0, np.linspace(0.0, 8.0, 17))
     budget = traj.trace() + traj.loss_integral
     np.testing.assert_allclose(budget, np.ones_like(budget), atol=1e-9)
 
 
-def test_sample_times_are_deduplicated_and_zero_is_included():
+def test_the_trajectory_holds_exactly_the_given_times():
     rng = np.random.default_rng(14)
     sys = random_transport_system(rng, n=2)
     rho0 = random_density_matrix(rng, 2)
-    traj = propagate(sys, rho0, 2.0, sample_times=[1.0, 1.0, 2.0, 0.5])
-    np.testing.assert_array_equal(traj.times, [0.0, 0.5, 1.0, 2.0])
+    times = [0.0, 0.5, 1.0, 2.0]
+    traj = propagate(sys, rho0, times)
+    np.testing.assert_array_equal(traj.times, times)
     assert traj.states.shape == (4, 2, 2)
+    np.testing.assert_array_equal(traj.states[0], rho0)
 
 
 def test_reused_exponentials_equal_one_exponential_per_step():
@@ -149,7 +151,7 @@ def test_reused_exponentials_equal_one_exponential_per_step():
     times = np.concatenate([[0.0], np.cumsum(steps)])
     np.testing.assert_array_equal(np.diff(times), steps)
 
-    traj = propagate(sys, rho0, times[-1], sample_times=times)
+    traj = propagate(sys, rho0, times)
 
     # The Liouvillian bordered by the row that accumulates the bleed rate
     # from the population coordinates.
@@ -174,31 +176,19 @@ def test_propagate_computes_one_exponential_per_distinct_step(expm_calls):
     rho0 = random_density_matrix(rng, 3)
 
     times = np.linspace(0.0, 7.0, 500)
-    propagate(sys, rho0, 7.0, sample_times=times)
+    propagate(sys, rho0, times)
     assert len(expm_calls) == np.unique(np.diff(times)).size < 20
 
     # All steps distinct: one exponential per step, as without a cache.
     del expm_calls[:]
     times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 7.0, 60))])
     assert np.unique(np.diff(times)).size == 60
-    propagate(sys, rho0, 7.0, sample_times=times)
+    propagate(sys, rho0, times)
     assert len(expm_calls) == 60
 
 
-def test_unsampled_run_records_every_accepted_step():
-    """The exact propagator takes one step from 0 to t_final when no
-    samples are requested, so the endpoints are the whole record."""
-    rng = np.random.default_rng(15)
-    sys = random_transport_system(rng, n=2)
-    rho0 = random_density_matrix(rng, 2)
-    traj = propagate(sys, rho0, 1.0)
-    np.testing.assert_array_equal(traj.times, [0.0, 1.0])
-    assert traj.states.shape == (2, 2, 2)
-    np.testing.assert_array_equal(traj.states[0], rho0)
-
-
 def _assert_matches_quadrature(sys, rho0, times):
-    traj = propagate(sys, rho0, times[-1], sample_times=times)
+    traj = propagate(sys, rho0, times)
     states, loss = quadrature_trajectory(sys, rho0, times)
     np.testing.assert_allclose(traj.states, states, rtol=0.0, atol=1e-8)
     np.testing.assert_allclose(traj.loss_integral, loss, rtol=0.0, atol=1e-8)
@@ -234,20 +224,27 @@ def test_propagate_matches_the_quadrature_oracle_at_the_exceptional_point(
 
 
 @pytest.mark.parametrize("bad_kwargs", [
-    dict(t_final=0.0),
-    dict(t_final=-1.0),
-    dict(t_final=1.0, sample_times=[-0.5, 1.0]),
-    dict(t_final=1.0, sample_times=[0.0, 2.0]),
-    dict(t_final=np.inf),
-    dict(t_final=np.nan),
-    dict(t_final=1.0, sample_times=[0.5, np.nan]),
-    dict(t_final=1.0, sample_times=[np.nan]),
+    dict(times=[0.0, 0.0]),
+    dict(times=[0.0, -1.0]),
+    dict(times=[-0.5, 1.0]),
+    dict(times=[0.5, 1.0]),
+    dict(times=[0.0, np.inf]),
+    dict(times=[np.nan, 1.0]),
+    dict(times=[0.0, 0.5, np.nan]),
+    dict(times=[np.nan]),
+    dict(times=[0.0, 1.0, 1.0, 2.0]),
+    dict(times=[0.0, 2.0, 1.0]),
+    dict(times=[]),
+    dict(times=[[0.0, 1.0]]),
+    dict(times=0.0),
 ])
 def test_propagate_rejects_bad_time_arguments(bad_kwargs):
+    """times must be a 1-D array of finite values, strictly increasing
+    from a first entry of exactly 0."""
     rng = np.random.default_rng(16)
     sys = random_transport_system(rng, n=2)
     rho0 = random_density_matrix(rng, 2)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="times must be"):
         propagate(sys, rho0, **bad_kwargs)
 
 
@@ -255,7 +252,7 @@ def test_propagate_rejects_mismatched_initial_state():
     rng = np.random.default_rng(17)
     sys = random_transport_system(rng, n=3)
     with pytest.raises(ConfigurationError):
-        propagate(sys, np.eye(2), 1.0)
+        propagate(sys, np.eye(2), [0.0, 1.0])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -265,7 +262,7 @@ def test_propagate_rejects_a_non_finite_initial_state(bad):
     rho0 = random_density_matrix(rng, 3)
     rho0[0, 1] = bad
     with pytest.raises(ConfigurationError, match="non-finite"):
-        propagate(sys, rho0, 1.0)
+        propagate(sys, rho0, [0.0, 1.0])
 
 
 def test_default_horizon_tracks_the_slowest_decay_channel():
@@ -641,10 +638,10 @@ def test_moment_solver_rejects_a_non_hermitian_initial_state(case):
     with pytest.raises(ConfigurationError, match=message):
         MomentSolver(sys, rho0).with_initial_state(broken)
     with pytest.raises(ConfigurationError, match=message):
-        propagate(sys, broken, 1.0)
+        propagate(sys, broken, [0.0, 1.0])
     hermitian = (broken + broken.conj().T) / 2.0
     MomentSolver(sys, rho0).with_initial_state(hermitian)(0.7)
-    propagate(sys, hermitian, 1.0)
+    propagate(sys, hermitian, [0.0, 1.0])
 
 
 @pytest.mark.parametrize("kind, sites", [("site", (3,)),
@@ -658,7 +655,7 @@ def test_every_built_initial_state_passes_the_hermitian_check(kind, sites, n):
     sys = random_transport_system(rng, n=n)
     rho0 = initial_density_matrix(InitialState(kind, sites), n)
     np.testing.assert_array_equal(rho0, rho0.conj().T)
-    traj = propagate(sys, rho0, 0.5)
+    traj = propagate(sys, rho0, [0.0, 0.5])
     np.testing.assert_array_equal(traj.states[0], rho0)
     solver = MomentSolver(sys, rho0)
     solver.first_moment(0.7)

@@ -221,11 +221,13 @@ def test_wrong_unit_tag_is_rejected():
     ("recomb_rate", "0.001"),
     ("trap_rates", [False, True]),
     ("site_energies", ["50.0", "-50.0"]),
+    pytest.param("recomb_rate", 10 ** 400, id="recomb_rate-huge_int"),
 ])
 def test_malformed_document_values_are_rejected(key, value):
     """Values that are not integers, real numbers or rectangular arrays
     of them are configuration errors, not a ValueError, a silently
-    truncated site count or a bool or string read as a number."""
+    truncated site count, a bool or string read as a number or an
+    OverflowError from an integer too large for a float."""
     doc = system_to_document(dimer())
     if key == "n_sites":
         doc[key] = value

@@ -50,6 +50,8 @@ def test_sample_mean_std_conventions():
     mean, std = sample_mean_std(x for x in (2.0, 4.0))
     assert mean == 3.0
     assert std == pytest.approx(math.sqrt(2.0))
+    # Identical samples, whose plain mean rounds off their common value.
+    assert sample_mean_std([12.345678] * 10) == (12.345678, 0.0)
 
 
 def test_run_sweep_returns_results_in_task_order():

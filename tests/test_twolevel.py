@@ -45,8 +45,7 @@ def test_propagation_reproduces_the_closed_form():
     omega = larmor_frequency(p)
     t_final = 3.0 * 2.0 * math.pi / omega
     times = np.linspace(0.0, t_final, 60)
-    traj = propagate(to_transport_system(p), SITE1, t_final,
-                     sample_times=times)
+    traj = propagate(to_transport_system(p), SITE1, times)
     want = coherent_population_2(p, traj.times)
     np.testing.assert_allclose(traj.populations()[:, 1], want, atol=1e-8)
 
@@ -54,8 +53,7 @@ def test_propagation_reproduces_the_closed_form():
 def test_resonant_pi_pulse_fully_transfers():
     v = 2.0 * math.pi / CM1_TO_PS_ANGULAR
     p = TwoLevelParams(0.0, v)
-    traj = propagate(to_transport_system(p), SITE1, 0.5,
-                     sample_times=[0.0, 0.5])
+    traj = propagate(to_transport_system(p), SITE1, [0.0, 0.5])
     assert traj.populations()[-1, 1] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -69,7 +67,7 @@ def test_dephased_dimer_reaches_the_maximally_mixed_state():
     horizon = 50.0 * (math.pi / math.asin(0.8)) ** 2 / gamma_phi
     sys = to_transport_system(TwoLevelParams(3.0, 4.0)).with_dephasing(
         gamma_phi)
-    traj = propagate(sys, SITE1, horizon, sample_times=[horizon])
+    traj = propagate(sys, SITE1, [0.0, horizon])
     np.testing.assert_allclose(traj.states[-1], 0.5 * np.eye(2), atol=1e-6)
 
 
@@ -77,7 +75,7 @@ def test_equilibration_is_unbiased_even_for_large_mismatch():
     """eps = 10 V and strong dephasing: the populations still settle at
     one half each, just slowly (the mixing rate scales as 1/eps^2)."""
     sys = to_transport_system(TwoLevelParams(10.0, 1.0)).with_dephasing(10.0)
-    traj = propagate(sys, SITE1, 2800.0, sample_times=[2800.0])
+    traj = propagate(sys, SITE1, [0.0, 2800.0])
     assert traj.populations()[-1, 1] == pytest.approx(0.5, abs=1e-4)
 
 
