@@ -28,7 +28,7 @@ import uuid
 import numpy as np
 
 from . import __version__
-from .dynamics import default_horizon, propagate
+from .dynamics import MomentSolver, default_horizon, propagate
 from .errors import ConfigurationError, DataIntegrityError, EnaqtError
 from .fmo import (DEFAULT_RECOMB_RATE, DEFAULT_TRAP_RATE, GAMMA_GRID_DEFAULT,
                   KAPPA_GRID_DEFAULT, dephasing_sweep, load_fmo_model,
@@ -243,13 +243,13 @@ def cmd_two_level(args):
                                  "the trapped dimer has no decay channel")
     _ensure_out_dir(args.out_dir)
     files = []
+    rho0 = initial_density_matrix(InitialState("site", (1,)), 2)
 
     if args.coupling != 0.0:
         # Closed form vs propagated populations over ten oscillation periods.
         omega = larmor_frequency(params)
         times = np.linspace(0.0, 10.0 * 2.0 * np.pi / omega, 400)
         sys = to_transport_system(params)
-        rho0 = initial_density_matrix(InitialState("site", (1,)), 2)
         traj = propagate(sys, rho0, times)
         p2 = traj.populations()[:, 1]
         oracle = coherent_population_2(params, traj.times)
@@ -264,10 +264,10 @@ def cmd_two_level(args):
         files.append(("two_level_oracle.csv", write_oracle))
 
     # Dephasing sweep of the trapped, biased dimer (the ENAQT demonstration).
-    rho0 = initial_density_matrix(InitialState("site", (1,)), 2)
+    solver = MomentSolver(trapped, rho0)
 
     def solve(gamma):
-        return transport_result(trapped.with_dephasing(gamma), rho0)
+        return transport_result(trapped.with_dephasing(gamma), solver)
 
     plan = SweepPlan(tasks=tuple(float(g) for g in grid))
     results = list(zip(plan.tasks, [r.value for r in run_sweep(plan, solve)]))
@@ -283,8 +283,9 @@ def cmd_two_level(args):
 # propagate
 
 
-def _parse_initial_state(text):
-    """Parse 'site:3', 'mixture:1,6' or 'coherent:8-15' into an InitialState."""
+def _parse_initial_state(text, n_sites):
+    """Parse 'site:3', 'mixture:1,6' or 'coherent:8-15' into an InitialState,
+    checking the ends of each range against n_sites before expanding it."""
     if ":" not in text:
         raise ConfigurationError(
             "initial state %r: expected kind:sites, e.g. mixture:1,6" % text)
@@ -297,7 +298,12 @@ def _parse_initial_state(text):
                 continue
             if "-" in tok[1:]:
                 lo, _, hi = tok.partition("-")
-                sites.extend(range(int(lo), int(hi) + 1))
+                lo, hi = int(lo), int(hi)
+                if not 1 <= lo <= hi <= n_sites:
+                    raise ConfigurationError(
+                        "initial-state range %s must run upward within 1..%d"
+                        % (tok, n_sites))
+                sites.extend(range(lo, hi + 1))
             else:
                 sites.append(int(tok))
     except ValueError as exc:
@@ -311,7 +317,7 @@ def cmd_propagate(args):
         raise ConfigurationError("--samples must be >= 2 (t = 0 and the "
                                  "horizon), got %d" % args.samples)
     sys = load_system(args.system)
-    state = _parse_initial_state(args.init)
+    state = _parse_initial_state(args.init, sys.n_sites)
     rho0 = initial_density_matrix(state, sys.n_sites)
     t_final = args.t_final if args.t_final is not None else default_horizon(sys)
     if not (np.isfinite(t_final) and t_final > 0.0):

@@ -29,8 +29,8 @@ exponentials whatever their count, with states bit for bit those of one
 exponential per step.
 MomentSolver, the one place that solves for S1 = int_0^inf rho dt and
 S2 = int_0^inf t rho dt, never touches time at all: it solves
-L S1 = -rho0 and L S2 = -S1 at any dephasing rate, so integrated_state()
-reuses one solver per (H_eff, rho0) across the rates of a sweep. Systems
+L S1 = -rho0 and L S2 = -S1 at any dephasing rate, so a sweep over
+gamma_phi builds one solver per (H_eff, rho0) and calls it per rate. Systems
 of fewer than 9 sites get a dense real LU of build_liouvillian's matrix,
 and the moments of rho0 come out exactly Hermitian.
 Larger systems get an eigenbasis route: H_eff is diagonalized once, the
@@ -51,13 +51,13 @@ oracles in tests/oracles.py.
 import copy
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, get_lapack_funcs
 
-from .errors import ConfigurationError, NonConvergentIntegralError
+from .errors import (ConfigurationError, NonConvergentIntegralError,
+                     NumericalConsistencyError)
 from .model import effective_hamiltonian
 
 
@@ -234,7 +234,8 @@ def propagate(sys, rho0, times):
     times is a 1-D array of finite times, strictly increasing from a first
     entry of exactly 0; its last entry is the horizon. Anything else raises
     ConfigurationError. The t = 0 state is rho0 itself, which must be
-    exactly Hermitian.
+    exactly Hermitian. A sampled state or loss integral that is not finite
+    (a step too long for the exponential) raises NumericalConsistencyError.
     """
     samples = np.array(times, dtype=float)
     if not (samples.ndim == 1 and samples.size and samples[0] == 0.0
@@ -255,6 +256,11 @@ def propagate(sys, rho0, times):
     step = functools.lru_cache(maxsize=8)(lambda dt: expm(gen * dt))
     for i, dt in enumerate(np.diff(samples)):
         ys[i + 1] = step(dt) @ ys[i]
+    bad = np.flatnonzero(~np.isfinite(ys).all(axis=1))
+    if bad.size:
+        raise NumericalConsistencyError(
+            "the propagated state is not finite at t = %r ps; the step to it "
+            "overflows the matrix exponential" % float(samples[bad[0]]))
 
     states = from_coordinates(ys[:, :nn])
     # The round trip through the coordinates is exact only to roundoff.
@@ -526,7 +532,8 @@ class _Eigenbasis(_Route):
 class MomentSolver:
     """First two time moments of the evolution, S1 = int rho dt and
     S2 = int t rho dt, for one (H_eff, rho0) at any dephasing rate. A rho0
-    not exactly Hermitian raises ConfigurationError.
+    not exactly Hermitian raises ConfigurationError; the solver keeps no
+    reference to the caller's array.
 
     S1 solves L S1 = -rho0; S2 solves L S2 = -S1
     (integration by parts moves the factor of t into a second solve).
@@ -670,30 +677,12 @@ class MomentSolver:
         return tuple(from_coordinates(y) for y in moments)
 
 
-# One (key, MomentSolver) entry per thread; see integrated_state.
-_last_solver = threading.local()
+def integrated_state(sys, solver):
+    """(S1, S2) at the system's own dephasing rate, solver(sys.dephasing_rate),
+    for the MomentSolver of sys's H_eff (at any rate) and its initial state.
 
-
-def integrated_state(sys, rho0):
-    """(S1, S2) at the system's own dephasing rate.
-
-    The solver of the last call on this thread is reused when the system
-    differs from its one only in the dephasing rate and rho0 holds the same
-    values, so a sweep over gamma_phi builds one MomentSolver (and one
-    coherent Liouvillian) per (H_eff, rho0) rather than one per point. The
-    key is every input the solver depends on, compared by exact bytes, so
-    the result is bit for bit that of a fresh MomentSolver(sys, rho0). The
-    solver keeps its own copy of rho0, so the caller may change its array
-    afterwards. A miss drops the old solver before the new one is built;
-    the last one stays referenced until the thread's next miss.
+    It is a named function of its own only so that a tracer can wrap it:
+    bench/tracing.py counts one call per grid point and reads n_sites from
+    its first argument.
     """
-    rho = np.array(rho0, dtype=complex)
-    key = (sys.n_sites, sys.site_energies.tobytes(), sys.couplings.tobytes(),
-           sys.trap_rates.tobytes(), sys.recomb_rate.hex(), rho.shape,
-           rho.tobytes())
-    entry = getattr(_last_solver, "entry", None)
-    if entry is None or entry[0] != key:
-        # No reference to the old solver may survive its successor's build.
-        entry = _last_solver.entry = None
-        entry = _last_solver.entry = (key, MomentSolver(sys, rho))
-    return entry[1](sys.dephasing_rate)
+    return solver(sys.dephasing_rate)

@@ -15,8 +15,8 @@ logarithmic grid of pure-dephasing rates, which exhibits the three
 transport regimes (coherent/localized at small gamma_phi, assisted in the
 middle, Zeno-suppressed at large gamma_phi). trap_dephasing_surface() maps
 the transfer time over a (gamma_phi, kappa_3) grid as one dephasing sweep
-per kappa_3. Every point is solved through observables.transport_result,
-and dynamics.integrated_state reuses one moment solver per sweep.
+per kappa_3. Each sweep builds one dynamics.MomentSolver and solves every
+point with it through observables.transport_result.
 """
 
 import hashlib
@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dynamics import MomentSolver
 from .errors import ConfigurationError, DataIntegrityError
 from .model import InitialState, TransportSystem, initial_density_matrix
 from .observables import transport_result
@@ -184,10 +185,10 @@ def dephasing_sweep(model, gamma_grid=None):
         gamma_grid, dtype=float)
     if np.any(grid < 0.0) or not np.all(np.isfinite(grid)):
         raise ConfigurationError("dephasing grid must be finite and >= 0")
-    rho0 = model.initial_density_matrix()
+    solver = MomentSolver(model.system, model.initial_density_matrix())
 
     def solve(gamma):
-        return transport_result(model.system.with_dephasing(gamma), rho0)
+        return transport_result(model.system.with_dephasing(gamma), solver)
 
     plan = SweepPlan(tasks=tuple(float(g) for g in grid))
     results = run_sweep(plan, solve, failure_threshold=0.0)

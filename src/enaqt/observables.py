@@ -75,13 +75,15 @@ def loss_probability(sys, s1):
     return _clamped_probability(loss, "loss probability")
 
 
-def transport_result(sys, rho0):
-    """Solve a system end to end and package the metrics.
+def transport_result(sys, solver):
+    """Solve a system end to end with solver, the dynamics.MomentSolver of
+    its H_eff (at any dephasing rate) and initial state, and package the
+    metrics.
 
     Transfer time is reported as inf when the efficiency is numerically zero
     (nothing is ever trapped), rather than raising.
     """
-    s1, s2 = integrated_state(sys, rho0)
+    s1, s2 = integrated_state(sys, solver)
     eta = efficiency(sys, s1)
     loss = loss_probability(sys, s1)
     if eta > _MIN_ETA:

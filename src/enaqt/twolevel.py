@@ -38,9 +38,10 @@ class TwoLevelParams:
     def __post_init__(self):
         for name in ("energy_mismatch_cm1", "coupling_cm1"):
             object.__setattr__(self, name, as_real(name, getattr(self, name)))
-        if not (math.isfinite(self.energy_mismatch_cm1)
-                and math.isfinite(self.coupling_cm1)):
-            raise ConfigurationError("eps and V must be finite")
+        eps, v = self.energy_mismatch_cm1, self.coupling_cm1
+        if not math.isfinite(eps * eps + v * v):
+            raise ConfigurationError("eps, V and eps^2 + V^2 must be finite, "
+                                     "got eps = %r, V = %r cm^-1" % (eps, v))
 
 
 def larmor_frequency(p):

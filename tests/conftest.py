@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from enaqt import dynamics
+from enaqt import cli, dynamics, fmo
 from enaqt.fmo import dephasing_sweep, load_fmo_model, trap_dephasing_surface
 from enaqt.tree import TreeSpec, disorder_ensemble
 
@@ -46,8 +46,9 @@ def expm_calls(monkeypatch):
 
 @pytest.fixture
 def solver_builds(monkeypatch):
-    """Count the MomentSolvers integrated_state builds: returns a list whose
-    length is the number of dynamics.MomentSolver constructions so far."""
+    """Count the MomentSolvers the sweeps build: returns a list whose length
+    is the number of MomentSolver constructions by enaqt.fmo and enaqt.cli
+    so far."""
     builds = []
     real = dynamics.MomentSolver
 
@@ -55,7 +56,8 @@ def solver_builds(monkeypatch):
         builds.append(sys.n_sites)
         return real(sys, rho0)
 
-    monkeypatch.setattr(dynamics, "MomentSolver", counting)
+    for module in (fmo, cli):
+        monkeypatch.setattr(module, "MomentSolver", counting)
     return builds
 
 

@@ -13,8 +13,8 @@ import time
 
 import numpy as np
 
-from enaqt.dynamics import (build_liouvillian, coordinates, from_coordinates,
-                            integrated_state, propagate)
+from enaqt.dynamics import (MomentSolver, build_liouvillian, coordinates,
+                            from_coordinates, integrated_state, propagate)
 from enaqt.fmo import load_fmo_model
 from enaqt.model import (InitialState, TransportSystem,
                          initial_density_matrix)
@@ -182,11 +182,12 @@ def test_criterion_08_independent_oracle_agreement(fmo_model):
 
     sys6 = fmo_model.system.with_dephasing(6.0)
     rho0 = fmo_model.initial_density_matrix()
-    s1, s2 = integrated_state(sys6, rho0)
+    solver = MomentSolver(fmo_model.system, rho0)
+    s1, s2 = integrated_state(sys6, solver)
     q1, q2 = quadrature_integrals(sys6, rho0)
     worst = max(worst, rel_diag(s1, q1), rel_diag(s2, q2))
 
-    s1, s2 = integrated_state(fmo_model.system, rho0)
+    s1, s2 = integrated_state(fmo_model.system, solver)
     e1, e2 = eigen_integrals(fmo_model.system, rho0)
     worst = max(worst, rel_diag(s1, e1), rel_diag(s2, e2))
 
@@ -195,7 +196,7 @@ def test_criterion_08_independent_oracle_agreement(fmo_model):
         sys = random_transport_system(
             rng, dephasing=0.0 if k % 3 == 0 else None)
         rho = random_density_matrix(rng, sys.n_sites)
-        s1, s2 = integrated_state(sys, rho)
+        s1, s2 = integrated_state(sys, MomentSolver(sys, rho))
         if sys.dephasing_rate == 0.0:
             r1, r2 = eigen_integrals(sys, rho)
         else:
@@ -253,7 +254,7 @@ def test_criterion_09_probability_conservation(fmo_model):
 
     worst = 0.0
     for sys, rho0 in systems:
-        res = transport_result(sys, rho0)
+        res = transport_result(sys, MomentSolver(sys, rho0))
         worst = max(worst, abs(res.efficiency + res.loss_probability - 1.0))
 
     # Coherence decay law: uncoupled degenerate sites dephase as exp(-gamma t)

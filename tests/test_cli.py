@@ -286,10 +286,12 @@ def test_tree_ensemble_rejects_an_empty_delta_grid(tmp_path, capsys, grid):
     assert not out.exists()
 
 
-def test_two_level_outputs(tmp_path):
+def test_two_level_outputs(tmp_path, solver_builds):
     rc = main(["two-level", "--out-dir", str(tmp_path),
                "--gamma-points", "5"])
     assert rc == 0
+    # One moment solver, for the trapped dimer, serves the whole sweep.
+    assert solver_builds == [2]
     oracle = read(tmp_path / "two_level_oracle.csv").splitlines()
     assert oracle[0] == "t_ps,p2_oracle,p2_propagated,abs_error"
     assert len(oracle) == 401
@@ -327,6 +329,8 @@ def test_two_level_rejects_a_bad_gamma_count_before_touching_the_output(
                                     ["--trap-rate", "nan"],
                                     ["--recomb-rate", "-1"],
                                     ["--epsilon", "nan"],
+                                    ["--epsilon", "1e200"],
+                                    ["--coupling", "1e200"],
                                     ["--trap-rate", "0", "--recomb-rate", "0"]])
 def test_two_level_rejects_bad_rates_before_touching_the_output(
         tmp_path, capsys, option):
@@ -389,13 +393,40 @@ def test_propagate_parses_site_ranges(tmp_path):
 
 
 @pytest.mark.parametrize("init", ["site1", "thermal:1", "site:3", "site:0",
-                                  "site:abc", "site:3-", "mixture:1,x"])
+                                  "site:abc", "site:3-", "mixture:1,x",
+                                  "coherent:1,2-1"])
 def test_propagate_rejects_bad_initial_states(tmp_path, capsys, init):
     out = tmp_path / "new"
     rc = main(["propagate", "--system", dimer_file(tmp_path),
                "--init", init, "--t-final", "1", "--out-dir", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_propagate_checks_a_range_before_expanding_it(tmp_path, capsys):
+    """A range far beyond the system's site count is refused by its ends,
+    with the range named, without building its list of sites."""
+    out = tmp_path / "new"
+    rc = main(["propagate", "--system", dimer_file(tmp_path),
+               "--init", "coherent:1-2000000", "--t-final", "1",
+               "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1-2000000" in err
+    assert not out.exists()
+
+
+def test_propagate_refuses_a_horizon_that_overflows(tmp_path, capsys):
+    """At t = 1e50 ps the matrix exponential of the FMO generator is NaN;
+    the run exits 1 and writes nothing rather than writing NaN rows."""
+    path = tmp_path / "fmo.json"
+    save_system(load_fmo_model().system, str(path))
+    out = tmp_path / "new"
+    rc = main(["propagate", "--system", str(path), "--init", "mixture:1,6",
+               "--samples", "3", "--t-final", "1e50", "--out-dir", str(out)])
+    assert rc == 1
+    assert "not finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enaqt.dynamics import integrated_state
+from enaqt.dynamics import MomentSolver, integrated_state
 from enaqt.errors import NumericalConsistencyError, UndefinedTransferTimeError
 from enaqt.fmo import default_gamma_grid, load_fmo_model
 from enaqt.model import InitialState, TransportSystem, initial_density_matrix
@@ -72,7 +72,7 @@ def test_transfer_time_is_undefined_at_zero_efficiency():
 def test_untrapped_systems_report_infinite_transfer_time():
     sys = synthetic_system(kappa=[0.0, 0.0], gamma=0.2)
     rho0 = initial_density_matrix(InitialState("site", (1,)), 2)
-    res = transport_result(sys, rho0)
+    res = transport_result(sys, MomentSolver(sys, rho0))
     assert res.efficiency == 0.0
     assert res.transfer_time_ps == float("inf")
     assert res.loss_probability == pytest.approx(1.0, abs=1e-10)
@@ -83,20 +83,20 @@ def test_efficiency_and_loss_partition_unity():
     for _ in range(10):
         sys = random_transport_system(rng)
         rho0 = random_density_matrix(rng, sys.n_sites)
-        res = transport_result(sys, rho0)
+        res = transport_result(sys, MomentSolver(sys, rho0))
         assert res.efficiency + res.loss_probability == pytest.approx(
             1.0, abs=1e-10)
         assert res.transfer_time_ps > 0.0
 
 
-def check_exit_time_identities(sys, rho0):
+def check_exit_time_identities(sys, solver):
     """Recombination is uniform, so the loss channel integrates the whole
     trace: loss = 2 Gamma Tr S1, where Tr S1 = E[T_exit] is the mean time
     to leave by either channel, and eta = 1 - 2 Gamma Tr S1. Splitting
     E[T_exit] by channel gives Tr S1 = eta tau + 2 Gamma Tr S2, so the
     mean exit time is at least the trapped residence eta tau."""
-    s1, s2 = integrated_state(sys, rho0)
-    res = transport_result(sys, rho0)
+    s1, s2 = integrated_state(sys, solver)
+    res = transport_result(sys, solver)
     mean_exit = float(np.trace(s1).real)
     lost_residence = 2.0 * sys.recomb_rate * float(np.trace(s2).real)
     trapped_residence = res.efficiency * res.transfer_time_ps
@@ -112,15 +112,16 @@ def check_exit_time_identities(sys, rho0):
 def test_exit_time_identities_on_random_systems(seed):
     rng = np.random.default_rng(seed)
     sys = random_transport_system(rng)
-    check_exit_time_identities(sys, random_density_matrix(rng, sys.n_sites))
+    solver = MomentSolver(sys, random_density_matrix(rng, sys.n_sites))
+    check_exit_time_identities(sys, solver)
 
 
 def test_exit_time_identities_across_the_fmo_sweep():
     """Every point of the default FMO sweep, the efficiency peak included."""
     model = load_fmo_model()
-    rho0 = model.initial_density_matrix()
+    solver = MomentSolver(model.system, model.initial_density_matrix())
     for gamma in default_gamma_grid():
-        check_exit_time_identities(model.system.with_dephasing(gamma), rho0)
+        check_exit_time_identities(model.system.with_dephasing(gamma), solver)
 
 
 def test_metrics_match_the_quadrature_oracle():
@@ -128,7 +129,7 @@ def test_metrics_match_the_quadrature_oracle():
     rng = np.random.default_rng(23)
     sys = random_transport_system(rng, n=4)
     rho0 = random_density_matrix(rng, 4)
-    res = transport_result(sys, rho0)
+    res = transport_result(sys, MomentSolver(sys, rho0))
     q1, q2 = quadrature_integrals(sys, rho0)
     eta_ref = 2.0 * float(sys.trap_rates @ np.real(np.diag(q1)))
     tau_ref = (2.0 / eta_ref) * float(sys.trap_rates @ np.real(np.diag(q2)))
@@ -147,5 +148,5 @@ def test_raising_the_trap_rate_never_hurts_on_the_symmetric_dimer():
     for kappa in np.logspace(-1, 1, 9):
         sys = to_transport_system(params, trap_rate_2=kappa,
                                   recomb_rate=0.01).with_dephasing(1.0)
-        etas.append(transport_result(sys, rho0).efficiency)
+        etas.append(transport_result(sys, MomentSolver(sys, rho0)).efficiency)
     assert np.all(np.diff(etas) > 0.0)

@@ -184,7 +184,7 @@ def test_ordered_tree_transport_runs_through_the_bright_chain(generation):
     for kind in ("coherent", "mixture"):
         rho0 = initial_density_matrix(leaf_initial_state(spec, kind),
                                       sys.n_sites)
-        etas[kind] = transport_result(sys, rho0).efficiency
+        etas[kind] = transport_result(sys, MomentSolver(sys, rho0)).efficiency
     assert abs(etas["coherent"] - eta_chain) <= 1e-12
     assert abs(etas["mixture"] - eta_chain / 2 ** (generation - 1)) <= 1e-12
 
@@ -194,9 +194,9 @@ def test_optimal_dephasing_beats_or_matches_the_coherent_limit():
                     rng_seed=7)
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 7)
-    eta_coherent = transport_result(sys, rho0).efficiency
-    gamma_star, eta_star, eta_zero = optimal_dephasing(
-        sys, MomentSolver(sys, rho0))
+    solver = MomentSolver(sys, rho0)
+    eta_coherent = transport_result(sys, solver).efficiency
+    gamma_star, eta_star, eta_zero = optimal_dephasing(sys, solver)
     assert eta_zero == eta_coherent
     assert eta_star >= eta_coherent - 1e-12
     assert gamma_star > 0.0
@@ -210,13 +210,14 @@ def test_optimal_dephasing_result_is_self_consistent():
                     rng_seed=3)
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 7)
-    gamma_star, eta_star, _ = optimal_dephasing(sys, MomentSolver(sys, rho0))
+    solver = MomentSolver(sys, rho0)
+    gamma_star, eta_star, _ = optimal_dephasing(sys, solver)
     recomputed = transport_result(sys.with_dephasing(gamma_star),
-                                  rho0).efficiency
+                                  solver).efficiency
     assert recomputed == pytest.approx(eta_star, abs=1e-9)
     # No grid point of the search may beat the reported optimum.
     for gamma in np.logspace(-2, 3, 12):
-        eta = transport_result(sys.with_dephasing(gamma), rho0).efficiency
+        eta = transport_result(sys.with_dephasing(gamma), solver).efficiency
         assert eta <= eta_star + 1e-9
 
 

@@ -89,5 +89,10 @@ def test_parameter_validation():
             TwoLevelParams(bad, 10.0)
         with pytest.raises(ConfigurationError, match="real number"):
             TwoLevelParams(100.0, bad)
+    # eps^2 + V^2 must be finite too, or the closed form overflows.
+    for eps, v in ((1e200, 10.0), (100.0, 1e200), (1e154, 1e154)):
+        with pytest.raises(ConfigurationError, match=r"eps\^2 \+ V\^2"):
+            TwoLevelParams(eps, v)
+    TwoLevelParams(1e150, 1e150)
     p = TwoLevelParams(100, np.float32(10.0))
     assert type(p.energy_mismatch_cm1) is type(p.coupling_cm1) is float
