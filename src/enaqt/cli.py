@@ -265,12 +265,9 @@ def cmd_two_level(args):
 
     # Dephasing sweep of the trapped, biased dimer (the ENAQT demonstration).
     solver = MomentSolver(trapped, rho0)
-
-    def solve(gamma):
-        return transport_result(trapped.with_dephasing(gamma), solver)
-
     plan = SweepPlan(tasks=tuple(float(g) for g in grid))
-    results = list(zip(plan.tasks, [r.value for r in run_sweep(plan, solve)]))
+    results = list(zip(plan.tasks, [r.value for r in run_sweep(
+        plan, lambda gamma: transport_result(solver, gamma))]))
     files.append(("two_level_enaqt.csv",
                   lambda f: write_sweep_csv(results, f)))
 

@@ -30,7 +30,7 @@ exponential per step.
 MomentSolver, the one place that solves for S1 = int_0^inf rho dt and
 S2 = int_0^inf t rho dt, never touches time at all: it solves
 L S1 = -rho0 and L S2 = -S1 at any dephasing rate, so a sweep over
-gamma_phi builds one solver per (H_eff, rho0) and calls it per rate. Systems
+gamma_phi builds one solver per (system, rho0) and calls it per rate. Systems
 of fewer than 9 sites get a dense real LU of build_liouvillian's matrix,
 and the moments of rho0 come out exactly Hermitian.
 Larger systems get an eigenbasis route: H_eff is diagonalized once, the
@@ -58,7 +58,7 @@ from scipy.linalg import expm, get_lapack_funcs
 
 from .errors import (ConfigurationError, NonConvergentIntegralError,
                      NumericalConsistencyError)
-from .model import effective_hamiltonian
+from .model import as_rate, effective_hamiltonian
 
 
 def _initial_state(rho0, n):
@@ -349,8 +349,8 @@ class _DenseRoute(_Route):
     population one, so each rate copies M, shifts its diagonal and
     factors it."""
 
-    def __init__(self, sys):
-        self._coherent = sys.with_dephasing(0.0)
+    def __init__(self, coherent):
+        self._coherent = coherent
         self._matrix = None
 
     def build(self):
@@ -383,8 +383,9 @@ class _DenseRoute(_Route):
         if lu is None:
             raise NonConvergentIntegralError(
                 "Liouvillian condition estimate %.3e exceeds 1e12: the "
-                "integrals do not converge reliably; likely cause is a site "
-                "(or subspace) with no reachable decay channel" % cond)
+                "integrals do not converge reliably; likely causes are a site "
+                "(or subspace) with no reachable decay channel, or energies "
+                "and rates too many orders of magnitude apart" % cond)
         return lu
 
     def _factor_scan(self, gammas):
@@ -531,15 +532,17 @@ class _Eigenbasis(_Route):
 
 class MomentSolver:
     """First two time moments of the evolution, S1 = int rho dt and
-    S2 = int t rho dt, for one (H_eff, rho0) at any dephasing rate. A rho0
-    not exactly Hermitian raises ConfigurationError; the solver keeps no
-    reference to the caller's array.
+    S2 = int t rho dt, for one system and rho0 at any dephasing rate;
+    solver.system is that system at gamma_phi = 0. A rho0 not exactly
+    Hermitian raises ConfigurationError; the solver keeps no reference to
+    the caller's array.
 
     S1 solves L S1 = -rho0; S2 solves L S2 = -S1
     (integration by parts moves the factor of t into a second solve).
     solver(gamma_phi) returns (S1, S2); solver.first_moment(gamma_phi)
     returns S1 alone, and solver.first_moments(gammas) the (K, N, N) stack
-    of S1 over an array of K rates.
+    of S1 over an array of K rates. A rate that is not a real number >= 0
+    (a bool or a string among them) raises ConfigurationError.
 
     Two routes give the same numbers to roundoff:
     - Dense: L is build_liouvillian's real matrix on the coordinates of
@@ -587,17 +590,18 @@ class MomentSolver:
                 "no decay channel anywhere (all kappa_m = 0 and Gamma = 0): "
                 "int_0^inf rho dt diverges")
         self.n_sites = n
+        self.system = sys.with_dephasing(0.0)
         self._eigen = (_Eigenbasis.of(effective_hamiltonian(sys))
                        if n >= _EIGENBASIS_MIN_SITES else None)
-        self._dense = _DenseRoute(sys)
+        self._dense = _DenseRoute(self.system)
         self._set_initial_state(rho0)
 
     def with_initial_state(self, rho0):
         """A solver for the same system from another initial state. It
-        shares this one's routes: H_eff, eigenbasis and dense Liouvillian,
-        and the factorisations of the last first_moments scan, so a scan
-        of the same rates by either is factored once. Each keeps its own
-        right-hand sides, solves and counts."""
+        shares this one's system and routes (H_eff, eigenbasis and dense
+        Liouvillian) and the factorisations of the last first_moments scan,
+        so a scan of the same rates by either is factored once. Each keeps
+        its own right-hand sides, solves and counts."""
         other = copy.copy(self)
         other._set_initial_state(rho0)
         return other
@@ -650,10 +654,7 @@ class MomentSolver:
         return out
 
     def _solve(self, gamma_phi, n_moments):
-        gamma = float(gamma_phi)
-        if not (np.isfinite(gamma) and gamma >= 0.0):
-            raise ConfigurationError(
-                "dephasing rate must be finite and >= 0, got %r" % (gamma_phi,))
+        gamma = as_rate("dephasing rate", gamma_phi)
         if self._eigen is not None:
             ok, factors = self._eigen.factor(np.array([gamma]))
             if ok[0]:
@@ -677,12 +678,8 @@ class MomentSolver:
         return tuple(from_coordinates(y) for y in moments)
 
 
-def integrated_state(sys, solver):
-    """(S1, S2) at the system's own dephasing rate, solver(sys.dephasing_rate),
-    for the MomentSolver of sys's H_eff (at any rate) and its initial state.
-
-    It is a named function of its own only so that a tracer can wrap it:
-    bench/tracing.py counts one call per grid point and reads n_sites from
-    its first argument.
-    """
-    return solver(sys.dephasing_rate)
+def integrated_state(solver, gamma_phi):
+    """solver(gamma_phi), the (S1, S2) of a MomentSolver. It is a function
+    of its own only so that bench/tracing.py can wrap it: the tracer counts
+    one call per grid point and reads n_sites from the first argument."""
+    return solver(gamma_phi)

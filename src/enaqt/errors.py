@@ -20,9 +20,10 @@ class DataIntegrityError(EnaqtError):
 class NonConvergentIntegralError(EnaqtError):
     """The infinite-horizon integrals do not converge.
 
-    Raised when the Liouvillian is singular or numerically singular, which
-    happens when some initial population can never reach a decay channel
-    (no trap, no recombination, or a disconnected graph).
+    Raised when the Liouvillian is singular or numerically singular: some
+    initial population can never reach a decay channel (no trap, no
+    recombination, or a disconnected graph), or the energies and rates lie
+    too many orders of magnitude apart.
     """
 
 

@@ -27,8 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import MomentSolver
-from .errors import ConfigurationError, DataIntegrityError
-from .model import InitialState, TransportSystem, initial_density_matrix
+from .errors import DataIntegrityError
+from .model import (InitialState, TransportSystem, as_rate_grid,
+                    initial_density_matrix)
 from .observables import transport_result
 from .sweep import SweepPlan, run_sweep
 
@@ -181,17 +182,12 @@ def dephasing_sweep(model, gamma_grid=None):
     Returns a list of (gamma_phi, TransportResult) in grid order; any point
     failing to solve fails the sweep.
     """
-    grid = default_gamma_grid() if gamma_grid is None else np.asarray(
-        gamma_grid, dtype=float)
-    if np.any(grid < 0.0) or not np.all(np.isfinite(grid)):
-        raise ConfigurationError("dephasing grid must be finite and >= 0")
+    grid = as_rate_grid("dephasing grid", default_gamma_grid()
+                        if gamma_grid is None else gamma_grid)
     solver = MomentSolver(model.system, model.initial_density_matrix())
-
-    def solve(gamma):
-        return transport_result(model.system.with_dephasing(gamma), solver)
-
     plan = SweepPlan(tasks=tuple(float(g) for g in grid))
-    results = run_sweep(plan, solve, failure_threshold=0.0)
+    results = run_sweep(plan, lambda gamma: transport_result(solver, gamma),
+                        failure_threshold=0.0)
     return [(gamma, r.value) for gamma, r in zip(plan.tasks, results)]
 
 
@@ -203,12 +199,10 @@ def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None):
     is the dephasing_sweep of the model whose only trap is kappa_grid[j]
     at DEFAULT_TRAP_SITE.
     """
-    gammas = default_gamma_grid() if gamma_grid is None else np.asarray(
-        gamma_grid, dtype=float)
-    kappas = default_kappa_grid() if kappa_grid is None else np.asarray(
-        kappa_grid, dtype=float)
-    if not (np.all(np.isfinite(kappas)) and np.all(kappas > 0.0)):
-        raise ConfigurationError("trap-rate grid must be finite and > 0")
+    gammas = as_rate_grid("dephasing grid", default_gamma_grid()
+                          if gamma_grid is None else gamma_grid)
+    kappas = as_rate_grid("trap-rate grid", default_kappa_grid()
+                          if kappa_grid is None else kappa_grid, positive=True)
     tau = np.empty((len(gammas), len(kappas)))
     for j, kappa in enumerate(kappas):
         trap_rates = np.zeros(model.system.n_sites)

@@ -52,6 +52,15 @@ def as_real(name, value):
             from None
 
 
+def as_rate(name, value):
+    """value by as_real, refused unless finite and >= 0."""
+    rate = as_real(name, value)
+    if not 0.0 <= rate < np.inf:
+        raise ConfigurationError("%s must be finite and >= 0, got %r"
+                                 % (name, value))
+    return rate
+
+
 def _real_array(name, value):
     """value as a read-only float array, each entry taken by as_real, so a
     bool, a string or a ragged nesting raises ConfigurationError."""
@@ -59,6 +68,19 @@ def _real_array(name, value):
     a = np.array([as_real(name + " entry", v)
                   for v in entries.flat]).reshape(entries.shape)
     a.setflags(write=False)
+    return a
+
+
+def as_rate_grid(name, values, positive=False):
+    """values as a read-only 1-d array of finite rates >= 0 (> 0 when
+    positive), each entry taken by as_real, or ConfigurationError."""
+    a = _real_array(name, values)
+    if a.ndim != 1:
+        raise ConfigurationError("%s must be a 1-d array, got shape %s"
+                                 % (name, a.shape))
+    if not np.all(np.isfinite(a)) or np.any(a <= 0.0 if positive else a < 0.0):
+        raise ConfigurationError("%s must be finite and %s 0"
+                                 % (name, ">" if positive else ">="))
     return a
 
 
@@ -90,8 +112,8 @@ class TransportSystem:
         eps = _real_array("site_energies", self.site_energies)
         V = _real_array("couplings", self.couplings)
         kap = _real_array("trap_rates", self.trap_rates)
-        gam = as_real("recomb_rate", self.recomb_rate)
-        dep = as_real("dephasing_rate", self.dephasing_rate)
+        gam = as_rate("recomb_rate", self.recomb_rate)
+        dep = as_rate("dephasing_rate", self.dephasing_rate)
         for name, a, shape in (("site_energies", eps, (n,)),
                                ("couplings", V, (n, n)),
                                ("trap_rates", kap, (n,))):
@@ -107,9 +129,6 @@ class TransportSystem:
             raise ConfigurationError("couplings must be symmetric")
         if np.any(kap < 0.0):
             raise ConfigurationError("trap rates must be non-negative")
-        for name, rate in (("recomb_rate", gam), ("dephasing_rate", dep)):
-            if not np.isfinite(rate) or rate < 0.0:
-                raise ConfigurationError("%s must be finite and >= 0" % name)
         object.__setattr__(self, "n_sites", n)
         object.__setattr__(self, "site_energies", eps)
         object.__setattr__(self, "couplings", V)
@@ -122,9 +141,7 @@ class TransportSystem:
 
         Only the new rate is checked: the copy shares this system's arrays,
         which were validated when it was built and are read-only."""
-        dep = as_real("dephasing_rate", gamma_phi)
-        if not np.isfinite(dep) or dep < 0.0:
-            raise ConfigurationError("dephasing_rate must be finite and >= 0")
+        dep = as_rate("dephasing_rate", gamma_phi)
         other = object.__new__(type(self))
         vars(other).update(vars(self), dephasing_rate=dep)
         return other

@@ -75,15 +75,15 @@ def loss_probability(sys, s1):
     return _clamped_probability(loss, "loss probability")
 
 
-def transport_result(sys, solver):
-    """Solve a system end to end with solver, the dynamics.MomentSolver of
-    its H_eff (at any dephasing rate) and initial state, and package the
-    metrics.
+def transport_result(solver, gamma_phi):
+    """The metrics of solver, a dynamics.MomentSolver, at dephasing rate
+    gamma_phi, with the trap and recombination rates of solver.system.
 
     Transfer time is reported as inf when the efficiency is numerically zero
     (nothing is ever trapped), rather than raising.
     """
-    s1, s2 = integrated_state(sys, solver)
+    sys = solver.system
+    s1, s2 = integrated_state(solver, gamma_phi)
     eta = efficiency(sys, s1)
     loss = loss_probability(sys, s1)
     if eta > _MIN_ETA:

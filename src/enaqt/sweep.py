@@ -12,7 +12,6 @@ processes, and any task can be rerun in isolation.
 """
 
 import hashlib
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,18 +72,19 @@ class TaskResult:
 
 
 def run_task(task, task_fn):
-    """task_fn(task) as a TaskResult, its exception captured as the error."""
+    """task_fn(task) as a TaskResult, its exception captured as the error
+    "<ExceptionType>: <message>"."""
     try:
         return TaskResult(value=task_fn(task))
-    except Exception:
-        return TaskResult(error=traceback.format_exc())
+    except Exception as exc:
+        return TaskResult(error="%s: %s" % (type(exc).__name__, exc))
 
 
 def run_sweep(plan, task_fn, failure_threshold=0.0):
     """Execute every task and return TaskResults in task order.
 
     failure_threshold is the tolerated fraction of failed tasks; exceeding
-    it raises SweepFailureError carrying the first captured traceback.
+    it raises SweepFailureError quoting the first task's error.
     """
     n = len(plan.tasks)
     if n == 0:
@@ -93,6 +93,6 @@ def run_sweep(plan, task_fn, failure_threshold=0.0):
     failures = [r for r in results if not r.ok]
     if len(failures) > failure_threshold * n:
         raise SweepFailureError(
-            "%d of %d sweep tasks failed (threshold %.0f%%); first failure:\n%s"
+            "%d of %d sweep tasks failed (threshold %.0f%%); first failure: %s"
             % (len(failures), n, 100.0 * failure_threshold, failures[0].error))
     return results

@@ -35,7 +35,6 @@ rng_seed, delta index, sample index), so any sample can be regenerated
 in isolation and results are bitwise independent of execution order.
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -43,8 +42,8 @@ import numpy as np
 
 from .dynamics import MomentSolver
 from .errors import ConfigurationError, SweepFailureError
-from .model import (InitialState, TransportSystem, as_integer, as_real,
-                    initial_density_matrix)
+from .model import (InitialState, TransportSystem, as_integer, as_rate,
+                    as_rate_grid, as_real, initial_density_matrix)
 from .observables import efficiency
 from .sweep import (SweepPlan, derive_seed, run_sweep, run_task,
                     sample_mean_std)
@@ -111,11 +110,7 @@ class TreeSpec:
         if self.recomb_rate_ps is None:
             object.__setattr__(self, "recomb_rate_ps", RECOMB_OVER_V * v_ang)
         for name in ("trap_rate_ps", "recomb_rate_ps"):
-            rate = as_real(name, getattr(self, name))
-            object.__setattr__(self, name, rate)
-            if not (math.isfinite(rate) and rate >= 0.0):
-                raise ConfigurationError(
-                    "%s must be finite and >= 0, got %r" % (name, rate))
+            object.__setattr__(self, name, as_rate(name, getattr(self, name)))
         if self.trap_rate_ps == 0.0 and self.recomb_rate_ps == 0.0:
             raise ConfigurationError(
                 "trap_rate_ps and recomb_rate_ps are both 0: the tree has no "
@@ -252,7 +247,7 @@ def _brent_max(f, a, b, seed, tol, max_evals):
     return x, fx
 
 
-def optimal_dephasing(sys, solver):
+def optimal_dephasing(solver):
     """Maximize transfer efficiency over the dephasing rate.
 
     Scans a logarithmic grid (plus the exact zero endpoint), then refines
@@ -268,12 +263,13 @@ def optimal_dephasing(sys, solver):
     The efficiency is evaluated once per rate: 41 times for gamma = 0 and
     the grid, plus once per refinement step, of which there are at most
     SEARCH_MAX_REFINE (about 5 for most trees). solver is the
-    MomentSolver of sys and the initial state to search from:
-    disorder_ensemble passes one per initial-state kind, all sharing the
-    factorisations of one tree's scan.
+    MomentSolver of the system (solver.system) and initial state to search
+    from: disorder_ensemble passes one per initial-state kind, all sharing
+    the factorisations of one tree's scan.
 
     Returns (gamma_star, eta_star, eta(0)).
     """
+    sys = solver.system
     vmax = float(np.max(np.abs(sys.couplings)))
     if vmax == 0.0:
         raise ConfigurationError(
@@ -362,8 +358,7 @@ def _solve_sample(task):
                                       sys.n_sites)
         solver = (MomentSolver(sys, rho0) if solver is None
                   else solver.with_initial_state(rho0))
-        results.append(run_task(solver, functools.partial(
-            optimal_dephasing, sys)))
+        results.append(run_task(solver, optimal_dephasing))
     return results
 
 
@@ -390,10 +385,8 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
         raise ConfigurationError(
             "kinds must be distinct, each 'coherent' or 'mixture', got %r"
             % (kinds,))
-    deltas = np.asarray(DEFAULT_DELTA_GRID if delta_grid is None else delta_grid,
-                        dtype=float)
-    if not np.all(np.isfinite(deltas)) or np.any(deltas < 0.0):
-        raise ConfigurationError("disorder values must be finite and >= 0")
+    deltas = as_rate_grid("disorder values", DEFAULT_DELTA_GRID
+                          if delta_grid is None else delta_grid)
     seed = spec_template.rng_seed
     v = abs(spec_template.coupling_cm1)
 
@@ -419,7 +412,7 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
             if n_failed > FAILURE_THRESHOLD * n_samples:
                 raise SweepFailureError(
                     "%d of %d %s samples failed at delta/V = %g; first "
-                    "failure:\n%s" % (n_failed, n_samples, kind, delta,
+                    "failure: %s" % (n_failed, n_samples, kind, delta,
                                        next(r.error for r in block
                                             if not r.ok)))
             gamma_mean, gamma_std = sample_mean_std(v[0] for v in ok)

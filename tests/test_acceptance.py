@@ -183,11 +183,11 @@ def test_criterion_08_independent_oracle_agreement(fmo_model):
     sys6 = fmo_model.system.with_dephasing(6.0)
     rho0 = fmo_model.initial_density_matrix()
     solver = MomentSolver(fmo_model.system, rho0)
-    s1, s2 = integrated_state(sys6, solver)
+    s1, s2 = integrated_state(solver, 6.0)
     q1, q2 = quadrature_integrals(sys6, rho0)
     worst = max(worst, rel_diag(s1, q1), rel_diag(s2, q2))
 
-    s1, s2 = integrated_state(fmo_model.system, solver)
+    s1, s2 = integrated_state(solver, 0.0)
     e1, e2 = eigen_integrals(fmo_model.system, rho0)
     worst = max(worst, rel_diag(s1, e1), rel_diag(s2, e2))
 
@@ -196,7 +196,7 @@ def test_criterion_08_independent_oracle_agreement(fmo_model):
         sys = random_transport_system(
             rng, dephasing=0.0 if k % 3 == 0 else None)
         rho = random_density_matrix(rng, sys.n_sites)
-        s1, s2 = integrated_state(sys, MomentSolver(sys, rho))
+        s1, s2 = integrated_state(MomentSolver(sys, rho), sys.dephasing_rate)
         if sys.dephasing_rate == 0.0:
             r1, r2 = eigen_integrals(sys, rho)
         else:
@@ -254,7 +254,7 @@ def test_criterion_09_probability_conservation(fmo_model):
 
     worst = 0.0
     for sys, rho0 in systems:
-        res = transport_result(sys, MomentSolver(sys, rho0))
+        res = transport_result(MomentSolver(sys, rho0), sys.dephasing_rate)
         worst = max(worst, abs(res.efficiency + res.loss_probability - 1.0))
 
     # Coherence decay law: uncoupled degenerate sites dephase as exp(-gamma t)

@@ -118,3 +118,15 @@ def test_a_traced_tree_ensemble_run_counts_its_searches(tmp_path):
     assert metrics["sweep.tasks"] == 2 * 2
     assert metrics["tree.optimal_dephasing_calls"] == 2 * 2 * 2
     assert metrics["tree.eta_evals_per_opt"] >= 41
+
+
+def test_a_traced_two_level_run_counts_its_sweep(tmp_path):
+    """two-level's dephasing sweep, gamma = 0 and 5 grid rates: one sweep
+    task and one moment solve per rate, and two dense Liouvillian builds,
+    one for the propagated oracle and one for the sweep's solver."""
+    metrics, calls = traced_run(tmp_path, [
+        "two-level", "--gamma-points", "5", "--out-dir", str(tmp_path)])
+    assert metrics["sweep.tasks"] == 6
+    assert metrics["sweep.failed"] == 0
+    assert metrics["dynamics.integrated_state_calls"] == 6
+    assert calls["dynamics.build_liouvillian"] == 2

@@ -342,6 +342,27 @@ def test_two_level_rejects_bad_rates_before_touching_the_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["two-level", "--epsilon", "1e150", "--gamma-points", "3"],
+    ["tree-ensemble", "--generation", "3", "--samples", "1", "--delta-grid",
+     "0", "--trap-rate", "1e300"],
+])
+def test_a_failed_sweep_reports_its_first_error_on_one_line(tmp_path, capsys,
+                                                            argv):
+    """Each system has a trap, but its energies and rates lie too many
+    orders of magnitude apart for the moment solve: the run exits 1 with
+    one error line that quotes the solver's error and names that cause,
+    and writes nothing."""
+    rc = main(argv + ["--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "NonConvergentIntegralError: " in err and "1e12" in err
+    assert "orders of magnitude apart" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_two_level_with_no_dynamics_is_rejected(tmp_path):
     rc = main(["two-level", "--out-dir", str(tmp_path),
                "--epsilon", "0", "--coupling", "0"])

@@ -293,7 +293,7 @@ def test_integrated_state_matches_the_quadrature_oracle():
     rng = np.random.default_rng(18)
     sys = random_transport_system(rng, n=4)
     rho0 = random_density_matrix(rng, 4)
-    s1, s2 = integrated_state(sys, MomentSolver(sys, rho0))
+    s1, s2 = integrated_state(MomentSolver(sys, rho0), sys.dephasing_rate)
     q1, q2 = quadrature_integrals(sys, rho0)
     np.testing.assert_allclose(s1, q1, rtol=1e-8, atol=1e-10)
     np.testing.assert_allclose(s2, q2, rtol=1e-8, atol=1e-10)
@@ -305,8 +305,8 @@ def test_integrated_state_refuses_systems_without_decay():
                           trap_rates=[0.0, 0.0], recomb_rate=0.0,
                           dephasing_rate=1.0)
     with pytest.raises(NonConvergentIntegralError):
-        integrated_state(sys, MomentSolver(
-            sys, np.diag([1.0, 0.0]).astype(complex)))
+        integrated_state(MomentSolver(
+            sys, np.diag([1.0, 0.0]).astype(complex)), sys.dephasing_rate)
 
 
 def test_integrated_state_detects_unreachable_population():
@@ -319,14 +319,14 @@ def test_integrated_state_detects_unreachable_population():
                           recomb_rate=0.0, dephasing_rate=0.5)
     rho0 = np.diag([0.5, 0.0, 0.5]).astype(complex)
     with pytest.raises(NonConvergentIntegralError):
-        integrated_state(sys, MomentSolver(sys, rho0))
+        integrated_state(MomentSolver(sys, rho0), sys.dephasing_rate)
 
 
 def test_integrated_state_rejects_wrong_shape():
     rng = np.random.default_rng(19)
     sys = random_transport_system(rng, n=3)
     with pytest.raises(ConfigurationError):
-        integrated_state(sys, MomentSolver(sys, np.eye(2)))
+        integrated_state(MomentSolver(sys, np.eye(2)), sys.dephasing_rate)
 
 
 def test_moment_solver_equals_integrated_state_at_every_rate():
@@ -340,14 +340,15 @@ def test_moment_solver_equals_integrated_state_at_every_rate():
         for gamma in (0.0, 1e-3, 0.7, 25.0, 4e3):
             s1, s2 = solver(gamma)
             dephased = sys.with_dephasing(gamma)
-            w1, w2 = integrated_state(dephased, MomentSolver(dephased, rho0))
+            w1, w2 = integrated_state(MomentSolver(dephased, rho0), gamma)
             np.testing.assert_array_equal(s1, w1)
             np.testing.assert_array_equal(s2, w2)
 
 
 def test_integrated_state_keeps_its_own_copy_of_rho0():
     """A MomentSolver keeps no reference to the caller's array, on either
-    route: changing the array after the build changes no result."""
+    route: changing the array after the build changes no result. It keeps
+    its system at gamma_phi = 0, and with_initial_state shares it."""
     rng = np.random.default_rng(67)
     for n in (4, 9):
         sys = random_transport_system(rng, n=n)
@@ -355,10 +356,14 @@ def test_integrated_state_keeps_its_own_copy_of_rho0():
         want = MomentSolver(sys, rho0.copy())
         solver = MomentSolver(sys, rho0)
         sibling = want.with_initial_state(rho0)
+        assert sys.dephasing_rate > 0.0
+        assert want.system.dephasing_rate == 0.0
+        assert want.system.trap_rates is sys.trap_rates
+        assert sibling.system is want.system
         rho0[0, 0] += 0.25
         rho0[0, 1] = rho0[1, 0] = 0.0
         for gamma in (0.0, 3.0):
-            got = integrated_state(sys.with_dephasing(gamma), solver)
+            got = integrated_state(solver, gamma)
             np.testing.assert_array_equal(got[0], want(gamma)[0])
             np.testing.assert_array_equal(got[1], want(gamma)[1])
             np.testing.assert_array_equal(sibling.first_moment(gamma),
@@ -483,8 +488,10 @@ def test_a_dense_fallback_above_one_gibibyte_is_refused():
         solver.first_moment(0.0)
 
 
-@pytest.mark.parametrize("gamma", [-1e-9, -1.0, float("nan"), float("inf"),
-                                   float("-inf")])
+@pytest.mark.parametrize("gamma", [
+    -1e-9, -1.0, float("nan"), float("inf"), float("-inf"), True,
+    pytest.param("1.5", id="str"), pytest.param(10 ** 400, id="10**400"),
+])
 def test_moment_solver_rejects_bad_dephasing_rates(gamma):
     rng = np.random.default_rng(21)
     sys = random_transport_system(rng, n=3)

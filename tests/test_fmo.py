@@ -170,10 +170,10 @@ def test_small_sweep_produces_partitioned_results():
 
 def test_sweep_rejects_bad_grids():
     model = load_fmo_model()
-    with pytest.raises(ConfigurationError):
-        dephasing_sweep(model, [-1.0, 1.0])
-    with pytest.raises(ConfigurationError):
-        dephasing_sweep(model, [float("inf")])
+    for grid in ([-1.0, 1.0], [float("inf")], [[1.0, 2.0]], 1.0, ["1.5"],
+                 [True]):
+        with pytest.raises(ConfigurationError):
+            dephasing_sweep(model, grid)
 
 
 def test_surface_shape_and_content():
@@ -196,9 +196,10 @@ def test_surface_equals_point_by_point_transfer_times():
         for j, kappa in enumerate(kappas):
             kap = np.zeros(7)
             kap[DEFAULT_TRAP_SITE - 1] = kappa
-            sys = model.system.with_rates(trap_rates=kap, dephasing_rate=gamma)
-            solver = MomentSolver(sys, rho0)
-            assert tau[i, j] == transport_result(sys, solver).transfer_time_ps
+            solver = MomentSolver(model.system.with_rates(trap_rates=kap),
+                                  rho0)
+            assert tau[i, j] == transport_result(solver,
+                                                 gamma).transfer_time_ps
 
 
 def test_sweep_and_surface_build_one_solver_per_trap_rate(solver_builds):
@@ -220,10 +221,19 @@ def test_surface_rejects_nonpositive_kappa():
     ([float("inf")], [1.0]),
     ([1.0], [float("inf")]),
     ([1.0], [float("nan")]),
+    ([[1.0, 2.0]], [1.0]),
+    (1.0, [1.0]),
+    (["1.5"], [1.0]),
+    ([True], [1.0]),
+    ([1.0], [[1.0, 2.0]]),
+    ([1.0], 1.0),
+    ([1.0], ["1.5"]),
+    ([1.0], [True]),
 ])
 def test_surface_rejects_non_finite_grids_up_front(gammas, kappas):
     """Like dephasing_sweep, the surface validates its grids before solving,
-    so a bad value is a configuration error, not a failed sweep task."""
+    so a bad value (not finite, not a real number, or not a 1-d grid) is a
+    configuration error, not a failed sweep task or a leaked TypeError."""
     with pytest.raises(ConfigurationError):
         trap_dephasing_surface(load_fmo_model(), gammas, kappas)
 

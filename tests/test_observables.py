@@ -72,7 +72,7 @@ def test_transfer_time_is_undefined_at_zero_efficiency():
 def test_untrapped_systems_report_infinite_transfer_time():
     sys = synthetic_system(kappa=[0.0, 0.0], gamma=0.2)
     rho0 = initial_density_matrix(InitialState("site", (1,)), 2)
-    res = transport_result(sys, MomentSolver(sys, rho0))
+    res = transport_result(MomentSolver(sys, rho0), sys.dephasing_rate)
     assert res.efficiency == 0.0
     assert res.transfer_time_ps == float("inf")
     assert res.loss_probability == pytest.approx(1.0, abs=1e-10)
@@ -83,20 +83,21 @@ def test_efficiency_and_loss_partition_unity():
     for _ in range(10):
         sys = random_transport_system(rng)
         rho0 = random_density_matrix(rng, sys.n_sites)
-        res = transport_result(sys, MomentSolver(sys, rho0))
+        res = transport_result(MomentSolver(sys, rho0), sys.dephasing_rate)
         assert res.efficiency + res.loss_probability == pytest.approx(
             1.0, abs=1e-10)
         assert res.transfer_time_ps > 0.0
 
 
-def check_exit_time_identities(sys, solver):
-    """Recombination is uniform, so the loss channel integrates the whole
+def check_exit_time_identities(solver, gamma):
+    """At dephasing rate gamma, for solver's system: recombination is uniform, so the loss channel integrates the whole
     trace: loss = 2 Gamma Tr S1, where Tr S1 = E[T_exit] is the mean time
     to leave by either channel, and eta = 1 - 2 Gamma Tr S1. Splitting
     E[T_exit] by channel gives Tr S1 = eta tau + 2 Gamma Tr S2, so the
     mean exit time is at least the trapped residence eta tau."""
-    s1, s2 = integrated_state(sys, solver)
-    res = transport_result(sys, solver)
+    sys = solver.system
+    s1, s2 = integrated_state(solver, gamma)
+    res = transport_result(solver, gamma)
     mean_exit = float(np.trace(s1).real)
     lost_residence = 2.0 * sys.recomb_rate * float(np.trace(s2).real)
     trapped_residence = res.efficiency * res.transfer_time_ps
@@ -113,7 +114,7 @@ def test_exit_time_identities_on_random_systems(seed):
     rng = np.random.default_rng(seed)
     sys = random_transport_system(rng)
     solver = MomentSolver(sys, random_density_matrix(rng, sys.n_sites))
-    check_exit_time_identities(sys, solver)
+    check_exit_time_identities(solver, sys.dephasing_rate)
 
 
 def test_exit_time_identities_across_the_fmo_sweep():
@@ -121,7 +122,7 @@ def test_exit_time_identities_across_the_fmo_sweep():
     model = load_fmo_model()
     solver = MomentSolver(model.system, model.initial_density_matrix())
     for gamma in default_gamma_grid():
-        check_exit_time_identities(model.system.with_dephasing(gamma), solver)
+        check_exit_time_identities(solver, gamma)
 
 
 def test_metrics_match_the_quadrature_oracle():
@@ -129,7 +130,7 @@ def test_metrics_match_the_quadrature_oracle():
     rng = np.random.default_rng(23)
     sys = random_transport_system(rng, n=4)
     rho0 = random_density_matrix(rng, 4)
-    res = transport_result(sys, MomentSolver(sys, rho0))
+    res = transport_result(MomentSolver(sys, rho0), sys.dephasing_rate)
     q1, q2 = quadrature_integrals(sys, rho0)
     eta_ref = 2.0 * float(sys.trap_rates @ np.real(np.diag(q1)))
     tau_ref = (2.0 / eta_ref) * float(sys.trap_rates @ np.real(np.diag(q2)))
@@ -146,7 +147,6 @@ def test_raising_the_trap_rate_never_hurts_on_the_symmetric_dimer():
     rho0 = initial_density_matrix(InitialState("site", (1,)), 2)
     etas = []
     for kappa in np.logspace(-1, 1, 9):
-        sys = to_transport_system(params, trap_rate_2=kappa,
-                                  recomb_rate=0.01).with_dephasing(1.0)
-        etas.append(transport_result(sys, MomentSolver(sys, rho0)).efficiency)
+        sys = to_transport_system(params, trap_rate_2=kappa, recomb_rate=0.01)
+        etas.append(transport_result(MomentSolver(sys, rho0), 1.0).efficiency)
     assert np.all(np.diff(etas) > 0.0)

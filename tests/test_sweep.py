@@ -75,12 +75,16 @@ def test_failures_below_the_threshold_are_recorded_not_raised():
     assert [r.value for r in results if r.ok] == [0, 1, 2, 4, 5, 6, 7, 8, 9]
 
 
-def test_exceeding_the_failure_threshold_raises_with_the_traceback():
+def test_exceeding_the_failure_threshold_raises_with_the_first_error():
+    """The error quotes the first task's exception type and message on
+    the same line, with no traceback."""
     def broken(x):
         raise RuntimeError("boom %d" % x)
 
-    with pytest.raises(SweepFailureError, match="boom 0"):
+    with pytest.raises(SweepFailureError, match="boom 0") as info:
         run_sweep(SweepPlan(tasks=(0, 1, 2)), broken, failure_threshold=0.5)
+    assert str(info.value) == ("3 of 3 sweep tasks failed (threshold 50%); "
+                               "first failure: RuntimeError: boom 0")
 
 
 def test_zero_threshold_fails_on_the_first_error():

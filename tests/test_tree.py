@@ -89,11 +89,14 @@ def test_a_tree_seed_outside_the_philox_keys_generates_no_tree(seed):
         assert report.records[0].n_ok == 2
 
 
-@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.5])
-def test_ensemble_rejects_a_bad_disorder_value(delta):
+@pytest.mark.parametrize("deltas", [
+    [0.0, float("nan")], [0.0, float("inf")], [0.0, -0.5], [0.0, "1.5"],
+    [0.0, True], [[0.0, 1.0]], 0.5,
+], ids=["nan", "inf", "-0.5", "str", "True", "2-d", "scalar"])
+def test_ensemble_rejects_a_bad_disorder_value(deltas):
     spec = TreeSpec(generation=3, coupling_cm1=100.0)
     with pytest.raises(ConfigurationError, match="disorder values"):
-        disorder_ensemble(spec, [0.0, delta], n_samples=1)
+        disorder_ensemble(spec, deltas, n_samples=1)
 
 
 def test_large_trees_need_explicit_consent():
@@ -184,7 +187,7 @@ def test_ordered_tree_transport_runs_through_the_bright_chain(generation):
     for kind in ("coherent", "mixture"):
         rho0 = initial_density_matrix(leaf_initial_state(spec, kind),
                                       sys.n_sites)
-        etas[kind] = transport_result(sys, MomentSolver(sys, rho0)).efficiency
+        etas[kind] = transport_result(MomentSolver(sys, rho0), 0.0).efficiency
     assert abs(etas["coherent"] - eta_chain) <= 1e-12
     assert abs(etas["mixture"] - eta_chain / 2 ** (generation - 1)) <= 1e-12
 
@@ -195,8 +198,8 @@ def test_optimal_dephasing_beats_or_matches_the_coherent_limit():
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 7)
     solver = MomentSolver(sys, rho0)
-    eta_coherent = transport_result(sys, solver).efficiency
-    gamma_star, eta_star, eta_zero = optimal_dephasing(sys, solver)
+    eta_coherent = transport_result(solver, 0.0).efficiency
+    gamma_star, eta_star, eta_zero = optimal_dephasing(solver)
     assert eta_zero == eta_coherent
     assert eta_star >= eta_coherent - 1e-12
     assert gamma_star > 0.0
@@ -211,13 +214,12 @@ def test_optimal_dephasing_result_is_self_consistent():
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 7)
     solver = MomentSolver(sys, rho0)
-    gamma_star, eta_star, _ = optimal_dephasing(sys, solver)
-    recomputed = transport_result(sys.with_dephasing(gamma_star),
-                                  solver).efficiency
+    gamma_star, eta_star, _ = optimal_dephasing(solver)
+    recomputed = transport_result(solver, gamma_star).efficiency
     assert recomputed == pytest.approx(eta_star, abs=1e-9)
     # No grid point of the search may beat the reported optimum.
     for gamma in np.logspace(-2, 3, 12):
-        eta = transport_result(sys.with_dephasing(gamma), solver).efficiency
+        eta = transport_result(solver, gamma).efficiency
         assert eta <= eta_star + 1e-9
 
 
@@ -256,7 +258,7 @@ def test_optimal_dephasing_equals_a_search_with_one_solve_per_rate(
     monkeypatch.setattr(tree, "efficiency", counting)
     monkeypatch.setattr(MomentSolver, "first_moment", counting_single)
     monkeypatch.setattr(MomentSolver, "first_moments", counting_stacked)
-    got = optimal_dephasing(sys, MomentSolver(sys, rho0))
+    got = optimal_dephasing(MomentSolver(sys, rho0))
     assert len(stacked) == 1
     np.testing.assert_array_equal(stacked[0], np.r_[0.0, _search_grid(sys)])
     refinement = len(single)
@@ -267,7 +269,7 @@ def test_optimal_dephasing_equals_a_search_with_one_solve_per_rate(
     calls.clear()
     monkeypatch.setattr(MomentSolver, "first_moments", lambda self, gammas: [
         self.first_moment(g) for g in gammas])
-    want = optimal_dephasing(sys, MomentSolver(sys, rho0))
+    want = optimal_dephasing(MomentSolver(sys, rho0))
     assert len(calls) == 41 + refinement
     assert got == want
     assert 0.0 < got[0]
@@ -295,7 +297,7 @@ def _search_bracket(sys, solver):
 
 
 def _assert_beats_a_fine_scan(sys, solver, lo, hi):
-    gamma_star, eta_star, _ = optimal_dephasing(sys, solver)
+    gamma_star, eta_star, _ = optimal_dephasing(solver)
     scan = [tree.efficiency(sys, s1)
             for s1 in solver.first_moments(np.geomspace(lo, hi, 256))]
     assert eta_star >= max(scan) - 1e-10
@@ -329,7 +331,7 @@ def test_the_refinement_searches_the_extended_cell_at_a_grid_edge(
     sys = generate_tree(spec)
     rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"), 15)
     solver = MomentSolver(sys, rho0)
-    gamma_free, _, _ = optimal_dephasing(sys, solver)
+    gamma_free, _, _ = optimal_dephasing(solver)
     ratio = gamma_free / cm1_to_angular(100.0)
     span = tree.SEARCH_SPAN[1] / tree.SEARCH_SPAN[0]
     half_cell = span ** (0.5 / (tree.SEARCH_GRID_POINTS - 1))
@@ -376,13 +378,13 @@ def test_a_second_kind_factors_only_its_own_refinement_rates(
             solver = MomentSolver(sys, rho0s[0])
             factored_rates.clear()
             single.clear()
-            optimal_dephasing(sys, solver)
+            optimal_dephasing(solver)
         assert len(single) > default_cap
         assert factored_rates == [0.0, *_search_grid(sys), *single]
 
         factored_rates.clear()
         single.clear()
-        optimal_dephasing(sys, solver.with_initial_state(rho0s[1]))
+        optimal_dephasing(solver.with_initial_state(rho0s[1]))
         assert single
         assert factored_rates == single
 
@@ -394,7 +396,7 @@ def test_optimal_dephasing_requires_couplings():
                                 dephasing_rate=0.0)
     rho0 = np.diag([0.0, 0.5, 0.5]).astype(complex)
     with pytest.raises(ConfigurationError):
-        optimal_dephasing(uncoupled, MomentSolver(uncoupled, rho0))
+        optimal_dephasing(MomentSolver(uncoupled, rho0))
 
 
 def test_optimal_dephasing_refuses_a_weakly_coupled_dark_site():
@@ -410,7 +412,7 @@ def test_optimal_dephasing_refuses_a_weakly_coupled_dark_site():
                           recomb_rate=0.0, dephasing_rate=0.0)
     rho0 = np.diag([0.5, 0.0, 0.5]).astype(complex)
     with pytest.raises(NonConvergentIntegralError, match="condition estimate"):
-        optimal_dephasing(sys, MomentSolver(sys, rho0))
+        optimal_dephasing(MomentSolver(sys, rho0))
 
 
 def test_default_delta_grid():
@@ -454,11 +456,11 @@ def _failing_once(monkeypatch, n_fail):
         kinds.append(kind)
         return real_state(spec, kind)
 
-    def search(sys, solver):
+    def search(solver):
         if kinds[-1] == "coherent" and len(seen) < n_fail:
-            seen.append(sys)
+            seen.append(solver)
             raise NonConvergentIntegralError("injected failure")
-        return real_search(sys, solver)
+        return real_search(solver)
 
     monkeypatch.setattr(tree, "leaf_initial_state", state)
     monkeypatch.setattr(tree, "optimal_dephasing", search)
