@@ -37,7 +37,8 @@ from .model import InitialState, initial_density_matrix, load_system
 from .observables import transport_result
 from .spectral import OhmicBath, dephasing_rate
 from .sweep import SweepPlan, derive_seed, run_sweep
-from .tree import (DEFAULT_COUPLING_CM1, TreeSpec, disorder_ensemble)
+from .tree import (DEFAULT_COUPLING_CM1, SEARCH_GRID_POINTS, SEARCH_LOG_TOL,
+                   SEARCH_SPAN, TreeSpec, disorder_ensemble)
 from .twolevel import (TwoLevelParams, coherent_population_2, larmor_frequency,
                        to_transport_system)
 from .units import BOLTZMANN_CM1_PER_K, CM1_TO_PS_ANGULAR
@@ -212,7 +213,10 @@ def cmd_tree_ensemble(args):
     files = []
     extras = {"tree.n_sites": spec.n_sites,
               "tree.trap_rate_ps": spec.trap_rate_ps,
-              "tree.recomb_rate_ps": spec.recomb_rate_ps}
+              "tree.recomb_rate_ps": spec.recomb_rate_ps,
+              "search.grid_points": SEARCH_GRID_POINTS,
+              "search.span_over_v": SEARCH_SPAN,
+              "search.log_gamma_tol": SEARCH_LOG_TOL}
     reports = disorder_ensemble(spec, deltas, n_samples=args.samples,
                                 kinds=kinds)
     for kind, report in reports.items():

@@ -42,13 +42,13 @@ LU (_guarded_lu). When the eigenvectors are ill-conditioned (cond(S) >
 system is ill-conditioned, that rate falls back to the dense solve, whose
 1e12 guard then raises as for small systems; a fallback that would need
 more than 1 GiB is refused instead. MomentSolver.first_moments() solves
-S1 over an array of rates, bit for bit as one first_moment() per rate,
-and keeps that scan's factorisations for solvers of other initial states.
-The test suite checks both against the independent DOP853 and eigenbasis
-oracles in tests/oracles.py.
+S1 and its rate derivative dS1/dgamma = -L^-1 D(S1), D(x) = diag x - x,
+over an array of rates, the derivative by a second solve with the same
+factors; a stack is bit for bit the stacks of its rates one at a time.
+The test suite checks both routes against the independent DOP853 and
+eigenbasis oracles in tests/oracles.py.
 """
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -58,7 +58,7 @@ from scipy.linalg import expm, get_lapack_funcs
 
 from .errors import (ConfigurationError, NonConvergentIntegralError,
                      NumericalConsistencyError)
-from .model import as_rate, effective_hamiltonian
+from .model import as_rate, as_rate_grid, effective_hamiltonian
 
 
 def _initial_state(rho0, n):
@@ -327,22 +327,7 @@ def _guarded_lu(a, anorm):
     return ((lu, piv) if cond <= _COND_LIMIT else None), cond
 
 
-class _Route:
-    """scan(gammas) returns _factor_scan(gammas), the factorisations of an
-    array of rates, and keeps the last one, keyed by the exact rates."""
-
-    _scan = (None, None)
-
-    def scan(self, gammas):
-        key = gammas.tobytes()
-        if self._scan[0] != key:
-            # The old scan goes before the new one is factored.
-            self._scan = (None, None)
-            self._scan = (key, self._factor_scan(gammas))
-        return self._scan[1]
-
-
-class _DenseRoute(_Route):
+class _DenseRoute:
     """The dense moment route: build_liouvillian's coherent matrix M,
     built on the first factor() call, and one real LU per rate.
     Dephasing adds -gamma on each coherence coordinate and nothing on a
@@ -388,11 +373,8 @@ class _DenseRoute(_Route):
                 "and rates too many orders of magnitude apart" % cond)
         return lu
 
-    def _factor_scan(self, gammas):
-        return [self.factor(gamma) for gamma in gammas]
 
-
-class _Eigenbasis(_Route):
+class _Eigenbasis:
     """Solves L(gamma) x = b in the eigenbasis of H_eff = S diag(lam) W,
     for a stack of rates at once.
 
@@ -465,16 +447,14 @@ class _Eigenbasis(_Route):
         ok[ok] = kept
         return ok, (gammas[kept], r[kept], [c for c in caps if c is not None])
 
-    def _factor_scan(self, gammas):
-        """[(idx, ok, factors)] over stacks of consecutive rates, idx the
-        stack's indices into gammas."""
+    def factor_stacks(self, gammas):
+        """(idx, ok, factors) for each stack of consecutive rates, idx the
+        stack's indices into gammas, in turn."""
         n = len(self._s)
         per_stack = max(1, _STACK_BYTES // (8 * n * n * (n + 1)))
-        stacks = []
         for start in range(0, gammas.size, per_stack):
             idx = np.arange(start, min(start + per_stack, gammas.size))
-            stacks.append((idx, *self.factor(gammas[idx])))
-        return stacks
+            yield (idx, *self.factor(gammas[idx]))
 
     @functools.cached_property
     def _pair_products(self):
@@ -539,10 +519,13 @@ class MomentSolver:
 
     S1 solves L S1 = -rho0; S2 solves L S2 = -S1
     (integration by parts moves the factor of t into a second solve).
-    solver(gamma_phi) returns (S1, S2); solver.first_moment(gamma_phi)
-    returns S1 alone, and solver.first_moments(gammas) the (K, N, N) stack
-    of S1 over an array of K rates. A rate that is not a real number >= 0
-    (a bool or a string among them) raises ConfigurationError.
+    solver(gamma_phi) returns (S1, S2), and solver.first_moments(gammas)
+    the (K, N, N) stacks of S1 and of its rate derivative dS1/dgamma over
+    an array of K rates. L depends on gamma through gamma D, with
+    D(x) = diag x - x, so dS1/dgamma = -L^-1 D(S1) = L^-1 (S1 - diag S1):
+    a second solve with the factorisation S1 took. A rate that is not a
+    real number >= 0 (a bool or a string among them) raises
+    ConfigurationError.
 
     Two routes give the same numbers to roundoff:
     - Dense: L is build_liouvillian's real matrix on the coordinates of
@@ -550,14 +533,14 @@ class MomentSolver:
       coordinates, so the coherent part is built once, on the first dense
       solve (see _DenseRoute), and each rate takes one real LU
       factorization and one single right-hand-side solve per moment, and
-      S1 and S2 come out exactly Hermitian. A condition estimate above
-      1e12, or an exact zero pivot, aborts with NonConvergentIntegralError:
-      the integrals are then dominated by a near-null mode, which means
-      some population has no decay channel to reach. Systems of fewer than
-      9 sites always take this route.
+      S1, S2 and dS1/dgamma come out exactly Hermitian. A condition
+      estimate above 1e12, or an exact zero pivot, aborts with
+      NonConvergentIntegralError: the integrals are then dominated by a
+      near-null mode, which means some population has no decay channel to
+      reach. Systems of fewer than 9 sites always take this route.
     - Eigenbasis (9 sites and up): H_eff is diagonalized once, and each
       rate costs one real N x N capacitance LU and solve plus O(N^4) work
-      (see _Eigenbasis), with one step of iterative refinement.
+      (see _Eigenbasis), with one step of iterative refinement per solve.
 
     The eigenbasis route falls back to the dense one, with its guard, when
     cond(S) of the eigenvectors exceeds 1e4 (every rate then goes dense),
@@ -574,13 +557,10 @@ class MomentSolver:
     step that is not a LAPACK call on one rate's capacitance matrix runs
     as one array operation over the stack, sized by _STACK_BYTES so that
     memory does not grow with the number of rates. Each rate keeps its
-    own guards and, when one trips, its own dense fallback. The results
-    equal a loop of first_moment bit for bit. On the dense route every
-    rate is solved one at a time.
-
-    The last first_moments scan's factorisations stay on the routes, which
-    with_initial_state shares, so a sibling scanning the same rates factors
-    nothing. Single-rate solves are not kept, nor dense LUs from 9 sites up.
+    own guards and, when one trips, its own dense fallback, and the
+    results equal first_moments of each rate alone bit for bit. On the
+    dense route every rate is solved one at a time. No factorisation is
+    kept between calls.
     """
 
     def __init__(self, sys, rho0):
@@ -594,20 +574,7 @@ class MomentSolver:
         self._eigen = (_Eigenbasis.of(effective_hamiltonian(sys))
                        if n >= _EIGENBASIS_MIN_SITES else None)
         self._dense = _DenseRoute(self.system)
-        self._set_initial_state(rho0)
-
-    def with_initial_state(self, rho0):
-        """A solver for the same system from another initial state. It
-        shares this one's system and routes (H_eff, eigenbasis and dense
-        Liouvillian) and the factorisations of the last first_moments scan,
-        so a scan of the same rates by either is factored once. Each keeps
-        its own right-hand sides, solves and counts."""
-        other = copy.copy(self)
-        other._set_initial_state(rho0)
-        return other
-
-    def _set_initial_state(self, rho0):
-        rho0 = _initial_state(rho0, self.n_sites)
+        rho0 = _initial_state(rho0, n)
         if self._eigen is not None:
             self._b0 = -rho0
             self._b0_tilde = self._eigen.to_eigenbasis(self._b0)
@@ -620,62 +587,55 @@ class MomentSolver:
         return dict(self._counts)
 
     def __call__(self, gamma_phi):
-        return self._solve(gamma_phi, 2)
-
-    def first_moment(self, gamma_phi):
-        """S1 alone at gamma_phi."""
-        return self._solve(gamma_phi, 1)[0]
-
-    def first_moments(self, gammas):
-        """The (K, N, N) stack of S1 at each rate of the 1-d array gammas,
-        equal bit for bit to first_moment at each rate in turn. Every rate
-        is checked before any is solved."""
-        gammas = np.array(gammas, dtype=float)
-        if gammas.ndim != 1:
-            raise ConfigurationError(
-                "dephasing rates must be a 1-d array, got shape %s"
-                % (gammas.shape,))
-        if not (np.all(np.isfinite(gammas)) and np.all(gammas >= 0.0)):
-            raise ConfigurationError(
-                "dephasing rates must be finite and >= 0, got %r"
-                % (gammas,))
-        n = self.n_sites
-        out = np.empty((gammas.size, n, n), dtype=complex)
-        if self._eigen is None:
-            lus = (self._dense.scan(gammas) if n < _EIGENBASIS_MIN_SITES
-                   else [None] * gammas.size)
-            for i, lu in enumerate(lus):
-                out[i] = self._dense_solve(float(gammas[i]), 1, lu)[0]
-            return out
-        for idx, ok, factors in self._eigen.scan(gammas):
-            out[idx[ok]] = self._eigen_solve(factors, 1)[0]
-            for i in idx[~ok]:
-                out[i] = self._dense_solve(float(gammas[i]), 1)[0]
-        return out
-
-    def _solve(self, gamma_phi, n_moments):
         gamma = as_rate("dephasing rate", gamma_phi)
         if self._eigen is not None:
             ok, factors = self._eigen.factor(np.array([gamma]))
             if ok[0]:
-                return tuple(m[0] for m in self._eigen_solve(factors, n_moments))
-        return self._dense_solve(gamma, n_moments)
+                return tuple(m[0] for m in self._eigen_solve(factors))
+        return self._dense_solve(gamma)
 
-    def _eigen_solve(self, factors, n_moments):
-        """The moments, stacked over the rates factored in factors."""
+    def first_moments(self, gammas):
+        """(S1, dS1/dgamma), each the (K, N, N) stack over the rates of the
+        1-d array gammas, equal bit for bit to first_moments of each rate
+        alone. Every rate is checked before any is solved."""
+        gammas = as_rate_grid("dephasing rates", gammas)
+        n = self.n_sites
+        out = np.empty((2, gammas.size, n, n), dtype=complex)
+        if self._eigen is None:
+            for i, gamma in enumerate(gammas):
+                out[:, i] = self._dense_solve(float(gamma), derivative=True)
+            return out[0], out[1]
+        for idx, ok, factors in self._eigen.factor_stacks(gammas):
+            out[:, idx[ok]] = self._eigen_solve(factors, derivative=True)
+            for i in idx[~ok]:
+                out[:, i] = self._dense_solve(float(gammas[i]),
+                                              derivative=True)
+        return out[0], out[1]
+
+    def _eigen_solve(self, factors, derivative=False):
+        """(S1, S2) stacked over the rates factored in factors, or
+        (S1, dS1/dgamma) when derivative."""
         self._counts["eigenbasis"] += len(factors[0])
-        moments = [self._eigen.solve(factors, self._b0, self._b0_tilde)]
-        if n_moments == 2:
-            moments.append(self._eigen.solve(factors, -moments[0]))
-        return moments
+        s1 = self._eigen.solve(factors, self._b0, self._b0_tilde)
+        if derivative:
+            rhs = s1.copy()
+            np.einsum("kii->ki", rhs)[:] = 0.0
+        else:
+            rhs = -s1
+        return s1, self._eigen.solve(factors, rhs)
 
-    def _dense_solve(self, gamma, n_moments, lu=None):
+    def _dense_solve(self, gamma, derivative=False):
+        """(S1, S2) at gamma, or (S1, dS1/dgamma) when derivative."""
         self._counts["dense"] += 1
-        lu, piv = self._dense.factor(gamma) if lu is None else lu
-        moments = [_GETRS(lu, piv, self._dense_rhs)[0]]
-        if n_moments == 2:
-            moments.append(_GETRS(lu, piv, -moments[0])[0])
-        return tuple(from_coordinates(y) for y in moments)
+        lu, piv = self._dense.factor(gamma)
+        y1 = _GETRS(lu, piv, self._dense_rhs)[0]
+        if derivative:
+            # S1 - diag S1: the coherence coordinates of S1 alone.
+            rhs = y1.copy()
+            rhs[:self.n_sites] = 0.0
+        else:
+            rhs = -y1
+        return from_coordinates(y1), from_coordinates(_GETRS(lu, piv, rhs)[0])
 
 
 def integrated_state(solver, gamma_phi):

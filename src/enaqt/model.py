@@ -63,10 +63,15 @@ def as_rate(name, value):
 
 def _real_array(name, value):
     """value as a read-only float array, each entry taken by as_real, so a
-    bool, a string or a ragged nesting raises ConfigurationError."""
-    entries = np.array(value, dtype=object)
-    a = np.array([as_real(name + " entry", v)
-                  for v in entries.flat]).reshape(entries.shape)
+    bool, a string or a ragged nesting raises ConfigurationError. An
+    integer or float ndarray holds only real numbers, so it is converted
+    in one pass."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        a = value.astype(float)
+    else:
+        entries = np.array(value, dtype=object)
+        a = np.array([as_real(name + " entry", v)
+                      for v in entries.flat]).reshape(entries.shape)
     a.setflags(write=False)
     return a
 
@@ -144,6 +149,19 @@ class TransportSystem:
         dep = as_rate("dephasing_rate", gamma_phi)
         other = object.__new__(type(self))
         vars(other).update(vars(self), dephasing_rate=dep)
+        return other
+
+    def adjoint(self):
+        """The adjoint system: site energies and couplings negated, the
+        same rates. Its H_eff is -H - i(K + Gamma), so its Liouvillian is
+        the adjoint L^dag of this one's in the inner product
+        Re tr(A^dag B). Like with_dephasing, the copy is not validated
+        again; its negated arrays are read-only."""
+        eps, v = -self.site_energies, -self.couplings
+        for a in (eps, v):
+            a.setflags(write=False)
+        other = object.__new__(type(self))
+        vars(other).update(vars(self), site_energies=eps, couplings=v)
         return other
 
     def with_rates(self, trap_rates=None, recomb_rate=None, dephasing_rate=None):

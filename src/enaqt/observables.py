@@ -40,7 +40,10 @@ class TransportResult:
     loss_probability: float
 
 
-def _clamped_probability(value, name):
+def clamped_probability(value, name):
+    """value, a probability, clamped into [0, 1] when roundoff puts it at
+    most 1e-8 outside (with a logged warning); further outside, or NaN,
+    raises NumericalConsistencyError naming it."""
     # Written so that NaN fails the test too.
     if not -_CLAMP_TOL <= value <= 1.0 + _CLAMP_TOL:
         raise NumericalConsistencyError(
@@ -56,7 +59,7 @@ def efficiency(sys, s1):
     """eta = 2 sum_m kappa_m S1_mm, clamped to [0, 1] within roundoff."""
     diag = s1.diagonal().real
     eta = 2.0 * float(sys.trap_rates @ diag)
-    return _clamped_probability(eta, "efficiency")
+    return clamped_probability(eta, "efficiency")
 
 
 def transfer_time(sys, s2, eta):
@@ -72,7 +75,7 @@ def loss_probability(sys, s1):
     """Probability lost to recombination, 2 Gamma sum_m S1_mm."""
     diag = s1.diagonal().real
     loss = 2.0 * sys.recomb_rate * float(diag.sum())
-    return _clamped_probability(loss, "loss probability")
+    return clamped_probability(loss, "loss probability")
 
 
 def transport_result(solver, gamma_phi):

@@ -13,21 +13,24 @@ coherent transport (gamma_phi = 0), and how efficient can dephasing make
 it (gamma_phi optimized per realization)? Disorder localizes the coherent
 dynamics, and dephasing recovers much of the loss, increasingly so the
 stronger the disorder. Both initial-state kinds see the same trees, so
-disorder_ensemble solves each tree once for every kind it is asked for.
-A search solves S1 for gamma = 0 and the 40 grid rates in one
-first_moments scan, then its refinement's rates one at a time. Each
-kind's dynamics.MomentSolver (the second made by with_initial_state)
-shares the tree's routes and the factorisations of that scan, so each
-kind factors only its own refinement rates, and its numbers are bit for
-bit those of a run for that kind alone.
-The refinement is a Brent search on log gamma seeded with the grid winner
-and its neighbors; over the 4000 searches of a 100-sample, 20-delta
-generation-4 ensemble for both kinds it took 5 evaluations at the median
-and at most 16 (SEARCH_MAX_REFINE caps it at 23). Its conditioning guards
-fail the sample, for that kind only, rather than let an ill-posed
-realization through. The search for the optimal rate (SEARCH_* constants)
-and the ensemble's 5 % failure threshold are fixed, and a TreeSpec above
-MAX_GENERATION = 7 is refused when it is built.
+disorder_ensemble searches each tree once for every kind it is asked for.
+The search works with the "trapped eventually" observable E of the tree,
+the first moment of its adjoint system started from 2K = 2 diag kappa
+(trapping_solver): eta = Re tr(E rho0) for every initial state, and
+d eta/d gamma = Re tr(dE/dgamma rho0), where first_moments solves dE/dgamma
+with the factorisations of E. One first_moments call solves gamma = 0 and
+the SEARCH_GRID_POINTS grid rates; each grid cell where d eta/d ln gamma
+falls through zero brackets a maximum, and every bracket of every kind
+closes together by Illinois steps, one stacked first_moments call per
+round, to SEARCH_LOG_TOL in ln gamma. Over the 2000 trees of a
+100-sample, 20-delta generation-4 ensemble for both kinds, a tree took 6
+rounds after the first call at the median and at most 14, and 23 rates
+in all at the median (at most 35). Each kind's numbers are bit for bit
+those of a run for that kind alone. The solver's conditioning guards
+fail the tree, for every kind, rather than let an ill-posed realization
+through. The search (SEARCH_* constants) and the ensemble's 5 % failure
+threshold are fixed, and a TreeSpec above MAX_GENERATION = 7 is refused
+when it is built.
 
 Reproducibility contract: site energies come from Box-Muller applied to a
 counter-based Philox stream keyed by a hash of (the template spec's
@@ -44,9 +47,8 @@ from .dynamics import MomentSolver
 from .errors import ConfigurationError, SweepFailureError
 from .model import (InitialState, TransportSystem, as_integer, as_rate,
                     as_rate_grid, as_real, initial_density_matrix)
-from .observables import efficiency
-from .sweep import (SweepPlan, derive_seed, run_sweep, run_task,
-                    sample_mean_std)
+from .observables import clamped_probability
+from .sweep import SweepPlan, derive_seed, run_sweep, sample_mean_std
 from .units import cm1_to_angular
 
 # 127 sites; TreeSpec refuses larger trees. The moment solver's eigenbasis
@@ -66,13 +68,11 @@ FAILURE_THRESHOLD = 0.05
 
 # Dephasing search: SEARCH_GRID_POINTS log-spaced rates over SEARCH_SPAN
 # times V (the largest coupling, angular), plus the exact gamma_phi = 0
-# endpoint; a Brent search on log gamma, seeded with the grid winner and
-# its neighbors, then shrinks the bracket to SEARCH_REL_TOL in gamma: 41
-# efficiency evaluations plus at most SEARCH_MAX_REFINE for the refinement.
-SEARCH_GRID_POINTS = 40
+# endpoint; each bracketed maximum is then closed to SEARCH_LOG_TOL in
+# ln gamma (see optimal_dephasing).
+SEARCH_GRID_POINTS = 10
 SEARCH_SPAN = (1e-3, 1e3)
-SEARCH_REL_TOL = 1e-3
-SEARCH_MAX_REFINE = 23
+SEARCH_LOG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -184,90 +184,105 @@ def leaf_initial_state(spec, kind):
 # Dephasing optimization
 
 
-def _brent_max(f, a, b, seed, tol, max_evals):
-    """Maximize f on [a, b] by Brent's method (Brent 1973, ch. 5): a
-    parabola through the three best points when it steps well inside the
-    bracket, a golden-section step into the larger side otherwise.
+def trapping_solver(sys):
+    """The MomentSolver whose first moment is the "trapped eventually"
+    observable E of sys: the first moment of sys.adjoint() started from
+    2K = 2 diag kappa, which solves L^dag E = -2K. The efficiency from any
+    initial state is then eta = Re tr(E rho0), so one solve per rate
+    serves every initial state, and one more with the same factors gives
+    dE/dgamma and so d eta/d gamma."""
+    return MomentSolver(sys.adjoint(), np.diag(2.0 * sys.trap_rates))
 
-    seed holds two or three points of [a, b] already evaluated, as
-    (x, f(x)), best first: the best point x, the second best w and the
-    third v (w again when there are two), so the first parabola can be
-    fitted through them. Steps are at least tol long. The search stops
-    once the bracket around the best point is at most 4 tol wide, or after
-    max_evals evaluations of f, and returns the best point found as
-    (x, f(x)).
-    """
-    cgold = (3.0 - math.sqrt(5.0)) / 2.0
-    (x, fx), (w, fw) = seed[0], seed[1]
-    v, fv = seed[-1]
-    # Count the bracket's width as the last two steps, so the first
-    # parabola is tried; a later one must move less than half the step
-    # before last.
-    d = e = b - a
-    for _ in range(max_evals):
-        m = 0.5 * (a + b)
-        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
-            break
-        parabolic = abs(e) > tol
-        if parabolic:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            parabolic = (abs(p) < abs(0.5 * q * e_prev)
-                         and q * (a - x) < p < q * (b - x))
-        if parabolic:
-            d = p / q
-            if min(x + d - a, b - x - d) < 2.0 * tol:
-                d = math.copysign(tol, m - x)
+
+def efficiency(solver, trapped, rho0):
+    """eta = Re tr(E rho0) from the trapped-eventually observable E
+    (trapped) of trapping_solver, clamped to [0, 1] within roundoff as
+    observables.efficiency clamps. solver is the trapping solver E came
+    from; only bench/tracing.py reads it (its n_sites)."""
+    return clamped_probability(float(np.vdot(rho0, trapped).real),
+                               "efficiency")
+
+
+class _Search:
+    """The dephasing search of one initial state rho0, on x = ln gamma.
+    seen holds every (x, eta) measured, grid the grid's (x, eta, s), and
+    brackets the open ones as [a, s(a), b, s(b), side], with
+    s(a) > 0 > s(b) for the slope s = gamma d eta/d gamma = d eta/dx and
+    side the end the last step moved (+1 for a, -1 for b, 0 before any)."""
+
+    def __init__(self, rho0):
+        self.rho0 = rho0
+        self.seen = []
+        self.grid = []
+        self.brackets = []
+
+    def measure(self, solver, x, trapped, d_trapped):
+        """(x, eta, s) at x from E and dE/dgamma there; eta is seen."""
+        eta = efficiency(solver, trapped, self.rho0)
+        self.seen.append((x, eta))
+        return x, eta, math.exp(x) * np.vdot(self.rho0, d_trapped).real
+
+    def open(self, points):
+        """A bracket on each cell of the (x, eta, s) points, in increasing
+        x, where s goes from > 0 to < 0."""
+        for (a, _, sa), (b, _, sb) in zip(points, points[1:]):
+            if sa > 0.0 > sb:
+                self.brackets.append([a, sa, b, sb, 0])
+
+    def steps(self):
+        """(bracket, x) for the next rate of each open bracket: the
+        regula falsi point, or the midpoint when roundoff puts that
+        outside (a, b)."""
+        for bracket in self.brackets:
+            a, sa, b, sb, _ = bracket
+            x = (a * sb - b * sa) / (sb - sa)
+            yield bracket, (x if a < x < b else 0.5 * (a + b))
+
+    def advance(self, bracket, x, s):
+        """Move the end of bracket whose slope has the sign of s to x.
+        When the same end moves twice in a row, the other end's slope is
+        halved (the Illinois rule), so that the next step moves it. The
+        bracket closes once it is narrower than SEARCH_LOG_TOL, or when
+        s is exactly 0."""
+        a, sa, b, sb, side = bracket
+        if s > 0.0:
+            bracket[:] = x, s, b, (0.5 * sb if side == 1 else sb), 1
         else:
-            e = (a if x >= m else b) - x
-            d = cgold * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu >= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
+            bracket[:] = a, (0.5 * sa if side == -1 else sa), x, s, -1
+        if s == 0.0 or bracket[2] - bracket[0] < SEARCH_LOG_TOL:
+            self.brackets.remove(bracket)
+
+    def result(self, eta0):
+        """(gamma*, eta*, eta(0)) from the best rate seen, or gamma* = 0
+        when eta(0) is at least as good."""
+        x, eta = max(self.seen, key=lambda p: p[1])
+        return (0.0, eta0, eta0) if eta0 >= eta else (math.exp(x), eta, eta0)
 
 
-def optimal_dephasing(solver):
-    """Maximize transfer efficiency over the dephasing rate.
+def optimal_dephasing(solver, rho0s):
+    """Maximize transfer efficiency over the dephasing rate for each
+    initial state of rho0s, returning one (gamma*, eta*, eta(0)) per state.
 
-    Scans a logarithmic grid (plus the exact zero endpoint), then refines
-    around the grid winner by Brent's method on log gamma, starting from
-    the winner and its neighbors in the bracket with the efficiencies the
-    grid already has. The refinement assumes local unimodality; if it
-    happens to regress, the grid winner is kept, and the zero endpoint
-    always participates, so eta* >= eta(0) is guaranteed.
+    solver is trapping_solver(sys) of the system to search. Each eta comes
+    from efficiency(solver, E, rho0), and each slope
+    s = gamma d eta/d gamma = Re tr(gamma dE/dgamma rho0) from the
+    derivative first_moments returns with E, so one first_moments call
+    per round serves every state. The first call solves gamma = 0 and
+    SEARCH_GRID_POINTS log-spaced rates over SEARCH_SPAN times V (the
+    largest coupling, angular). Each grid cell where s goes from > 0 to
+    < 0 brackets a maximum in ln gamma. At the grid's edges, one more
+    rate a grid cell out is solved when s > 0 at the top rate, or when
+    s < 0 at the bottom rate while eta there beats eta(0), and brackets
+    its cell in the same way. Then every open bracket of every state
+    takes one Illinois step per round, all in one stacked call, until it
+    is narrower than SEARCH_LOG_TOL in ln gamma.
 
-    The S1 of the zero endpoint and the grid come from one
-    MomentSolver.first_moments call, whose stack equals one first_moment
-    per rate bit for bit; the refinement's steps solve one rate at a time.
-    The efficiency is evaluated once per rate: 41 times for gamma = 0 and
-    the grid, plus once per refinement step, of which there are at most
-    SEARCH_MAX_REFINE (about 5 for most trees). solver is the
-    MomentSolver of the system (solver.system) and initial state to search
-    from: disorder_ensemble passes one per initial-state kind, all sharing
-    the factorisations of one tree's scan.
-
-    Returns (gamma_star, eta_star, eta(0)).
+    eta* is the best eta the state has seen, and gamma = 0 wins when
+    eta(0) >= eta*; a state whose slope is negative at every grid rate
+    thus takes nothing beyond the first call. A state's rates depend on
+    its own etas and slopes alone, and a stack's moments equal those of
+    each rate alone bit for bit, so each state's result is that of a
+    search for it alone.
     """
     sys = solver.system
     vmax = float(np.max(np.abs(sys.couplings)))
@@ -275,36 +290,41 @@ def optimal_dephasing(solver):
         raise ConfigurationError(
             "system has no couplings; dephasing cannot create transport")
     v_ang = cm1_to_angular(vmax)
-    grid = np.logspace(math.log10(SEARCH_SPAN[0] * v_ang),
-                       math.log10(SEARCH_SPAN[1] * v_ang), SEARCH_GRID_POINTS)
-    eta0, *etas = (efficiency(sys, s1)
-                   for s1 in solver.first_moments(np.r_[0.0, grid]))
-    i = int(np.argmax(etas))
-    best_gamma, best_eta = float(grid[i]), float(etas[i])
-
-    # Bracket the winner with its neighbors (extending one grid cell at the
-    # edges) and refine, seeded with the winner and its neighbors in the
-    # bracket, best first.
-    cell = grid[1] / grid[0]
-    lo = grid[i - 1] if i > 0 else grid[0] / cell
-    hi = grid[i + 1] if i < len(grid) - 1 else grid[-1] * cell
-    seed = sorted(((math.log(grid[j]), float(etas[j])) for j in (i - 1, i + 1)
-                   if 0 <= j < len(grid)), key=lambda p: p[1], reverse=True)
-    # Steps of at least log1p(SEARCH_REL_TOL) / 12 close the bracket to a
-    # third of SEARCH_REL_TOL, as scipy's fminbound does for xatol =
-    # log1p(SEARCH_REL_TOL) / 4. Over 4000 generation-4 searches eta* then
-    # came out at most 1.1e-10 below a golden-section search that closes
-    # the bracket to SEARCH_REL_TOL (and up to 1.8e-9 above it).
-    x_ref, eta_ref = _brent_max(
-        lambda x: efficiency(sys, solver.first_moment(math.exp(x))),
-        math.log(lo), math.log(hi),
-        [(math.log(best_gamma), best_eta)] + seed,
-        math.log1p(SEARCH_REL_TOL) / 12.0, SEARCH_MAX_REFINE)
-    if eta_ref > best_eta:
-        best_gamma, best_eta = math.exp(x_ref), eta_ref
-    if eta0 >= best_eta:
-        return 0.0, eta0, eta0
-    return best_gamma, best_eta, eta0
+    xs = np.linspace(*(math.log(edge * v_ang) for edge in SEARCH_SPAN),
+                     SEARCH_GRID_POINTS)
+    cell = xs[1] - xs[0]
+    trapped, d_trapped = solver.first_moments(np.r_[0.0, np.exp(xs)])
+    searches = [_Search(rho0) for rho0 in rho0s]
+    eta0 = [efficiency(solver, trapped[0], search.rho0)
+            for search in searches]
+    # The first round's edge rates, as (search, None, x); a bracket's
+    # steps follow as (search, bracket, x).
+    edges = []
+    for search, e0 in zip(searches, eta0):
+        search.grid = [search.measure(solver, *args) for args in
+                       zip(xs, trapped[1:], d_trapped[1:])]
+        search.open(search.grid)
+        bottom, top = search.grid[0], search.grid[-1]
+        if top[2] > 0.0:
+            edges.append((search, None, top[0] + cell))
+        if bottom[2] < 0.0 and bottom[1] > e0:
+            edges.append((search, None, bottom[0] - cell))
+    requests = edges + [(search, *step) for search in searches
+                        for step in search.steps()]
+    while requests:
+        trapped, d_trapped = solver.first_moments(
+            np.exp([x for _, _, x in requests]))
+        for (search, bracket, x), e, de in zip(requests, trapped, d_trapped):
+            point = search.measure(solver, x, e, de)
+            if bracket is not None:
+                search.advance(bracket, x, point[2])
+            elif x > xs[-1]:
+                search.open([search.grid[-1], point])
+            else:
+                search.open([point, search.grid[0]])
+        requests = [(search, *step) for search in searches
+                    for step in search.steps()]
+    return [search.result(e0) for search, e0 in zip(searches, eta0)]
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +365,14 @@ class DisorderEnsembleReport:
 
 
 def _solve_sample(task):
-    """One TaskResult per kind for one tree, holding optimal_dephasing's
-    (gamma*, eta*, eta(0)) or the error of that kind's search alone. The
-    kinds' solvers share the tree's eigenbasis (on the dense route, its
-    Liouvillian) and the factorisations of the search's scan."""
+    """optimal_dephasing's (gamma*, eta*, eta(0)) for each kind of one
+    tree, in the order of kinds, from one search with one trapping solver
+    that serves every kind; a failure fails the tree for every kind."""
     spec, kinds = task
     sys = generate_tree(spec)
-    solver = None
-    results = []
-    for kind in kinds:
-        rho0 = initial_density_matrix(leaf_initial_state(spec, kind),
-                                      sys.n_sites)
-        solver = (MomentSolver(sys, rho0) if solver is None
-                  else solver.with_initial_state(rho0))
-        results.append(run_task(solver, optimal_dephasing))
-    return results
+    rho0s = [initial_density_matrix(leaf_initial_state(spec, kind),
+                                    sys.n_sites) for kind in kinds]
+    return optimal_dephasing(trapping_solver(sys), rho0s)
 
 
 def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
@@ -371,9 +384,9 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
     delta_grid is in units of V (default 20 points over [0, 4]). Each
     (delta, sample) pair gets its own seed, derived from
     spec_template.rng_seed and the same for every kind, so each tree is
-    generated, diagonalized and factored once for all kinds. Per-sample
-    failures are recorded per kind and excluded; any delta with more than
-    FAILURE_THRESHOLD (5 %) of a kind's samples failing aborts the
+    generated, diagonalized and searched once for all kinds. A failed
+    sample is recorded for every kind and excluded; any delta with more
+    than FAILURE_THRESHOLD (5 %) of its samples failing aborts the
     ensemble.
     """
     n_samples = as_integer("n_samples", n_samples)
@@ -400,26 +413,25 @@ def disorder_ensemble(spec_template, delta_grid=None, n_samples=100,
     results = run_sweep(SweepPlan(tasks=tuple(tasks)), _solve_sample,
                         failure_threshold=FAILURE_THRESHOLD)
 
+    blocks = [results[di * n_samples:(di + 1) * n_samples]
+              for di in range(len(deltas))]
+    for delta, block in zip(deltas, blocks):
+        errors = [r.error for r in block if not r.ok]
+        if len(errors) > FAILURE_THRESHOLD * n_samples:
+            raise SweepFailureError(
+                "%d of %d samples failed at delta/V = %g; first failure: %s"
+                % (len(errors), n_samples, delta, errors[0]))
     reports = {}
     for ki, kind in enumerate(kinds):
         records = []
-        for di, delta in enumerate(deltas):
-            # A tree that failed before its searches fails every kind.
-            block = [r.value[ki] if r.ok else r
-                     for r in results[di * n_samples:(di + 1) * n_samples]]
-            ok = [r.value for r in block if r.ok]
-            n_failed = n_samples - len(ok)
-            if n_failed > FAILURE_THRESHOLD * n_samples:
-                raise SweepFailureError(
-                    "%d of %d %s samples failed at delta/V = %g; first "
-                    "failure: %s" % (n_failed, n_samples, kind, delta,
-                                       next(r.error for r in block
-                                            if not r.ok)))
+        for delta, block in zip(deltas, blocks):
+            ok = [r.value[ki] for r in block if r.ok]
             gamma_mean, gamma_std = sample_mean_std(v[0] for v in ok)
             eta_o_mean, eta_o_std = sample_mean_std(v[1] for v in ok)
             eta_q_mean, eta_q_std = sample_mean_std(v[2] for v in ok)
             records.append(DeltaRecord(
-                delta_over_v=float(delta), n_ok=len(ok), n_failed=n_failed,
+                delta_over_v=float(delta), n_ok=len(ok),
+                n_failed=n_samples - len(ok),
                 eta_quantum_mean=eta_q_mean, eta_quantum_std=eta_q_std,
                 eta_opt_mean=eta_o_mean, eta_opt_std=eta_o_std,
                 gamma_opt_mean_ps=gamma_mean, gamma_opt_std_ps=gamma_std))

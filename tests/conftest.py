@@ -77,26 +77,6 @@ def pair_product_builds(monkeypatch):
     return builds
 
 
-@pytest.fixture
-def factored_rates(monkeypatch):
-    """Record the rates the moment routes factor: returns a list with one
-    entry per rate factored so far, by either route, in call order."""
-    rates = []
-    eigen, dense = dynamics._Eigenbasis.factor, dynamics._DenseRoute.factor
-
-    def eigen_factor(route, gammas):
-        rates.extend(gammas.tolist())
-        return eigen(route, gammas)
-
-    def dense_factor(route, gamma):
-        rates.append(float(gamma))
-        return dense(route, gamma)
-
-    monkeypatch.setattr(dynamics._Eigenbasis, "factor", eigen_factor)
-    monkeypatch.setattr(dynamics._DenseRoute, "factor", dense_factor)
-    return rates
-
-
 @pytest.fixture(scope="session")
 def fmo_model():
     return load_fmo_model()

@@ -18,6 +18,7 @@ import sys
 
 import pytest
 
+from enaqt import tree
 from enaqt.model import TransportSystem, save_system
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -106,18 +107,33 @@ def test_a_traced_propagate_run_counts_its_samples(tmp_path):
     assert calls["dynamics.build_liouvillian"] == 1
 
 
-def test_a_traced_tree_ensemble_run_counts_its_searches(tmp_path):
-    """2 disorder strengths by 2 samples: one sweep task per tree, one
-    search per tree and kind, each evaluating gamma = 0 and the 40 grid
-    rates at least."""
+def test_a_traced_tree_ensemble_run_counts_its_searches(tmp_path,
+                                                        monkeypatch):
+    """2 disorder strengths by 2 samples: one sweep task and one search per
+    tree, serving both kinds, whose efficiency evaluations per search are
+    those the same ensemble makes untraced in this process."""
     metrics, _ = traced_run(tmp_path, [
         "tree-ensemble", "--generation", "4", "--kind", "both",
         "--delta-grid", "0:2:2", "--samples", "2", "--out-dir",
         str(tmp_path)])
+    evaluations = []
+    real = tree.efficiency
+
+    def counting(solver, trapped, rho0):
+        evaluations.append(solver.n_sites)
+        return real(solver, trapped, rho0)
+
+    monkeypatch.setattr(tree, "efficiency", counting)
+    tree.disorder_ensemble(tree.TreeSpec(generation=4, coupling_cm1=100.0,
+                                         rng_seed=2718),
+                           [0.0, 2.0], n_samples=2,
+                           kinds=("coherent", "mixture"))
     assert metrics["sweep.failed"] == 0
     assert metrics["sweep.tasks"] == 2 * 2
-    assert metrics["tree.optimal_dephasing_calls"] == 2 * 2 * 2
-    assert metrics["tree.eta_evals_per_opt"] >= 41
+    assert metrics["tree.optimal_dephasing_calls"] == 2 * 2
+    assert metrics["tree.eta_evals_per_opt"] == len(evaluations) / (2 * 2)
+    # gamma = 0 and the grid, for each of the two kinds, at least.
+    assert len(evaluations) >= 2 * 2 * 2 * (1 + tree.SEARCH_GRID_POINTS)
 
 
 def test_a_traced_two_level_run_counts_its_sweep(tmp_path):

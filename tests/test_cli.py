@@ -211,12 +211,15 @@ def test_tree_ensemble_writes_both_kinds(tmp_path):
     manifest = read(tmp_path / "tree_ensemble_manifest.txt")
     assert manifest_value(manifest, "tree.n_sites") == "7"
     assert manifest_value(manifest, "config.seed") == "2718"
+    assert manifest_value(manifest, "search.grid_points") == "10"
+    assert manifest_value(manifest, "search.span_over_v") == "(0.001, 1000.0)"
+    assert manifest_value(manifest, "search.log_gamma_tol") == "1e-06"
 
 
 def test_tree_ensemble_both_kinds_equal_separate_runs(tmp_path):
     """--kind both solves each tree once for both kinds; its CSVs must be
     byte for byte those of one run per kind with the same seed. Fifteen
-    sites take the eigenbasis route, whose factorisations are shared."""
+    sites take the eigenbasis route, and one search serves both kinds."""
     base = ["tree-ensemble", "--generation", "4", "--samples", "2",
             "--delta-grid", "0:3:3", "--seed", "11"]
     assert main(base + ["--kind", "both", "--out-dir",

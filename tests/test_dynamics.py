@@ -348,25 +348,23 @@ def test_moment_solver_equals_integrated_state_at_every_rate():
 def test_integrated_state_keeps_its_own_copy_of_rho0():
     """A MomentSolver keeps no reference to the caller's array, on either
     route: changing the array after the build changes no result. It keeps
-    its system at gamma_phi = 0, and with_initial_state shares it."""
+    its system at gamma_phi = 0."""
     rng = np.random.default_rng(67)
     for n in (4, 9):
         sys = random_transport_system(rng, n=n)
         rho0 = random_density_matrix(rng, n)
         want = MomentSolver(sys, rho0.copy())
         solver = MomentSolver(sys, rho0)
-        sibling = want.with_initial_state(rho0)
         assert sys.dephasing_rate > 0.0
         assert want.system.dephasing_rate == 0.0
         assert want.system.trap_rates is sys.trap_rates
-        assert sibling.system is want.system
         rho0[0, 0] += 0.25
         rho0[0, 1] = rho0[1, 0] = 0.0
         for gamma in (0.0, 3.0):
             got = integrated_state(solver, gamma)
             np.testing.assert_array_equal(got[0], want(gamma)[0])
             np.testing.assert_array_equal(got[1], want(gamma)[1])
-            np.testing.assert_array_equal(sibling.first_moment(gamma),
+            np.testing.assert_array_equal(solver.first_moments([gamma])[0][0],
                                           want(gamma)[0])
 
 
@@ -405,11 +403,12 @@ def test_eigenbasis_route_matches_a_dense_solve(n):
 
 @pytest.mark.parametrize("n", [4, 10])
 def test_first_moment_equals_the_first_of_both_moments(n):
+    """The S1 of first_moments is bit for bit the S1 of solver(gamma)."""
     rng = np.random.default_rng(30 + n)
     sys = random_transport_system(rng, n=n)
     solver = MomentSolver(sys, random_density_matrix(rng, n))
     for gamma in (0.0, 0.7, 4e3):
-        np.testing.assert_array_equal(solver.first_moment(gamma),
+        np.testing.assert_array_equal(solver.first_moments([gamma])[0][0],
                                       solver(gamma)[0])
 
 
@@ -485,7 +484,7 @@ def test_a_dense_fallback_above_one_gibibyte_is_refused():
                           recomb_rate=0.0, dephasing_rate=0.0)
     solver = MomentSolver(sys, np.eye(n, dtype=complex) / n)
     with pytest.raises(NonConvergentIntegralError, match="above the 1 GiB"):
-        solver.first_moment(0.0)
+        solver.first_moments([0.0])
 
 
 @pytest.mark.parametrize("gamma", [
@@ -504,34 +503,29 @@ def test_moment_solver_rejects_bad_dephasing_rates(gamma):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_moment_solver_rejects_a_non_finite_initial_state(case, bad):
     """On the dense route (7 sites) and the eigenbasis route (a 15-site
-    tree), for a new solver and for another initial state of one."""
+    tree)."""
     sys, rho0 = _stacking_case(case)
     broken = rho0.copy()
     broken[1, 1] = bad
     with pytest.raises(ConfigurationError, match="non-finite"):
         MomentSolver(sys, broken)
-    with pytest.raises(ConfigurationError, match="non-finite"):
-        MomentSolver(sys, rho0).with_initial_state(broken)
 
 
 @pytest.mark.parametrize("case", ["random7", "gen4"])
 def test_moment_solver_rejects_a_non_hermitian_initial_state(case):
     """rho0 = |1><2| on the dense route (7 sites) and the eigenbasis route
-    (a 15-site tree), for a new solver, for another initial state of one
-    and for propagate, all with the same message. Its Hermitian part is
-    accepted by each."""
-    sys, rho0 = _stacking_case(case)
-    broken = np.zeros_like(rho0)
+    (a 15-site tree), for a new solver and for propagate, both with the
+    same message. Its Hermitian part is accepted by each."""
+    sys, _ = _stacking_case(case)
+    broken = np.zeros((sys.n_sites, sys.n_sites), dtype=complex)
     broken[0, 1] = 1.0
     message = r"not exactly Hermitian; pass \(rho \+ rho\^dag\) / 2"
     with pytest.raises(ConfigurationError, match=message):
         MomentSolver(sys, broken)
     with pytest.raises(ConfigurationError, match=message):
-        MomentSolver(sys, rho0).with_initial_state(broken)
-    with pytest.raises(ConfigurationError, match=message):
         propagate(sys, broken, [0.0, 1.0])
     hermitian = (broken + broken.conj().T) / 2.0
-    MomentSolver(sys, rho0).with_initial_state(hermitian)(0.7)
+    MomentSolver(sys, hermitian)(0.7)
     propagate(sys, hermitian, [0.0, 1.0])
 
 
@@ -549,7 +543,7 @@ def test_every_built_initial_state_passes_the_hermitian_check(kind, sites, n):
     traj = propagate(sys, rho0, [0.0, 0.5])
     np.testing.assert_array_equal(traj.states[0], rho0)
     solver = MomentSolver(sys, rho0)
-    solver.first_moment(0.7)
+    solver.first_moments([0.7])
     route = "eigenbasis" if n >= 9 else "dense"
     assert solver.route_counts[route] == 1
 
@@ -583,45 +577,54 @@ def _stacking_case(case):
     return random_transport_system(rng, n=n), random_density_matrix(rng, n)
 
 
+def _assert_equals_each_rate_alone(sys, rho0, gammas, got):
+    """got, first_moments(gammas) of a solver for (sys, rho0), is bit for
+    bit first_moments([gamma]) of a fresh solver at each rate in turn."""
+    looped = MomentSolver(sys, rho0)
+    for i, gamma in enumerate(gammas):
+        alone = looped.first_moments([gamma])
+        for stack, want in zip(got, alone):
+            np.testing.assert_array_equal(stack[i], want[0])
+
+
 @pytest.mark.parametrize("case", ["gen4", "gen5", "random10", "random4"])
 def test_first_moments_equal_a_loop_of_first_moment(case):
-    """The stack is bit for bit a loop of first_moment and counts one
-    solve per rate, as a Python int. Both are also checked against a dense
-    solve at the ends of the grid, where the Zeno end needs the refinement
-    step, so a fault the two share cannot hide."""
+    """Both stacks, S1 and dS1/dgamma, are bit for bit first_moments of
+    each rate alone, and count one solve per rate, as a Python int. S1 is
+    also checked against a dense solve at the ends of the grid, where the
+    Zeno end needs the refinement step, so a fault the two share cannot
+    hide."""
     sys, rho0 = _stacking_case(case)
     solver = MomentSolver(sys, rho0)
-    solver.first_moment(0.5)
+    solver(0.5)
     before = solver.route_counts
     got = solver.first_moments(STACKED_RATES)
     route = "eigenbasis" if sys.n_sites >= 9 else "dense"
     grown = {k: solver.route_counts[k] - before[k] for k in before}
     assert grown == {"eigenbasis": 0, "dense": 0, route: len(STACKED_RATES)}
     assert all(type(v) is int for v in solver.route_counts.values())
-    looped = MomentSolver(sys, rho0)
-    assert got.shape == (len(STACKED_RATES), sys.n_sites, sys.n_sites)
-    for gamma, s1 in zip(STACKED_RATES, got):
-        np.testing.assert_array_equal(s1, looped.first_moment(gamma))
+    for stack in got:
+        assert stack.shape == (len(STACKED_RATES), sys.n_sites, sys.n_sites)
+    _assert_equals_each_rate_alone(sys, rho0, STACKED_RATES, got)
     for k in (0, len(STACKED_RATES) - 1):
         liou = reference_liouvillian(sys.with_dephasing(STACKED_RATES[k]))
         want = _unvec(np.linalg.solve(liou, -_vec(rho0)), sys.n_sites)
-        assert _relative_gap(got[k], want) <= 1e-12
+        assert _relative_gap(got[0][k], want) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["gen4", "gen5"])
 def test_first_moments_stack_gamma_zero_with_positive_rates(case):
     """gamma = 0 is one more rate of a stack, whose capacitance matrix is
-    then the identity: the stack is bit for bit a loop of first_moment,
-    and its gamma = 0 slice matches the eigen-formula oracle."""
+    then the identity: the stack is bit for bit first_moments of each
+    rate alone, and its gamma = 0 slice matches the eigen-formula
+    oracle."""
     sys, rho0 = _stacking_case(case)
     gammas = np.r_[0.3, 0.0, STACKED_RATES]
     solver = MomentSolver(sys, rho0)
     got = solver.first_moments(gammas)
     assert solver.route_counts == {"eigenbasis": len(gammas), "dense": 0}
-    looped = MomentSolver(sys, rho0)
-    for gamma, s1 in zip(gammas, got):
-        np.testing.assert_array_equal(s1, looped.first_moment(gamma))
-    assert _relative_gap(got[1], eigen_integrals(sys, rho0)[0]) <= 1e-10
+    _assert_equals_each_rate_alone(sys, rho0, gammas, got)
+    assert _relative_gap(got[0][1], eigen_integrals(sys, rho0)[0]) <= 1e-10
 
 
 def test_a_coherent_solver_never_builds_the_pair_products(
@@ -634,78 +637,37 @@ def test_a_coherent_solver_never_builds_the_pair_products(
     solver(0.0)
     solver.first_moments([0.0, 0.0])
     assert pair_product_builds == []
-    solver.first_moment(0.7)
+    solver(0.7)
     solver.first_moments(STACKED_RATES)
     assert pair_product_builds == [solver._eigen]
 
 
-@pytest.mark.parametrize("case", ["gen3", "gen4", "gen5"])
-def test_a_solver_for_another_initial_state_shares_the_factorisations(
-        case, factored_rates):
-    """with_initial_state shares the factorisations of the last
-    first_moments scan, on the dense route (gen3) and the eigenbasis
-    route: a sibling's scan of the same rates factors nothing, made
-    before or after that scan. A single-rate solve is never shared, and a
-    scan of other rates replaces the shared one. Each solver's moments are
-    bit for bit those of a solver of its own."""
-    sys, rho0 = _stacking_case(case)
-    other = np.diag(np.diag(rho0))
-    first = MomentSolver(sys, rho0)
-    early = first.with_initial_state(other)
-    first.first_moments(STACKED_RATES)
-    first.first_moment(0.0)
-    assert factored_rates == [*STACKED_RATES, 0.0]
-    late = first.with_initial_state(rho0)
-    factored_rates.clear()
-    got = early.first_moments(STACKED_RATES)
-    np.testing.assert_array_equal(late.first_moments(STACKED_RATES),
-                                  first.first_moments(STACKED_RATES))
-    assert factored_rates == []
-    zero = early.first_moment(0.0)
-    assert factored_rates == [0.0]
-    factored_rates.clear()
-    late.first_moments(STACKED_RATES[:3])
-    early.first_moments(STACKED_RATES)
-    assert factored_rates == [*STACKED_RATES[:3], *STACKED_RATES]
-    route = "eigenbasis" if sys.n_sites >= 9 else "dense"
-    assert early.route_counts == {"eigenbasis": 0, "dense": 0,
-                                  route: 2 * len(STACKED_RATES) + 1}
-    alone = MomentSolver(sys, other)
-    np.testing.assert_array_equal(got, alone.first_moments(STACKED_RATES))
-    np.testing.assert_array_equal(zero, alone.first_moment(0.0))
-
-
-def test_a_dense_solver_for_another_initial_state_shares_the_liouvillian(
-        monkeypatch):
-    """On a 7-site tree, which takes the dense route, with_initial_state
-    reuses the coherent Liouvillian its sibling built, by one call of
-    build_liouvillian at gamma_phi = 0, and its moments, from its own
-    right-hand side, are bit for bit those of a solver of its own."""
-    sys, rho0 = _stacking_case("gen3")
-    other = np.diag(np.diag(rho0))
-    builds = []
-    real = dynamics.build_liouvillian
-
-    def counting(system):
-        builds.append(system.dephasing_rate)
-        return real(system)
-
-    monkeypatch.setattr(dynamics, "build_liouvillian", counting)
-    first = MomentSolver(sys, rho0)
-    second = first.with_initial_state(other)
-    first.first_moments(STACKED_RATES)
-    both = first(0.7)
-    assert builds == [0.0]
-    got = second.first_moments(STACKED_RATES)
-    got_both = second(0.7)
-    assert builds == [0.0]
-    assert second.route_counts == {"eigenbasis": 0,
-                                   "dense": len(STACKED_RATES) + 1}
-    alone = MomentSolver(sys, other)
-    np.testing.assert_array_equal(got, alone.first_moments(STACKED_RATES))
-    for got_moment, want, sibling in zip(got_both, alone(0.7), both):
-        np.testing.assert_array_equal(got_moment, want)
-        assert not np.array_equal(got_moment, sibling)
+@pytest.mark.parametrize("case", ["gen3", "gen4", "exceptional"])
+def test_the_rate_derivative_matches_central_differences(case):
+    """dS1/dgamma, solved with the factors of S1, matches central
+    differences of S1 on the dense route (a 7-site tree), the eigenbasis
+    route (15 sites) and the dense fallback at the exceptional point.
+    With the step h = 1e-4 gamma, the differences are off by about
+    (h gamma)^2 / 6 times the third derivative, about 1e-9 relative, plus
+    roundoff of about 1e-16 / 1e-4 = 1e-12, so 1e-7 bounds the gap. Dense
+    derivatives are exactly Hermitian, like dense moments."""
+    if case == "exceptional":
+        sys = _exceptional_point_system(0.0)
+        rho0 = np.zeros((9, 9), dtype=complex)
+        rho0[0, 0] = rho0[5, 5] = 0.5
+    else:
+        sys, rho0 = _stacking_case(case)
+    solver = MomentSolver(sys, rho0)
+    gammas = np.array([0.05, 3.0, 40.0, 900.0])
+    _, derivatives = solver.first_moments(gammas)
+    route = "eigenbasis" if case == "gen4" else "dense"
+    assert solver.route_counts[route] == len(gammas)
+    for gamma, got in zip(gammas, derivatives):
+        h = 1e-4 * gamma
+        s1 = solver.first_moments([gamma - h, gamma + h])[0]
+        assert _relative_gap(got, (s1[1] - s1[0]) / (2.0 * h)) <= 1e-7
+        if route == "dense":
+            np.testing.assert_array_equal(got, got.conj().T)
 
 
 def _dense_capacitance(sys, gamma):
@@ -753,9 +715,7 @@ def test_first_moments_take_the_dense_route_at_the_exceptional_point():
     solver = MomentSolver(sys, rho0)
     got = solver.first_moments(gammas)
     assert solver.route_counts == {"eigenbasis": 0, "dense": len(gammas)}
-    looped = MomentSolver(sys, rho0)
-    for gamma, s1 in zip(gammas, got):
-        np.testing.assert_array_equal(s1, looped.first_moment(gamma))
+    _assert_equals_each_rate_alone(sys, rho0, gammas, got)
 
 
 @pytest.mark.parametrize("gammas", [[0.5, 2.0], [0.0, 2.0]])
@@ -770,14 +730,19 @@ def test_first_moments_keep_the_guards_of_each_rate(gammas):
 
 
 @pytest.mark.parametrize("bad", [-1e-9, -1.0, float("nan"), float("inf"),
-                                 float("-inf")])
+                                 float("-inf"), pytest.param("1.5", id="str"),
+                                 True])
 def test_first_moments_check_every_rate_before_solving(bad):
+    """A rate that is negative, not finite, a numeric string or a bool is
+    refused before any rate is solved, in a list or an array."""
     sys, rho0 = _stacking_case("random10")
     solver = MomentSolver(sys, rho0)
     with pytest.raises(ConfigurationError):
         solver.first_moments([0.5, 1.0, bad, 2.0])
     with pytest.raises(ConfigurationError):
         solver.first_moments([[0.5, 1.0]])
+    with pytest.raises(ConfigurationError):
+        solver.first_moments(np.array([bad]))
     assert solver.route_counts == {"eigenbasis": 0, "dense": 0}
 
 

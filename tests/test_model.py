@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from enaqt.dynamics import build_liouvillian
 from enaqt.errors import ConfigurationError
 from enaqt.model import (InitialState, TransportSystem, effective_hamiltonian,
                          initial_density_matrix, load_system, save_system,
@@ -86,6 +87,44 @@ def test_with_dephasing_returns_modified_copy():
     for name in ("site_energies", "couplings", "trap_rates"):
         assert getattr(other, name) is getattr(sys, name)
         assert not getattr(other, name).flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32, float])
+def test_numeric_ndarrays_convert_to_read_only_float_copies(dtype):
+    """Integer and float ndarrays take the one-pass conversion, with the
+    values the per-entry path gives, and the system keeps its own copy."""
+    energies = np.array([50, 20], dtype=dtype)
+    sys = dimer(site_energies=energies, trap_rates=np.array([0, 1],
+                                                            dtype=dtype))
+    want = dimer(site_energies=[float(e) for e in energies],
+                 trap_rates=[0.0, 1.0])
+    for name in ("site_energies", "trap_rates"):
+        got = getattr(sys, name)
+        assert got.dtype == float and not got.flags.writeable
+        np.testing.assert_array_equal(got, getattr(want, name))
+    energies[0] = 7
+    assert sys.site_energies[0] == float(np.array(50, dtype=dtype))
+
+
+def test_the_adjoint_negates_the_hamiltonian_and_transposes_the_liouvillian():
+    """sys.adjoint() negates site energies and couplings into read-only
+    arrays and shares every rate. On the orthonormal real coordinates L is
+    real, so its adjoint is its transpose."""
+    sys = dimer(dephasing_rate=0.0)
+    adj = sys.adjoint()
+    np.testing.assert_array_equal(adj.site_energies, -sys.site_energies)
+    np.testing.assert_array_equal(adj.couplings, -sys.couplings)
+    assert adj.trap_rates is sys.trap_rates
+    assert (adj.n_sites, adj.recomb_rate, adj.dephasing_rate) == (
+        sys.n_sites, sys.recomb_rate, sys.dephasing_rate)
+    assert not adj.site_energies.flags.writeable
+    assert not adj.couplings.flags.writeable
+    np.testing.assert_array_equal(sys.site_energies, [50.0, -50.0])
+    for gamma in (0.0, 0.3):
+        liou = build_liouvillian(sys.with_dephasing(gamma))
+        np.testing.assert_allclose(
+            build_liouvillian(adj.with_dephasing(gamma)), liou.T,
+            rtol=0.0, atol=1e-14 * np.abs(liou).max())
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
