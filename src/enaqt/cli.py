@@ -7,11 +7,14 @@ Subcommands:
     propagate            trajectory export for any serialized system
     temperature-to-rate  Ohmic-bath dephasing rate at a temperature
 
-Each `cmd_*` function only computes: it returns its output files as
-(file name, writer) pairs plus its manifest extras. `_run` then writes
-every CSV and `<command>_manifest.txt`, a key-value manifest echoing the
-full configuration, the physical constants, data checksums, and the wall
-time, so any output file can be reproduced exactly from its manifest.
+Each `cmd_*` function only computes, on one BLAS thread
+(dynamics.one_blas_thread), so its outputs are the same bytes under any
+thread setting: it returns its output files as (file name, writer) pairs
+plus its manifest extras. `_run` then writes every CSV and
+`<command>_manifest.txt`, a key-value manifest echoing the full
+configuration, the physical constants, the BLAS thread count and the
+numpy and scipy versions, data checksums, and the wall time, so any
+output file can be reproduced exactly from its manifest.
 Nothing is written until the whole computation has succeeded, so a failing
 run leaves no files behind. Each file is written atomically (a uniquely
 named temp file + rename), so runs sharing an output directory never share
@@ -26,9 +29,11 @@ import time
 import uuid
 
 import numpy as np
+import scipy
 
 from . import __version__
-from .dynamics import MomentSolver, default_horizon, propagate
+from .dynamics import (MomentSolver, default_horizon, one_blas_thread,
+                       propagate)
 from .errors import ConfigurationError, DataIntegrityError, EnaqtError
 from .fmo import (DEFAULT_RECOMB_RATE, DEFAULT_TRAP_RATE, GAMMA_GRID_DEFAULT,
                   KAPPA_GRID_DEFAULT, dephasing_sweep, load_fmo_model,
@@ -93,7 +98,11 @@ def _run(args):
     directory if needed and write the CSVs and the manifest, so a failing
     run writes nothing."""
     t0 = time.perf_counter()
-    files, extras = args.func(args)
+    with one_blas_thread() as blas_threads:
+        files, extras = args.func(args)
+    extras["runtime.blas_threads"] = blas_threads
+    extras["runtime.numpy"] = np.__version__
+    extras["runtime.scipy"] = scipy.__version__
     _ensure_out_dir(args.out_dir)
     outputs = []
     for name, writer in files:

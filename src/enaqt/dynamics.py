@@ -47,8 +47,12 @@ over an array of rates, the derivative by a second solve with the same
 factors; a stack is bit for bit the stacks of its rates one at a time.
 The test suite checks both routes against the independent DOP853 and
 eigenbasis oracles in tests/oracles.py.
+one_blas_thread() runs a block on one OpenBLAS thread; the CLI computes
+every command inside it, and library callers may wrap their calls in it.
 """
 
+import contextlib
+import ctypes
 import functools
 import math
 from dataclasses import dataclass
@@ -59,6 +63,54 @@ from scipy.linalg import expm, get_lapack_funcs
 from .errors import (ConfigurationError, NonConvergentIntegralError,
                      NumericalConsistencyError)
 from .model import as_rate, as_rate_grid, effective_hamiltonian
+
+
+def _openblas_pools():
+    """(get, set) thread-count functions of the OpenBLAS builds that numpy
+    (ILP64, `64_` suffix) and scipy.linalg (LP64) bundle, or () for a build
+    without them. dlsym on an extension module's handle also searches the
+    libraries it links, so no wheel-specific library name appears here."""
+    try:
+        from numpy._core import _multiarray_umath
+        from scipy.linalg import _flapack
+        pools = []
+        for module, suffix in ((_multiarray_umath, "64_"), (_flapack, "")):
+            lib = ctypes.CDLL(module.__file__)
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+            set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            pools.append((get, set_))
+        return tuple(pools)
+    except (ImportError, OSError, AttributeError):
+        return ()
+
+
+_OPENBLAS_POOLS = _openblas_pools()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with both bundled OpenBLAS pools on one thread and
+    restore their previous counts on exit, also on an exception.
+
+    A threaded GEMM sums in an order that depends on the thread count, so
+    one thread makes results the same bytes under any OPENBLAS_NUM_THREADS.
+    A second thread saves wall time only on the largest trees, and it
+    spins between calls, costing CPU time. Yields the count in force: 1,
+    or "unchanged" on a build without the setters, where the block runs
+    under the process's own setting. The counts are process-wide, so a
+    Python thread leaving the block also ends it for any other thread
+    still inside."""
+    pools = _OPENBLAS_POOLS
+    previous = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
+    try:
+        yield 1 if pools else "unchanged"
+    finally:
+        for (_, set_), count in zip(pools, previous):
+            set_(count)
 
 
 def _initial_state(rho0, n):
@@ -483,7 +535,8 @@ class _Eigenbasis:
         rhs = gammas[:, None] * diag_y
         z = np.empty_like(rhs)
         # The LU is real, so the real and imaginary parts are solved in
-        # turn: OpenBLAS runs a two-column getrs on its threads.
+        # turn: outside one_blas_thread(), as for a library caller,
+        # OpenBLAS runs a two-column getrs on its threads.
         for k, (lu, piv) in enumerate(caps):
             z[k].real = _GETRS(lu, piv, rhs[k].real)[0]
             z[k].imag = _GETRS(lu, piv, rhs[k].imag)[0]

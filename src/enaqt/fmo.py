@@ -182,8 +182,12 @@ def dephasing_sweep(model, gamma_grid=None):
     Returns a list of (gamma_phi, TransportResult) in grid order; any point
     failing to solve fails the sweep.
     """
-    grid = as_rate_grid("dephasing grid", default_gamma_grid()
-                        if gamma_grid is None else gamma_grid)
+    return _sweep(model, as_rate_grid("dephasing grid", default_gamma_grid()
+                                      if gamma_grid is None else gamma_grid))
+
+
+def _sweep(model, grid):
+    """dephasing_sweep over a grid that as_rate_grid has already taken."""
     solver = MomentSolver(model.system, model.initial_density_matrix())
     plan = SweepPlan(tasks=tuple(float(g) for g in grid))
     results = run_sweep(plan, lambda gamma: transport_result(solver, gamma),
@@ -209,7 +213,7 @@ def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None):
         trap_rates[DEFAULT_TRAP_SITE - 1] = kappa
         trapped = replace(
             model, system=model.system.with_rates(trap_rates=trap_rates))
-        sweep = dephasing_sweep(trapped, gammas)
+        sweep = _sweep(trapped, gammas)
         tau[:, j] = [result.transfer_time_ps for _, result in sweep]
     return gammas, kappas, tau
 

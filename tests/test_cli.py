@@ -8,8 +8,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
-from enaqt import cli, fmo, tree
+from enaqt import cli, dynamics, fmo, tree
 from enaqt.cli import main
 from enaqt.errors import EnaqtError
 from enaqt.fmo import load_fmo_model
@@ -574,17 +575,122 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def src_env(**extra):
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
     """scipy.optimize adds about 0.1 s of import to every CLI run; the
     dephasing search is written so that nothing needs it."""
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, enaqt.cli; "
          "print(sorted(m for m in sys.modules if m.startswith('scipy.')))"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.strip()
     assert "scipy.linalg" in loaded
     assert "scipy.optimize" not in loaded
+
+
+def test_tree_csv_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The capacitance GEMM of a generation-6 tree sums over 4032 terms in
+    an order set by the thread count, and the dephasing search amplifies
+    that last-bit difference into gamma*: without the CLI's one-thread
+    scope this single tree's CSV differs between 1 and 2 threads."""
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "enaqt", "tree-ensemble",
+             "--generation", "6", "--samples", "1", "--delta-grid", "1",
+             "--kind", "mixture", "--seed", "5", "--out-dir", str(out)],
+            capture_output=True, text=True,
+            env=src_env(OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "tree_ensemble_mixture.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+needs_pools = pytest.mark.skipif(
+    not dynamics._OPENBLAS_POOLS,
+    reason="this numpy/scipy build exports no OpenBLAS thread setters")
+
+
+def pool_threads():
+    return [get() for get, _ in dynamics._OPENBLAS_POOLS]
+
+
+@pytest.fixture
+def two_thread_pools():
+    """Both OpenBLAS pools at 2 threads for the test, so that one thread
+    inside a command and the restore after it are both visible; the
+    process's own counts come back afterwards."""
+    before = pool_threads()
+    for _, set_ in dynamics._OPENBLAS_POOLS:
+        set_(2)
+    yield pool_threads()
+    for (_, set_), count in zip(dynamics._OPENBLAS_POOLS, before):
+        set_(count)
+
+
+@needs_pools
+@pytest.mark.parametrize("temperature, code", [("300", 0), ("-5", 2)])
+def test_a_command_computes_on_one_blas_thread_and_restores_the_pools(
+        tmp_path, monkeypatch, two_thread_pools, temperature, code):
+    inside = []
+    real = cli.dephasing_rate
+
+    def recording(*args):
+        inside.append(pool_threads())
+        return real(*args)
+    monkeypatch.setattr(cli, "dephasing_rate", recording)
+    rc = main(["temperature-to-rate", "--temperature", temperature,
+               "--out-dir", str(tmp_path)])
+    assert rc == code
+    assert inside == [[1] * len(two_thread_pools)]
+    assert pool_threads() == two_thread_pools
+
+
+def test_without_thread_setters_a_command_runs_as_set(
+        tmp_path, monkeypatch, two_thread_pools):
+    """With the setters unavailable the command computes under the
+    process's own counts, writes its CSVs and says so in its manifest."""
+    inside = []
+    real_pools, real_rate = dynamics._OPENBLAS_POOLS, cli.dephasing_rate
+
+    def recording(*args):
+        inside.append([get() for get, _ in real_pools])
+        return real_rate(*args)
+    monkeypatch.setattr(cli, "dephasing_rate", recording)
+    monkeypatch.setattr(dynamics, "_OPENBLAS_POOLS", ())
+    rc = main(["fmo-sweep", "--out-dir", str(tmp_path),
+               "--gamma-points", "3"])
+    assert rc == 0
+    assert inside == [two_thread_pools]
+    assert len(read(tmp_path / "fmo_sweep.csv").splitlines()) == 4
+    manifest = read(tmp_path / "fmo_sweep_manifest.txt")
+    assert manifest_value(manifest, "runtime.blas_threads") == "unchanged"
+
+
+@pytest.mark.parametrize("command", ["fmo-sweep", "tree-ensemble",
+                                     "two-level", "propagate",
+                                     "temperature-to-rate"])
+def test_every_manifest_records_its_runtime(tmp_path, command):
+    args = {"fmo-sweep": ["--gamma-points", "3"],
+            "tree-ensemble": ["--generation", "3", "--samples", "1",
+                              "--delta-grid", "1", "--kind", "mixture"],
+            "two-level": ["--gamma-points", "3"],
+            "propagate": ["--system", dimer_file(tmp_path), "--init",
+                          "site:1", "--t-final", "1", "--samples", "3"],
+            "temperature-to-rate": ["--temperature", "300"]}[command]
+    assert main([command, "--out-dir", str(tmp_path)] + args) == 0
+    manifest = read(tmp_path / ("%s_manifest.txt" % command.replace("-", "_")))
+    threads = manifest_value(manifest, "runtime.blas_threads")
+    assert threads == ("1" if dynamics._OPENBLAS_POOLS else "unchanged")
+    for key, module in (("runtime.numpy", np), ("runtime.scipy", scipy)):
+        version = manifest_value(manifest, key)
+        assert version == module.__version__
+        assert all(part.isdigit() for part in version.split(".")[:2])

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from enaqt import fmo
 from enaqt.dynamics import MomentSolver
 from enaqt.errors import ConfigurationError, DataIntegrityError
 from enaqt.fmo import (DEFAULT_INITIAL_STATE, DEFAULT_RECOMB_RATE,
@@ -208,6 +209,20 @@ def test_sweep_and_surface_build_one_solver_per_trap_rate(solver_builds):
     dephasing_sweep(model, gammas)
     trap_dephasing_surface(model, gammas, kappas)
     assert len(solver_builds) == len(kappas) + 1
+
+
+def test_surface_validates_each_grid_once(monkeypatch):
+    """The per-kappa sweeps take the surface's validated gamma grid as it
+    is: two as_rate_grid passes in all, not one more per kappa."""
+    names = []
+    real = fmo.as_rate_grid
+
+    def counting(name, values, positive=False):
+        names.append(name)
+        return real(name, values, positive)
+    monkeypatch.setattr(fmo, "as_rate_grid", counting)
+    trap_dephasing_surface(load_fmo_model(), [0.0, 3.0], [0.5, 1.0, 2.0])
+    assert names == ["dephasing grid", "trap-rate grid"]
 
 
 def test_surface_rejects_nonpositive_kappa():
