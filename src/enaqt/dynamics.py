@@ -379,53 +379,6 @@ def _guarded_lu(a, anorm):
     return ((lu, piv) if cond <= _COND_LIMIT else None), cond
 
 
-class _DenseRoute:
-    """The dense moment route: build_liouvillian's coherent matrix M,
-    built on the first factor() call, and one real LU per rate.
-    Dephasing adds -gamma on each coherence coordinate and nothing on a
-    population one, so each rate copies M, shifts its diagonal and
-    factors it."""
-
-    def __init__(self, coherent):
-        self._coherent = coherent
-        self._matrix = None
-
-    def build(self):
-        """Build M and the off-diagonal part of each of its column 1-norms
-        (gamma moves only the diagonal), or refuse a system above
-        _DENSE_MAX_BYTES."""
-        n = self._coherent.n_sites
-        nbytes = 16 * n ** 4
-        if nbytes > _DENSE_MAX_BYTES:
-            raise NonConvergentIntegralError(
-                "the eigenbasis route does not apply and the dense "
-                "Liouvillian of %d sites would take %.2f GiB, above the "
-                "1 GiB limit of the dense fallback" % (n, nbytes / 2 ** 30))
-        matrix = build_liouvillian(self._coherent)
-        offdiag = np.abs(matrix)
-        np.einsum("ii->i", offdiag)[:] = 0.0
-        self._offdiag_colsum = offdiag.sum(axis=0)
-        self._matrix = matrix
-
-    def factor(self, gamma):
-        """The real LU (lu, piv) of L(gamma), built on the first call. A
-        condition estimate above 1e12, or an exact zero pivot, raises
-        NonConvergentIntegralError."""
-        if self._matrix is None:
-            self.build()
-        mat = self._matrix.copy(order="F")
-        diag = np.einsum("ii->i", mat)
-        diag[self._coherent.n_sites:] -= gamma
-        lu, cond = _guarded_lu(mat, (self._offdiag_colsum + np.abs(diag)).max())
-        if lu is None:
-            raise NonConvergentIntegralError(
-                "Liouvillian condition estimate %.3e exceeds 1e12: the "
-                "integrals do not converge reliably; likely causes are a site "
-                "(or subspace) with no reachable decay channel, or energies "
-                "and rates too many orders of magnitude apart" % cond)
-        return lu
-
-
 class _Eigenbasis:
     """Solves L(gamma) x = b in the eigenbasis of H_eff = S diag(lam) W,
     for a stack of rates at once.
@@ -528,9 +481,10 @@ class _Eigenbasis:
                           order="C")
         return x_real @ b_t.view(float).transpose(0, 2, 1)
 
-    def _apply_inverse(self, factors, b_tilde):
+    def _apply_inverse(self, factors, b_eigen):
+        """A^-1 b for the factored rates, from b_eigen = W b W^dag."""
         gammas, r, caps = factors
-        t = r * b_tilde
+        t = r * b_eigen
         diag_y = np.einsum("kij,ij->ki", self._s @ t, self._s_h.T)
         rhs = gammas[:, None] * diag_y
         z = np.empty_like(rhs)
@@ -543,18 +497,15 @@ class _Eigenbasis:
         t -= r * ((self._w * z[:, None, :]) @ self._w_h)
         return self._s @ t @ self._s_h
 
-    def solve(self, factors, b, b_tilde=None):
+    def solve(self, factors, b):
         """The stack x with L(gamma) x = b for the factored rates, refined
         once against the exact operator
         -i(H_eff x - x H_eff^dag) + gamma (diag x - x), written out for
         complex x rather than through build_liouvillian, because x need
         not be Hermitian to roundoff.
-        b is one N x N matrix or a stack of one per rate, and b_tilde its
-        to_eigenbasis() when the caller already has it."""
-        if b_tilde is None:
-            b_tilde = self.to_eigenbasis(b)
+        b is one N x N matrix or a stack of one per rate."""
         gammas = factors[0]
-        x = self._apply_inverse(factors, b_tilde)
+        x = self._apply_inverse(factors, self.to_eigenbasis(b))
         lx = -1j * (self._heff @ x - x @ self._heff_h)
         # Populations are exempt, exactly rather than by cancellation.
         damped = gammas[:, None, None] * x
@@ -584,7 +535,7 @@ class MomentSolver:
     - Dense: L is build_liouvillian's real matrix on the coordinates of
       Hermitian matrices. Dephasing only adds -gamma_phi on the coherence
       coordinates, so the coherent part is built once, on the first dense
-      solve (see _DenseRoute), and each rate takes one real LU
+      solve (see _dense_matrix), and each rate takes one real LU
       factorization and one single right-hand-side solve per moment, and
       S1, S2 and dS1/dgamma come out exactly Hermitian. A condition
       estimate above 1e12, or an exact zero pivot, aborts with
@@ -603,16 +554,16 @@ class MomentSolver:
     would exceed 1 GiB raises NonConvergentIntegralError instead.
     route_counts reports how many solves each route took, one per rate.
 
-    first_moments takes the eigenbasis route for its rates in stacks:
-    W(-rho0)W^dag and the pair products of S and W behind the capacitance
-    matrix are computed once (the pair products by the first rate above
-    0, so a solver that only solves gamma = 0 never holds them), and every
-    step that is not a LAPACK call on one rate's capacitance matrix runs
-    as one array operation over the stack, sized by _STACK_BYTES so that
-    memory does not grow with the number of rates. Each rate keeps its
-    own guards and, when one trips, its own dense fallback, and the
-    results equal first_moments of each rate alone bit for bit. On the
-    dense route every rate is solved one at a time. No factorisation is
+    first_moments takes the eigenbasis route for its rates in stacks: the
+    pair products of S and W behind the capacitance matrix are computed
+    once, by the first rate above 0 (so a solver that only solves
+    gamma = 0 never holds them), and every step that is not a LAPACK call
+    on one rate's capacitance matrix runs as one array operation over the
+    stack, sized by _STACK_BYTES so that memory does not grow with the
+    number of rates. Each rate keeps its own guards. The rates that the
+    eigenbasis route does not take, every rate of a solver without one,
+    are then solved densely one at a time, and the results equal
+    first_moments of each rate alone bit for bit. No factorisation is
     kept between calls.
     """
 
@@ -626,12 +577,8 @@ class MomentSolver:
         self.system = sys.with_dephasing(0.0)
         self._eigen = (_Eigenbasis.of(effective_hamiltonian(sys))
                        if n >= _EIGENBASIS_MIN_SITES else None)
-        self._dense = _DenseRoute(self.system)
-        rho0 = _initial_state(rho0, n)
-        if self._eigen is not None:
-            self._b0 = -rho0
-            self._b0_tilde = self._eigen.to_eigenbasis(self._b0)
-        self._dense_rhs = coordinates(-rho0)
+        self._b0 = -_initial_state(rho0, n)
+        self._dense_rhs = coordinates(self._b0)
         self._counts = {"eigenbasis": 0, "dense": 0}
 
     @property
@@ -654,22 +601,20 @@ class MomentSolver:
         gammas = as_rate_grid("dephasing rates", gammas)
         n = self.n_sites
         out = np.empty((2, gammas.size, n, n), dtype=complex)
-        if self._eigen is None:
-            for i, gamma in enumerate(gammas):
-                out[:, i] = self._dense_solve(float(gamma), derivative=True)
-            return out[0], out[1]
-        for idx, ok, factors in self._eigen.factor_stacks(gammas):
-            out[:, idx[ok]] = self._eigen_solve(factors, derivative=True)
-            for i in idx[~ok]:
-                out[:, i] = self._dense_solve(float(gammas[i]),
-                                              derivative=True)
+        dense = np.ones(gammas.size, dtype=bool)
+        if self._eigen is not None:
+            for idx, ok, factors in self._eigen.factor_stacks(gammas):
+                out[:, idx[ok]] = self._eigen_solve(factors, derivative=True)
+                dense[idx[ok]] = False
+        for i in np.flatnonzero(dense):
+            out[:, i] = self._dense_solve(float(gammas[i]), derivative=True)
         return out[0], out[1]
 
     def _eigen_solve(self, factors, derivative=False):
         """(S1, S2) stacked over the rates factored in factors, or
         (S1, dS1/dgamma) when derivative."""
         self._counts["eigenbasis"] += len(factors[0])
-        s1 = self._eigen.solve(factors, self._b0, self._b0_tilde)
+        s1 = self._eigen.solve(factors, self._b0)
         if derivative:
             rhs = s1.copy()
             np.einsum("kii->ki", rhs)[:] = 0.0
@@ -677,10 +622,43 @@ class MomentSolver:
             rhs = -s1
         return s1, self._eigen.solve(factors, rhs)
 
+    @functools.cached_property
+    def _dense_matrix(self):
+        """build_liouvillian's coherent matrix M and the off-diagonal part
+        of each of its column 1-norms (gamma moves only the diagonal), built
+        by the first dense solve; a system above _DENSE_MAX_BYTES is
+        refused instead."""
+        nbytes = 16 * self.n_sites ** 4
+        if nbytes > _DENSE_MAX_BYTES:
+            raise NonConvergentIntegralError(
+                "the eigenbasis route does not apply and the dense "
+                "Liouvillian of %d sites would take %.2f GiB, above the "
+                "1 GiB limit of the dense fallback"
+                % (self.n_sites, nbytes / 2 ** 30))
+        matrix = build_liouvillian(self.system)
+        offdiag = np.abs(matrix)
+        np.einsum("ii->i", offdiag)[:] = 0.0
+        return matrix, offdiag.sum(axis=0)
+
     def _dense_solve(self, gamma, derivative=False):
-        """(S1, S2) at gamma, or (S1, dS1/dgamma) when derivative."""
+        """(S1, S2) at gamma, or (S1, dS1/dgamma) when derivative, from one
+        real LU of M shifted by -gamma on the coherence coordinates. A
+        condition estimate above 1e12, or an exact zero pivot, raises
+        NonConvergentIntegralError."""
         self._counts["dense"] += 1
-        lu, piv = self._dense.factor(gamma)
+        matrix, offdiag_colsum = self._dense_matrix
+        mat = matrix.copy(order="F")
+        diag = np.einsum("ii->i", mat)
+        diag[self.n_sites:] -= gamma
+        factors, cond = _guarded_lu(mat,
+                                    (offdiag_colsum + np.abs(diag)).max())
+        if factors is None:
+            raise NonConvergentIntegralError(
+                "Liouvillian condition estimate %.3e exceeds 1e12: the "
+                "integrals do not converge reliably; likely causes are a site "
+                "(or subspace) with no reachable decay channel, or energies "
+                "and rates too many orders of magnitude apart" % cond)
+        lu, piv = factors
         y1 = _GETRS(lu, piv, self._dense_rhs)[0]
         if derivative:
             # S1 - diag S1: the coherence coordinates of S1 alone.

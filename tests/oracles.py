@@ -7,7 +7,9 @@ complex column-stacked superoperator, and the infinite-horizon moments
 come either from a high-order adaptive ODE solver with the quadrature
 carried alongside the state (any dephasing rate) or from the exact
 eigendecomposition formula (coherent case only). The same ODE solver also
-samples finite-time trajectories. Nothing calls into enaqt.dynamics, so
+samples finite-time trajectories. At strong dephasing, hopping_limit gives
+eta, tau and the loss from the classical rate equation the dynamics
+reduces to there. Nothing calls into enaqt.dynamics, so
 agreement between the two codebases is evidence rather than tautology.
 """
 
@@ -151,6 +153,34 @@ def eigen_integrals(sys, rho0):
     s1 = smat @ (c / denom) @ smat.conj().T
     s2 = smat @ (c / denom ** 2) @ smat.conj().T
     return s1, s2
+
+
+def hopping_limit(sys, rho0, gamma):
+    """(eta, tau, loss) from the rate equation of the Zeno end, gamma >> H.
+
+    There coherences follow the populations adiabatically (Mohseni et al.,
+    J. Chem. Phys. 129, 174106 (2008)): coherence mn decays at
+    G_mn = gamma + kappa_m + kappa_n + 2 Gamma and turns at the gap D_mn, so
+    populations hop at k_mn = 2 V_mn^2 G_mn / (G_mn^2 + D_mn^2) (angular
+    ps^-1) and drain at 2 (kappa_m + Gamma). With K that generator,
+    P1 = -K^-1 p0 and P2 = -K^-1 P1, two N x N solves, give
+    eta = 2 kappa.P1, tau = 2 kappa.P2 / eta and loss = 2 Gamma sum P1.
+    Only the populations of rho0 enter: its coherences die in 1 / gamma.
+    """
+    v = np.asarray(sys.couplings, dtype=float) * ANGULAR_PER_CM1
+    e = np.asarray(sys.site_energies, dtype=float) * ANGULAR_PER_CM1
+    drain = np.asarray(sys.trap_rates, dtype=float) + sys.recomb_rate
+    width = gamma + drain[:, None] + drain[None, :]
+    gap = e[:, None] - e[None, :]
+    k = 2.0 * v ** 2 * width / (width ** 2 + gap ** 2)
+    np.fill_diagonal(k, 0.0)
+    generator = k - np.diag(k.sum(axis=1) + 2.0 * drain)
+    p1 = np.linalg.solve(generator, -np.diag(rho0).real)
+    p2 = np.linalg.solve(generator, -p1)
+    trapped = 2.0 * np.asarray(sys.trap_rates, dtype=float)
+    eta = float(trapped @ p1)
+    loss = 2.0 * sys.recomb_rate * float(p1.sum())
+    return eta, float(trapped @ p2) / eta, loss
 
 
 def bright_chain_efficiency(spec):

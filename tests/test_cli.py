@@ -675,17 +675,24 @@ def test_without_thread_setters_a_command_runs_as_set(
     assert manifest_value(manifest, "runtime.blas_threads") == "unchanged"
 
 
-@pytest.mark.parametrize("command", ["fmo-sweep", "tree-ensemble",
-                                     "two-level", "propagate",
-                                     "temperature-to-rate"])
-def test_every_manifest_records_its_runtime(tmp_path, command):
-    args = {"fmo-sweep": ["--gamma-points", "3"],
+COMMANDS = ["fmo-sweep", "tree-ensemble", "two-level", "propagate",
+            "temperature-to-rate"]
+
+
+def small_run(command, tmp_path):
+    """Arguments, apart from --out-dir, of a quick run of command."""
+    return {"fmo-sweep": ["--gamma-points", "3"],
             "tree-ensemble": ["--generation", "3", "--samples", "1",
                               "--delta-grid", "1", "--kind", "mixture"],
             "two-level": ["--gamma-points", "3"],
             "propagate": ["--system", dimer_file(tmp_path), "--init",
                           "site:1", "--t-final", "1", "--samples", "3"],
             "temperature-to-rate": ["--temperature", "300"]}[command]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_manifest_records_its_runtime(tmp_path, command):
+    args = small_run(command, tmp_path)
     assert main([command, "--out-dir", str(tmp_path)] + args) == 0
     manifest = read(tmp_path / ("%s_manifest.txt" % command.replace("-", "_")))
     threads = manifest_value(manifest, "runtime.blas_threads")
@@ -694,3 +701,20 @@ def test_every_manifest_records_its_runtime(tmp_path, command):
         version = manifest_value(manifest, key)
         assert version == module.__version__
         assert all(part.isdigit() for part in version.split(".")[:2])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_an_output_directory_that_cannot_be_created_is_refused(
+        tmp_path, capsys, command):
+    """A path through a regular file cannot become a directory. The run
+    computes, then exits with status 2 naming the directory, and writes
+    nothing anywhere."""
+    args = small_run(command, tmp_path)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    rc = main([command, "--out-dir", str(afile / "sub")] + args)
+    assert rc == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert afile.read_text() == "not a directory\n"

@@ -11,10 +11,11 @@ from enaqt.fmo import default_gamma_grid, load_fmo_model
 from enaqt.model import InitialState, TransportSystem, initial_density_matrix
 from enaqt.observables import (efficiency, loss_probability, transfer_time,
                                transport_result)
+from enaqt.tree import TreeSpec, generate_tree, leaf_initial_state
 from enaqt.twolevel import TwoLevelParams, to_transport_system
 
-from oracles import (quadrature_integrals, random_density_matrix,
-                     random_transport_system)
+from oracles import (ANGULAR_PER_CM1, hopping_limit, quadrature_integrals,
+                     random_density_matrix, random_transport_system)
 
 
 def synthetic_system(kappa, gamma):
@@ -136,6 +137,65 @@ def test_metrics_match_the_quadrature_oracle():
     tau_ref = (2.0 / eta_ref) * float(sys.trap_rates @ np.real(np.diag(q2)))
     assert res.efficiency == pytest.approx(eta_ref, rel=1e-7)
     assert res.transfer_time_ps == pytest.approx(tau_ref, rel=1e-7)
+
+
+def zeno_tolerance(sys, gamma, intermediates):
+    """The relative gap that hopping_limit leaves at dephasing rate gamma.
+
+    The rate equation is the leading order in E / gamma, with E the
+    spectral norm of the Hamiltonian less its mean site energy (angular
+    ps^-1). The first-order correction to a coherence is in phase with it
+    and moves no population, so each hopping rate is off by (E / gamma)^2,
+    taken here with unit coefficient: the bound falls 100x per decade.
+    The rate equation also drops superexchange, the hop across an
+    intermediate site at about k^2 / gamma. That route is not drained at
+    the intermediate site, so where hops are slower than 2 Gamma its share
+    of eta is about 2 Gamma / gamma for each intermediate site on the way:
+    first order, with a small coefficient, 1e-3 ps^-1 per site on FMO but
+    0.19 ps^-1 per site on a tree (Gamma = 0.005 V), where it dominates
+    from gamma ~ 1e4 ps^-1 on."""
+    h = (np.diag(sys.site_energies) + sys.couplings) * ANGULAR_PER_CM1
+    spread = np.linalg.norm(h - np.mean(sys.site_energies) * ANGULAR_PER_CM1
+                            * np.eye(sys.n_sites), 2)
+    superexchange = intermediates * 2.0 * sys.recomb_rate / gamma
+    return (spread / gamma) ** 2 + superexchange
+
+
+@pytest.mark.parametrize("gamma", [1e3, 1e4, 1e5])
+def test_the_fmo_zeno_end_matches_the_hopping_limit(gamma):
+    """At the default sweep's Zeno end (1e5 ps^-1) and two decades below
+    it, eta, tau and the loss agree with the rate equation. A route
+    between sites of FMO has at most N - 2 = 5 intermediate sites."""
+    model = load_fmo_model()
+    sys, rho0 = model.system, model.initial_density_matrix()
+    got = transport_result(MomentSolver(sys, rho0), gamma)
+    eta, tau, loss = hopping_limit(sys, rho0, gamma)
+    tol = zeno_tolerance(sys, gamma, sys.n_sites - 2)
+    assert abs(eta - got.efficiency) <= tol * got.efficiency
+    assert abs(tau - got.transfer_time_ps) <= tol * got.transfer_time_ps
+    assert abs(loss - got.loss_probability) <= tol * got.loss_probability
+
+
+@pytest.mark.parametrize("generation, delta, seed", [(3, 0.0, 2), (4, 1.0, 1),
+                                                     (5, 2.0, 3)])
+@pytest.mark.parametrize("gamma", [1e3, 1e4, 1e5])
+def test_the_tree_zeno_end_matches_the_hopping_limit(generation, delta, seed,
+                                                     gamma):
+    """On trees eta falls as (k / 2 Gamma)^(g - 1) through the Zeno end,
+    to 2e-3 at 1e4 ps^-1 on the generation-5 tree, and the superexchange
+    term keeps its relative gap near 2e-6 from there on. The absolute eta
+    gap is held to eta times the bound of the g - 2 intermediate sites
+    between a leaf and the root."""
+    spec = TreeSpec(generation=generation, coupling_cm1=100.0, rng_seed=seed,
+                    disorder_cm1=100.0 * delta)
+    sys = generate_tree(spec)
+    rho0 = initial_density_matrix(leaf_initial_state(spec, "mixture"),
+                                  sys.n_sites)
+    got = transport_result(MomentSolver(sys, rho0), gamma)
+    eta, _, loss = hopping_limit(sys, rho0, gamma)
+    tol = zeno_tolerance(sys, gamma, generation - 2)
+    assert abs(eta - got.efficiency) <= tol * got.efficiency
+    assert abs(loss - got.loss_probability) <= tol * got.efficiency
 
 
 def test_raising_the_trap_rate_never_hurts_on_the_symmetric_dimer():
