@@ -153,9 +153,6 @@ def cmd_fmo_sweep(args):
     rate = dephasing_rate(OhmicBath(), args.annotate_temperature)
     model = load_fmo_model(data_path=args.data_file, trap_rate=args.kappa3,
                            recomb_rate=args.recomb_rate)
-    if args.kappa3 == 0.0 and args.recomb_rate == 0.0:
-        raise ConfigurationError("--kappa3 and --recomb-rate are both 0: the "
-                                 "sweep's system has no decay channel")
     results = dephasing_sweep(model, grid)
     files = [("fmo_sweep.csv", lambda f: write_sweep_csv(results, f))]
     if args.surface:
@@ -242,11 +239,9 @@ def cmd_two_level(args):
                             coupling_cm1=args.coupling)
     trapped = to_transport_system(params, trap_rate_2=args.trap_rate,
                                   recomb_rate=args.recomb_rate)
-    if args.trap_rate == 0.0 and args.recomb_rate == 0.0:
-        raise ConfigurationError("--trap-rate and --recomb-rate are both 0: "
-                                 "the trapped dimer has no decay channel")
-    files = []
     rho0 = initial_density_matrix(InitialState("site", (1,)), 2)
+    solver = MomentSolver(trapped, rho0)
+    files = []
 
     if args.coupling != 0.0:
         # Closed form vs propagated populations over ten oscillation periods.
@@ -267,7 +262,6 @@ def cmd_two_level(args):
         files.append(("two_level_oracle.csv", write_oracle))
 
     # Dephasing sweep of the trapped, biased dimer (the ENAQT demonstration).
-    solver = MomentSolver(trapped, rho0)
     plan = SweepPlan(tasks=tuple(float(g) for g in grid))
     results = list(zip(plan.tasks, [r.value for r in run_sweep(
         plan, lambda gamma: transport_result(solver, gamma))]))

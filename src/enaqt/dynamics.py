@@ -570,7 +570,7 @@ class MomentSolver:
     def __init__(self, sys, rho0):
         n = sys.n_sites
         if sys.recomb_rate == 0.0 and not np.any(sys.trap_rates > 0.0):
-            raise NonConvergentIntegralError(
+            raise ConfigurationError(
                 "no decay channel anywhere (all kappa_m = 0 and Gamma = 0): "
                 "int_0^inf rho dt diverges")
         self.n_sites = n

@@ -21,9 +21,10 @@ class NonConvergentIntegralError(EnaqtError):
     """The infinite-horizon integrals do not converge.
 
     Raised when the Liouvillian is singular or numerically singular: some
-    initial population can never reach a decay channel (no trap, no
-    recombination, or a disconnected graph), or the energies and rates lie
-    too many orders of magnitude apart.
+    initial population can never reach a decay channel (a site cut off from
+    every trap, with no recombination), or the energies and rates lie too
+    many orders of magnitude apart. A system with no decay channel at all
+    is refused earlier, with ConfigurationError.
     """
 
 

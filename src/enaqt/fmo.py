@@ -152,9 +152,9 @@ def load_fmo_model(data_path=None, trap_rate=None, recomb_rate=None):
                                  % (path, exc)) from exc
 
     energies, couplings = _parse_hamiltonian(text, path)
-    kappa = np.zeros(N_SITES)
+    kappa = [0.0] * N_SITES
     kappa[DEFAULT_TRAP_SITE - 1] = \
-        DEFAULT_TRAP_RATE if trap_rate is None else float(trap_rate)
+        DEFAULT_TRAP_RATE if trap_rate is None else trap_rate
     system = TransportSystem(
         n_sites=N_SITES,
         site_energies=energies,
@@ -212,7 +212,7 @@ def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None):
         trap_rates = np.zeros(model.system.n_sites)
         trap_rates[DEFAULT_TRAP_SITE - 1] = kappa
         trapped = replace(
-            model, system=model.system.with_rates(trap_rates=trap_rates))
+            model, system=replace(model.system, trap_rates=trap_rates))
         sweep = _sweep(trapped, gammas)
         tau[:, j] = [result.transfer_time_ps for _, result in sweep]
     return gammas, kappas, tau

@@ -21,7 +21,7 @@ chromophore numbering; internal arrays are 0-based.
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,6 +101,10 @@ class TransportSystem:
     trap_rates : (N,) array of kappa_m >= 0, ps^-1
     recomb_rate : Gamma >= 0, ps^-1
     dephasing_rate : gamma_phi >= 0, ps^-1
+
+    The constructor checks every field and keeps read-only float copies of
+    the arrays. Every copy (with_dephasing, adjoint, dataclasses.replace)
+    is built by it too.
     """
 
     n_sites: int
@@ -142,38 +146,16 @@ class TransportSystem:
         object.__setattr__(self, "dephasing_rate", dep)
 
     def with_dephasing(self, gamma_phi):
-        """Copy of this system with a different pure-dephasing rate.
-
-        Only the new rate is checked: the copy shares this system's arrays,
-        which were validated when it was built and are read-only."""
-        dep = as_rate("dephasing_rate", gamma_phi)
-        other = object.__new__(type(self))
-        vars(other).update(vars(self), dephasing_rate=dep)
-        return other
+        """Copy of this system with a different pure-dephasing rate."""
+        return replace(self, dephasing_rate=gamma_phi)
 
     def adjoint(self):
         """The adjoint system: site energies and couplings negated, the
         same rates. Its H_eff is -H - i(K + Gamma), so its Liouvillian is
         the adjoint L^dag of this one's in the inner product
-        Re tr(A^dag B). Like with_dephasing, the copy is not validated
-        again; its negated arrays are read-only."""
-        eps, v = -self.site_energies, -self.couplings
-        for a in (eps, v):
-            a.setflags(write=False)
-        other = object.__new__(type(self))
-        vars(other).update(vars(self), site_energies=eps, couplings=v)
-        return other
-
-    def with_rates(self, trap_rates=None, recomb_rate=None, dephasing_rate=None):
-        """Copy with any of the dissipative rates replaced."""
-        return TransportSystem(
-            self.n_sites,
-            self.site_energies,
-            self.couplings,
-            self.trap_rates if trap_rates is None else trap_rates,
-            self.recomb_rate if recomb_rate is None else recomb_rate,
-            self.dephasing_rate if dephasing_rate is None else dephasing_rate,
-        )
+        Re tr(A^dag B)."""
+        return replace(self, site_energies=-self.site_energies,
+                       couplings=-self.couplings)
 
     def hamiltonian_angular(self):
         """Hermitian system Hamiltonian in angular ps^-1 units."""
@@ -223,7 +205,7 @@ class InitialState:
 
 def initial_density_matrix(state, n_sites):
     """Build the N x N density matrix for an InitialState. Trace is exactly 1."""
-    n = int(n_sites)
+    n = as_integer("n_sites", n_sites)
     for s in state.sites:
         if not 1 <= s <= n:
             raise ConfigurationError(

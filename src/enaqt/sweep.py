@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SweepFailureError
+from .model import as_integer
 
 
 def derive_seed(master_seed, *indices):
@@ -26,7 +27,8 @@ def derive_seed(master_seed, *indices):
     h = hashlib.blake2b(digest_size=8)
     try:
         for value in (master_seed,) + indices:
-            h.update(int(value).to_bytes(8, "big", signed=True))
+            value = as_integer("seed or index", value)
+            h.update(value.to_bytes(8, "big", signed=True))
     except OverflowError:
         raise ConfigurationError("seed or index %d is outside the signed "
                                  "64-bit range" % value) from None

@@ -70,7 +70,7 @@ def to_transport_system(p, trap_rate_2=0.0, recomb_rate=0.0):
         n_sites=2,
         site_energies=[e, -e],
         couplings=[[0.0, v], [v, 0.0]],
-        trap_rates=[0.0, float(trap_rate_2)],
-        recomb_rate=float(recomb_rate),
+        trap_rates=[0.0, trap_rate_2],
+        recomb_rate=recomb_rate,
         dephasing_rate=0.0,
     )

@@ -120,6 +120,16 @@ def test_fmo_sweep_without_decay_is_rejected_before_touching_the_output(
     assert not out.exists()
 
 
+def test_two_level_without_decay_is_rejected_before_touching_the_output(
+        tmp_path, capsys):
+    out = tmp_path / "new"
+    rc = main(["two-level", "--out-dir", str(out), "--gamma-points", "3",
+               "--trap-rate", "0", "--recomb-rate", "0"])
+    assert rc == 2
+    assert "no decay channel" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_failing_computation_leaves_no_outputs(tmp_path, monkeypatch):
     """The sweep succeeds and the surface fails: neither CSV nor manifest
     may appear, because outputs are written only after every step ran."""

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,7 +286,7 @@ def test_default_horizon_tracks_the_slowest_decay_channel():
                           trap_rates=[0.0, 0.5], recomb_rate=0.25,
                           dephasing_rate=0.0)
     assert default_horizon(sys) == pytest.approx(10.0 / (2 * 0.25 + 0.5))
-    no_decay = sys.with_rates(trap_rates=[0.0, 0.0], recomb_rate=0.0)
+    no_decay = replace(sys, trap_rates=[0.0, 0.0], recomb_rate=0.0)
     assert default_horizon(no_decay) == HORIZON_CAP_PS == 1000.0
 
 
@@ -304,7 +305,7 @@ def test_integrated_state_refuses_systems_without_decay():
                           couplings=[[0.0, 5.0], [5.0, 0.0]],
                           trap_rates=[0.0, 0.0], recomb_rate=0.0,
                           dephasing_rate=1.0)
-    with pytest.raises(NonConvergentIntegralError):
+    with pytest.raises(ConfigurationError, match="no decay channel"):
         integrated_state(MomentSolver(
             sys, np.diag([1.0, 0.0]).astype(complex)), sys.dephasing_rate)
 
@@ -357,7 +358,7 @@ def test_integrated_state_keeps_its_own_copy_of_rho0():
         solver = MomentSolver(sys, rho0)
         assert sys.dephasing_rate > 0.0
         assert want.system.dephasing_rate == 0.0
-        assert want.system.trap_rates is sys.trap_rates
+        np.testing.assert_array_equal(want.system.trap_rates, sys.trap_rates)
         rho0[0, 0] += 0.25
         rho0[0, 1] = rho0[1, 0] = 0.0
         for gamma in (0.0, 3.0):

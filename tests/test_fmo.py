@@ -1,6 +1,7 @@
 import hashlib
 import importlib.resources
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,15 @@ def test_overrides_are_applied():
                                   [0.0, 0.0, 2.5, 0.0, 0.0, 0.0, 0.0])
     assert model.system.recomb_rate == 0.001
     assert model.system.dephasing_rate == 0.0
+
+
+@pytest.mark.parametrize("overrides", [dict(trap_rate=True),
+                                       dict(trap_rate="2.5"),
+                                       dict(recomb_rate=True),
+                                       dict(recomb_rate="0.001")])
+def test_overrides_that_are_not_real_numbers_are_refused(overrides):
+    with pytest.raises(ConfigurationError, match="real number"):
+        load_fmo_model(**overrides)
 
 
 def test_corrupted_data_fails_the_checksum(tmp_path):
@@ -197,8 +207,7 @@ def test_surface_equals_point_by_point_transfer_times():
         for j, kappa in enumerate(kappas):
             kap = np.zeros(7)
             kap[DEFAULT_TRAP_SITE - 1] = kappa
-            solver = MomentSolver(model.system.with_rates(trap_rates=kap),
-                                  rho0)
+            solver = MomentSolver(replace(model.system, trap_rates=kap), rho0)
             assert tau[i, j] == transport_result(solver,
                                                  gamma).transfer_time_ps
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -68,8 +69,11 @@ def test_construction_normalizes_and_freezes_arrays():
     dict(site_energies=np.array([1.0, 2.0], dtype=complex)),
 ])
 def test_invalid_systems_are_rejected(overrides):
+    """Refused when built, and when copied with dataclasses.replace."""
     with pytest.raises(ConfigurationError):
         dimer(**overrides)
+    with pytest.raises(ConfigurationError):
+        dataclasses.replace(dimer(), **overrides)
 
 
 def test_a_numpy_integer_site_count_is_accepted():
@@ -78,14 +82,15 @@ def test_a_numpy_integer_site_count_is_accepted():
 
 
 def test_with_dephasing_returns_modified_copy():
-    """The copy shares the original's validated, read-only arrays."""
+    """The copy holds its own read-only arrays, equal to the original's."""
     sys = dimer()
     other = sys.with_dephasing(7)
     assert type(other.dephasing_rate) is float and other.dephasing_rate == 7.0
     assert sys.dephasing_rate == 0.3
     assert (other.n_sites, other.recomb_rate) == (sys.n_sites, sys.recomb_rate)
     for name in ("site_energies", "couplings", "trap_rates"):
-        assert getattr(other, name) is getattr(sys, name)
+        assert getattr(other, name) is not getattr(sys, name)
+        np.testing.assert_array_equal(getattr(other, name), getattr(sys, name))
         assert not getattr(other, name).flags.writeable
 
 
@@ -108,13 +113,15 @@ def test_numeric_ndarrays_convert_to_read_only_float_copies(dtype):
 
 def test_the_adjoint_negates_the_hamiltonian_and_transposes_the_liouvillian():
     """sys.adjoint() negates site energies and couplings into read-only
-    arrays and shares every rate. On the orthonormal real coordinates L is
+    arrays and keeps every rate. On the orthonormal real coordinates L is
     real, so its adjoint is its transpose."""
     sys = dimer(dephasing_rate=0.0)
     adj = sys.adjoint()
     np.testing.assert_array_equal(adj.site_energies, -sys.site_energies)
     np.testing.assert_array_equal(adj.couplings, -sys.couplings)
-    assert adj.trap_rates is sys.trap_rates
+    assert adj.trap_rates is not sys.trap_rates
+    np.testing.assert_array_equal(adj.trap_rates, sys.trap_rates)
+    assert not adj.trap_rates.flags.writeable
     assert (adj.n_sites, adj.recomb_rate, adj.dephasing_rate) == (
         sys.n_sites, sys.recomb_rate, sys.dephasing_rate)
     assert not adj.site_energies.flags.writeable
@@ -136,13 +143,40 @@ def test_with_dephasing_checks_the_new_rate(gamma):
         dimer().with_dephasing(True)
 
 
-def test_with_rates_replaces_only_named_fields():
+def test_replace_changes_only_named_fields():
     sys = dimer()
-    other = sys.with_rates(trap_rates=[0.5, 0.0], recomb_rate=0.01)
+    other = dataclasses.replace(sys, trap_rates=[0.5, 0.0], recomb_rate=0.01)
     np.testing.assert_array_equal(other.trap_rates, [0.5, 0.0])
     assert other.recomb_rate == 0.01
     assert other.dephasing_rate == sys.dephasing_rate
     np.testing.assert_array_equal(sys.trap_rates, [0.0, 1.0])
+
+
+COPIES = {
+    "with_dephasing": lambda sys: sys.with_dephasing(1.5),
+    "adjoint": lambda sys: sys.adjoint(),
+    "replace": lambda sys: dataclasses.replace(sys, recomb_rate=0.5),
+}
+
+
+@pytest.mark.parametrize("copy", COPIES.values(), ids=COPIES.keys())
+def test_every_copy_is_built_by_the_constructor(copy, monkeypatch):
+    """A copy runs the constructor's checks once and holds its own
+    read-only float arrays; the tests of each copy check their values."""
+    sys = dimer()
+    checks = []
+    post_init = TransportSystem.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        post_init(self)
+    monkeypatch.setattr(TransportSystem, "__post_init__", counted)
+    other = copy(sys)
+    assert checks == [other]
+    for name in ("site_energies", "couplings", "trap_rates"):
+        a = getattr(other, name)
+        assert a is not getattr(sys, name)
+        assert a.dtype == float and not a.flags.writeable
 
 
 def test_effective_hamiltonian_units_and_decay_terms():
@@ -176,6 +210,12 @@ def test_initial_state_validation():
 def test_initial_state_sites_must_be_integers(kind, sites):
     with pytest.raises(ConfigurationError, match="must be an integer"):
         InitialState(kind=kind, sites=sites)
+
+
+@pytest.mark.parametrize("n_sites", [2.7, True, "3", 3.0])
+def test_the_density_matrix_size_must_be_an_integer(n_sites):
+    with pytest.raises(ConfigurationError, match="n_sites must be an integer"):
+        initial_density_matrix(InitialState("site", (1,)), n_sites)
 
 
 def test_single_site_density_matrix():

@@ -34,6 +34,13 @@ def test_derived_seeds_refuse_values_outside_signed_64_bits(values):
         derive_seed(*values)
 
 
+@pytest.mark.parametrize("values", [(2.7,), (True,), ("3",), (2.0,),
+                                    (5, 1.0), (5, 0, False)])
+def test_derived_seeds_refuse_values_that_are_not_integers(values):
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        derive_seed(*values)
+
+
 def test_derived_seeds_separate_neighboring_tasks():
     seeds = {derive_seed(42, i, j) for i in range(20) for j in range(50)}
     assert len(seeds) == 1000

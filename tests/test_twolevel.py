@@ -40,6 +40,15 @@ def test_halved_convention_of_the_exported_system():
     assert sys.recomb_rate == 0.02
 
 
+@pytest.mark.parametrize("overrides", [dict(trap_rate_2=True),
+                                       dict(trap_rate_2="0.7"),
+                                       dict(recomb_rate=True),
+                                       dict(recomb_rate="0.5")])
+def test_rates_that_are_not_real_numbers_are_refused(overrides):
+    with pytest.raises(ConfigurationError, match="real number"):
+        to_transport_system(TwoLevelParams(100.0, 30.0), **overrides)
+
+
 def test_propagation_reproduces_the_closed_form():
     p = TwoLevelParams(35.0, 20.0)
     omega = larmor_frequency(p)
