@@ -13,7 +13,7 @@ from .dynamics import (MomentSolver, Trajectory, build_liouvillian,
                        integrated_state, propagate)
 from .errors import (ConfigurationError, DataIntegrityError, EnaqtError,
                      NonConvergentIntegralError, NumericalConsistencyError,
-                     SweepFailureError, UndefinedTransferTimeError)
+                     SweepFailureError)
 from .fmo import FmoModel, dephasing_sweep, load_fmo_model, trap_dephasing_surface
 from .model import (InitialState, TransportSystem, effective_hamiltonian,
                     initial_density_matrix, load_system, save_system)
@@ -33,7 +33,7 @@ __all__ = [
     "InitialState", "MomentSolver", "NonConvergentIntegralError",
     "NumericalConsistencyError", "OhmicBath", "SweepFailureError", "SweepPlan",
     "Trajectory", "TransportResult", "TransportSystem", "TreeSpec",
-    "TwoLevelParams", "UndefinedTransferTimeError", "build_liouvillian",
+    "TwoLevelParams", "build_liouvillian",
     "coherent_population_2", "dephasing_rate", "dephasing_sweep", "derive_seed",
     "disorder_ensemble", "effective_hamiltonian", "efficiency",
     "generate_tree", "initial_density_matrix", "integrated_state",

@@ -38,7 +38,8 @@ from .errors import ConfigurationError, DataIntegrityError, EnaqtError
 from .fmo import (DEFAULT_RECOMB_RATE, DEFAULT_TRAP_RATE, GAMMA_GRID_DEFAULT,
                   KAPPA_GRID_DEFAULT, dephasing_sweep, load_fmo_model,
                   trap_dephasing_surface, write_surface_csv, write_sweep_csv)
-from .model import InitialState, initial_density_matrix, load_system
+from .model import (InitialState, initial_density_matrix, load_system,
+                    write_rows)
 from .observables import transport_result
 from .spectral import OhmicBath, dephasing_rate
 from .sweep import SweepPlan, run_sweep
@@ -252,14 +253,10 @@ def cmd_two_level(args):
         p2 = traj.populations()[:, 1]
         oracle = coherent_population_2(params, traj.times)
 
-        def write_oracle(f):
-            f.write("t_ps,p2_oracle,p2_propagated,abs_error\n")
-            for i, t in enumerate(traj.times):
-                f.write("%r,%r,%r,%r\n" % (float(t), float(oracle[i]),
-                                           float(p2[i]),
-                                           float(abs(oracle[i] - p2[i]))))
-
-        files.append(("two_level_oracle.csv", write_oracle))
+        files.append(("two_level_oracle.csv", lambda f: write_rows(
+            f, ("t_ps", "p2_oracle", "p2_propagated", "abs_error"),
+            zip(traj.times.tolist(), oracle.tolist(), p2.tolist(),
+                np.abs(oracle - p2).tolist()))))
 
     # Dephasing sweep of the trapped, biased dimer (the ENAQT demonstration).
     plan = SweepPlan(tasks=tuple(float(g) for g in grid))

@@ -62,7 +62,7 @@ from scipy.linalg import expm, get_lapack_funcs
 
 from .errors import (ConfigurationError, NonConvergentIntegralError,
                      NumericalConsistencyError)
-from .model import as_rate, as_rate_grid, effective_hamiltonian
+from .model import as_rate, as_rate_grid, effective_hamiltonian, write_rows
 
 
 def _openblas_pools():
@@ -248,18 +248,11 @@ class Trajectory:
     def write_csv(self, f):
         """Write `t_ps,p_1,...,p_N,trace,coherence_l1` rows."""
         n = self.states.shape[1]
-        pops = self.populations()
-        tr = self.trace()
-        coh = self.coherence_l1()
-        header = "t_ps," + ",".join("p_%d" % (m + 1) for m in range(n))
-        header += ",trace,coherence_l1"
-        f.write(header + "\n")
-        for i, t in enumerate(self.times):
-            row = [repr(float(t))]
-            row += [repr(float(p)) for p in pops[i]]
-            row.append(repr(float(tr[i])))
-            row.append(repr(float(coh[i])))
-            f.write(",".join(row) + "\n")
+        write_rows(f, ("t_ps", *("p_%d" % m for m in range(1, n + 1)),
+                       "trace", "coherence_l1"),
+                   ((t, *p, tr, coh) for t, p, tr, coh in zip(
+                       self.times.tolist(), self.populations().tolist(),
+                       self.trace().tolist(), self.coherence_l1().tolist())))
 
 
 def propagate(sys, rho0, times):
@@ -574,7 +567,8 @@ class MomentSolver:
                 "no decay channel anywhere (all kappa_m = 0 and Gamma = 0): "
                 "int_0^inf rho dt diverges")
         self.n_sites = n
-        self.system = sys.with_dephasing(0.0)
+        self.system = (sys if sys.dephasing_rate == 0.0
+                       else sys.with_dephasing(0.0))
         self._eigen = (_Eigenbasis.of(effective_hamiltonian(sys))
                        if n >= _EIGENBASIS_MIN_SITES else None)
         self._b0 = -_initial_state(rho0, n)

@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
 Everything derives from EnaqtError so callers can catch the whole family
-with one except clause. The CLI maps these to nonzero exit codes.
+with one except clause. The CLI maps these to nonzero exit codes. A run
+that traps nothing is not an error: its transfer time is inf.
 """
 
 
@@ -31,10 +32,6 @@ class NonConvergentIntegralError(EnaqtError):
 class NumericalConsistencyError(EnaqtError):
     """A computed quantity violates a bound it must satisfy (for example
     an efficiency far outside [0, 1])."""
-
-
-class UndefinedTransferTimeError(EnaqtError):
-    """Transfer time requested for a run with essentially zero efficiency."""
 
 
 class SweepFailureError(EnaqtError):

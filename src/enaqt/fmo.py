@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import MomentSolver
 from .errors import DataIntegrityError
 from .model import (InitialState, TransportSystem, as_rate_grid,
-                    initial_density_matrix)
+                    initial_density_matrix, write_rows)
 from .observables import transport_result
 from .sweep import SweepPlan, run_sweep
 
@@ -220,16 +220,15 @@ def trap_dephasing_surface(model, gamma_grid=None, kappa_grid=None):
 
 def write_sweep_csv(results, f):
     """`gamma_phi_ps^-1,eta,tau_ps,loss` rows in grid order."""
-    f.write("gamma_phi_ps^-1,eta,tau_ps,loss\n")
-    for gamma, res in results:
-        f.write("%r,%r,%r,%r\n" % (float(gamma), float(res.efficiency),
-                                   float(res.transfer_time_ps),
-                                   float(res.loss_probability)))
+    write_rows(f, ("gamma_phi_ps^-1", "eta", "tau_ps", "loss"),
+               ((gamma, r.efficiency, r.transfer_time_ps, r.loss_probability)
+                for gamma, r in results))
 
 
 def write_surface_csv(gammas, kappas, tau, f):
     """Long-format `gamma_phi,kappa_3,tau_ps` rows, gamma-major order."""
-    f.write("gamma_phi,kappa_3,tau_ps\n")
-    for i, g in enumerate(gammas):
-        for j, k in enumerate(kappas):
-            f.write("%r,%r,%r\n" % (float(g), float(k), float(tau[i, j])))
+    kappas = np.asarray(kappas, dtype=float).tolist()
+    write_rows(f, ("gamma_phi", "kappa_3", "tau_ps"),
+               ((g, k, t) for g, taus in zip(
+                   np.asarray(gammas, dtype=float).tolist(), tau.tolist())
+                for k, t in zip(kappas, taus)))

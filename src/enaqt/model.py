@@ -223,7 +223,8 @@ def initial_density_matrix(state, n_sites):
 
 # ---------------------------------------------------------------------------
 # Serialization. A system is stored as a JSON document with explicit unit
-# tags so a file can't silently be read in the wrong convention.
+# tags so a file can't silently be read in the wrong convention. Every CSV
+# of results is written by write_rows.
 
 _UNIT_TAGS = {
     "site_energies": "cm-1",
@@ -274,6 +275,16 @@ def system_from_document(doc):
                 "field %r has unit %r, expected %r" % (key, entry["unit"], unit))
         fields[key] = entry["value"]
     return TransportSystem(**fields)
+
+
+def write_rows(f, header, rows):
+    """Write a CSV to the text file f: the comma-joined header names, then
+    one line per row. Each cell is a str, an int or a Python float, each
+    written by str(), which gives a float's shortest round-trip repr (inf
+    and nan as such). rows may be any iterable; it is consumed one row at
+    a time."""
+    f.write(",".join(header) + "\n")
+    f.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def save_system(sys, path):

@@ -9,7 +9,8 @@ the transfer time is the trapping-weighted mean capture time,
     tau = (2 / eta) sum_m kappa_m int_0^inf t <m|rho(t)|m> dt
         = (2 / eta) sum_m kappa_m S2_mm,
 
-and the loss probability is the recombination-channel integral
+which is inf when eta is numerically zero (nothing is ever trapped), and
+the loss probability is the recombination-channel integral
 2 Gamma sum_m S1_mm. For a trace-one initial state eta + loss = 1, which
 the test suite asserts on every solved system.
 
@@ -22,7 +23,7 @@ import logging
 from dataclasses import dataclass
 
 from .dynamics import integrated_state
-from .errors import NumericalConsistencyError, UndefinedTransferTimeError
+from .errors import NumericalConsistencyError
 
 logger = logging.getLogger(__name__)
 
@@ -63,10 +64,10 @@ def efficiency(sys, s1):
 
 
 def transfer_time(sys, s2, eta):
-    """tau = (2 / eta) sum_m kappa_m S2_mm, in ps."""
+    """tau = (2 / eta) sum_m kappa_m S2_mm, in ps; inf when eta is at most
+    1e-12, since nothing is then ever trapped."""
     if eta <= _MIN_ETA:
-        raise UndefinedTransferTimeError(
-            "efficiency %.3e is too small to define a transfer time" % eta)
+        return float("inf")
     diag = s2.diagonal().real
     return (2.0 / eta) * float(sys.trap_rates @ diag)
 
@@ -81,17 +82,11 @@ def loss_probability(sys, s1):
 def transport_result(solver, gamma_phi):
     """The metrics of solver, a dynamics.MomentSolver, at dephasing rate
     gamma_phi, with the trap and recombination rates of solver.system.
-
-    Transfer time is reported as inf when the efficiency is numerically zero
-    (nothing is ever trapped), rather than raising.
+    Its transfer time is transfer_time's, inf when nothing is trapped.
     """
     sys = solver.system
     s1, s2 = integrated_state(solver, gamma_phi)
     eta = efficiency(sys, s1)
-    loss = loss_probability(sys, s1)
-    if eta > _MIN_ETA:
-        tau = transfer_time(sys, s2, eta)
-    else:
-        tau = float("inf")
-    return TransportResult(efficiency=eta, transfer_time_ps=tau,
-                           loss_probability=loss)
+    return TransportResult(efficiency=eta,
+                           transfer_time_ps=transfer_time(sys, s2, eta),
+                           loss_probability=loss_probability(sys, s1))

@@ -89,8 +89,6 @@ def run_sweep(plan, task_fn, failure_threshold=0.0):
     it raises SweepFailureError quoting the first task's error.
     """
     n = len(plan.tasks)
-    if n == 0:
-        return []
     results = [run_task(task, task_fn) for task in plan.tasks]
     failures = [r for r in results if not r.ok]
     if len(failures) > failure_threshold * n:

@@ -46,7 +46,7 @@ import numpy as np
 from .dynamics import MomentSolver
 from .errors import ConfigurationError, SweepFailureError
 from .model import (InitialState, TransportSystem, as_integer, as_rate,
-                    as_rate_grid, as_real, initial_density_matrix)
+                    as_rate_grid, as_real, initial_density_matrix, write_rows)
 from .observables import clamped_probability
 from .sweep import SweepPlan, derive_seed, run_sweep, sample_mean_std
 from .units import cm1_to_angular
@@ -127,16 +127,18 @@ def normal_draws(seed, n):
     Philox is counter-based, so equal seeds give equal streams on every
     platform; Box-Muller is pinned here (rather than whatever the numpy
     default happens to be) so the draws are stable across numpy versions.
+    A seed or n that is not an integer raises ConfigurationError.
     """
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    m = (int(n) + 1) // 2
+    n = as_integer("n", n)
+    gen = np.random.Generator(np.random.Philox(key=as_integer("seed", seed)))
+    m = (n + 1) // 2
     u1 = gen.random(m)
     u2 = gen.random(m)
     # random() yields [0, 1); use 1 - u1 in (0, 1] so the log is finite.
     r = np.sqrt(-2.0 * np.log1p(-u1))
     phase = 2.0 * math.pi * u2
     z = np.concatenate([r * np.cos(phase), r * np.sin(phase)])
-    return z[:int(n)]
+    return z[:n]
 
 
 def generate_tree(spec):
@@ -174,9 +176,6 @@ def leaf_sites(spec):
 
 def leaf_initial_state(spec, kind):
     """Uniform coherent superposition or statistical mixture over the leaves."""
-    if kind not in ("coherent", "mixture"):
-        raise ConfigurationError(
-            "initial-state kind must be 'coherent' or 'mixture', got %r" % (kind,))
     return InitialState(kind=kind, sites=leaf_sites(spec))
 
 
@@ -352,16 +351,13 @@ class DisorderEnsembleReport:
     records: tuple
 
     def write_csv(self, f):
-        f.write("delta_over_V,kind,n_ok,eta_quantum_mean,eta_quantum_std,"
-                "eta_opt_mean,eta_opt_std,gamma_opt_mean_ps,gamma_opt_std_ps,"
-                "n_failed\n")
-        for r in self.records:
-            f.write("%r,%s,%d,%r,%r,%r,%r,%r,%r,%d\n" % (
-                float(r.delta_over_v), self.kind, r.n_ok,
-                float(r.eta_quantum_mean), float(r.eta_quantum_std),
-                float(r.eta_opt_mean), float(r.eta_opt_std),
-                float(r.gamma_opt_mean_ps), float(r.gamma_opt_std_ps),
-                r.n_failed))
+        write_rows(f, ("delta_over_V", "kind", "n_ok", "eta_quantum_mean",
+                       "eta_quantum_std", "eta_opt_mean", "eta_opt_std",
+                       "gamma_opt_mean_ps", "gamma_opt_std_ps", "n_failed"),
+                   ((r.delta_over_v, self.kind, r.n_ok, r.eta_quantum_mean,
+                     r.eta_quantum_std, r.eta_opt_mean, r.eta_opt_std,
+                     r.gamma_opt_mean_ps, r.gamma_opt_std_ps, r.n_failed)
+                    for r in self.records))
 
 
 def _solve_sample(task):

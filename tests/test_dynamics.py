@@ -369,6 +369,14 @@ def test_integrated_state_keeps_its_own_copy_of_rho0():
                                           want(gamma)[0])
 
 
+def test_a_solver_keeps_a_system_already_at_zero_dephasing():
+    """No copy is made of a system at gamma_phi = 0, as every CLI solver's
+    is, so none is checked again."""
+    rng = np.random.default_rng(5)
+    sys = random_transport_system(rng, n=4).with_dephasing(0.0)
+    assert MomentSolver(sys, random_density_matrix(rng, 4)).system is sys
+
+
 def _dense_moments(sys, rho0):
     """S1 and S2 from a direct dense solve of the oracles' complex
     column-stacked Liouvillian."""

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import pathlib
 
@@ -9,7 +10,7 @@ from enaqt.dynamics import build_liouvillian
 from enaqt.errors import ConfigurationError
 from enaqt.model import (InitialState, TransportSystem, effective_hamiltonian,
                          initial_density_matrix, load_system, save_system,
-                         system_from_document, system_to_document)
+                         system_from_document, system_to_document, write_rows)
 from enaqt.units import CM1_TO_PS_ANGULAR
 
 
@@ -361,3 +362,16 @@ def test_the_readme_system_document_loads_and_is_what_save_system_writes(
     again = tmp_path / "again.json"
     save_system(sys, str(again))
     assert again.read_text() == block
+
+
+def test_write_rows_writes_the_lines_percent_formatting_wrote():
+    """Every CSV goes through write_rows: a float as its shortest
+    round-trip repr (what %r wrote), an int as %d wrote it and a str as
+    %s wrote it, from rows given as any iterable."""
+    cells = (float("inf"), float("nan"), -0.0, 1e16, 1e-05, 0.1, 42, "mixture")
+    header = ("inf", "nan", "neg_zero", "big", "small", "tenth", "n", "kind")
+    buf = io.StringIO()
+    write_rows(buf, header, (cells for _ in range(2)))
+    row = "inf,nan,-0.0,1e+16,1e-05,0.1,42,mixture"
+    assert row == "%r,%r,%r,%r,%r,%r,%d,%s" % cells
+    assert buf.getvalue() == ",".join(header) + "\n" + (row + "\n") * 2

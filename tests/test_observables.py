@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enaqt.dynamics import MomentSolver, integrated_state
-from enaqt.errors import NumericalConsistencyError, UndefinedTransferTimeError
+from enaqt.errors import NumericalConsistencyError
 from enaqt.fmo import default_gamma_grid, load_fmo_model
 from enaqt.model import InitialState, TransportSystem, initial_density_matrix
 from enaqt.observables import (efficiency, loss_probability, transfer_time,
@@ -64,10 +64,11 @@ def test_a_nan_moment_raises_rather_than_passing_the_clamp():
         loss_probability(sys, s1)
 
 
-def test_transfer_time_is_undefined_at_zero_efficiency():
+def test_transfer_time_is_infinite_at_zero_efficiency():
     sys = synthetic_system(kappa=[0.0, 0.5], gamma=0.0)
-    with pytest.raises(UndefinedTransferTimeError):
-        transfer_time(sys, np.zeros((2, 2), dtype=complex), 0.0)
+    s2 = np.eye(2, dtype=complex)
+    for eta in (0.0, 1e-12):
+        assert transfer_time(sys, s2, eta) == float("inf")
 
 
 def test_untrapped_systems_report_infinite_transfer_time():

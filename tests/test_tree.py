@@ -122,6 +122,12 @@ def test_normal_draws_are_pinned():
     np.testing.assert_array_equal(normal_draws(0, 3), got[:3])
 
 
+@pytest.mark.parametrize("seed, n", [(2.7, 3), (True, 2), (2, 3.9)])
+def test_normal_draws_refuse_arguments_that_are_not_integers(seed, n):
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        normal_draws(seed, n)
+
+
 def test_normal_draws_are_standard_normal_in_bulk():
     z = normal_draws(12345, 100000)
     assert abs(z.mean()) < 0.02
