@@ -10,19 +10,20 @@ Subcommands:
 Each `cmd_*` function only computes, on one BLAS thread
 (dynamics.one_blas_thread), so its outputs are the same bytes under any
 thread setting: it returns its output files as (file name, writer) pairs
-plus its manifest extras. `_run` then writes every CSV and
-`<command>_manifest.txt`, a key-value manifest echoing the full
-configuration, the physical constants, the BLAS thread count and the
-numpy and scipy versions, data checksums, and the wall time, so any
-output file can be reproduced exactly from its manifest.
-Nothing is written until the whole computation has succeeded, so a failing
-run leaves no files behind. Each file is written atomically (a uniquely
-named temp file + rename), so runs sharing an output directory never share
+plus its manifest extras. `_run` renders every CSV into memory, then
+`<command>_manifest.txt`, a key-value manifest echoing the configuration,
+constants, BLAS thread count, numpy and scipy versions, data checksums,
+the SHA-256 of each CSV's bytes and the wall time, so any output file can
+be reproduced exactly from its manifest. Only then does it create the
+output directory and write those same bytes, each atomically (a uniquely
+named temp file + rename), so a run whose computation or rendering fails
+leaves no files behind, and runs sharing an output directory never share
 a temp file.
 """
 
 import argparse
 import hashlib
+import io
 import os
 import sys as _sys
 import time
@@ -50,31 +51,26 @@ from .twolevel import (TwoLevelParams, coherent_population_2, larmor_frequency,
 from .units import BOLTZMANN_CM1_PER_K, CM1_TO_PS_ANGULAR
 
 
-def _atomic_write(path, writer):
-    """Write a text file via a temp sibling and atomic rename.
+def _atomic_write(path, data):
+    """Write bytes via a temp sibling and atomic rename.
 
     The sibling's name is unique to the call and it is created exclusively
     by open(), so it gets open()'s usual umask-derived mode (unlike mkstemp's
     0600) and never clobbers or trips over another file.
     """
     tmp = "%s.%s.tmp" % (path, uuid.uuid4().hex)
-    f = open(tmp, "x")
+    f = open(tmp, "xb")
     try:
         with f:
-            writer(f)
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _sha256_file(path):
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
-def _write_manifest(args, extras, outputs, wall_s):
-    """Key-value manifest: config echo, constants, checksums, wall time."""
+def _manifest(args, extras, outputs, wall_s):
+    """Manifest bytes: config echo, constants, output checksums, wall time."""
     lines = ["command = %s" % args.command, "version = %s" % __version__]
     config = vars(args)
     for key in sorted(config.keys() - {"func", "command"}):
@@ -85,34 +81,35 @@ def _write_manifest(args, extras, outputs, wall_s):
         value = extras[key]
         lines.append("%s = %s" % (key, value if isinstance(value, str)
                                   else repr(value)))
-    for path in outputs:
+    for name, data in outputs:
         lines.append("output.%s.sha256 = %s"
-                     % (os.path.basename(path), _sha256_file(path)))
+                     % (name, hashlib.sha256(data).hexdigest()))
     lines.append("wall_time_s = %.3f" % wall_s)
-    path = os.path.join(args.out_dir,
-                        "%s_manifest.txt" % args.command.replace("-", "_"))
-    _atomic_write(path, lambda f: f.write("\n".join(lines) + "\n"))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _run(args):
-    """Run one command: compute everything first, then create the output
-    directory if needed and write the CSVs and the manifest, so a failing
-    run writes nothing."""
+    """Compute and render every output into memory, then create the output
+    directory if needed and write them all, so a failing run writes nothing."""
     t0 = time.perf_counter()
     with one_blas_thread() as blas_threads:
         files, extras = args.func(args)
     extras["runtime.blas_threads"] = blas_threads
     extras["runtime.numpy"] = np.__version__
     extras["runtime.scipy"] = scipy.__version__
-    _ensure_out_dir(args.out_dir)
     outputs = []
     for name, writer in files:
-        path = os.path.join(args.out_dir, name)
-        _atomic_write(path, writer)
-        outputs.append(path)
-    _write_manifest(args, extras, outputs, time.perf_counter() - t0)
+        f = io.StringIO()
+        writer(f)
+        outputs.append((name, f.getvalue().encode("utf-8")))
+    manifest = ("%s_manifest.txt" % args.command.replace("-", "_"),
+                _manifest(args, extras, outputs, time.perf_counter() - t0))
+    _ensure_out_dir(args.out_dir)
+    for name, data in outputs + [manifest]:
+        _atomic_write(os.path.join(args.out_dir, name), data)
     if outputs:
-        print("wrote %s" % ", ".join(outputs))
+        print("wrote %s" % ", ".join(os.path.join(args.out_dir, name)
+                                     for name, _ in outputs))
     return 0
 
 
@@ -219,7 +216,7 @@ def cmd_tree_ensemble(args):
                                 kinds=kinds)
     for kind, report in reports.items():
         files.append(("tree_ensemble_%s.csv" % kind, report.write_csv))
-        extras["summary.%s.eta_quantum_delta0" % kind] = \
+        extras["summary.%s.eta_quantum_first" % kind] = \
             report.records[0].eta_quantum_mean
     return files, extras
 

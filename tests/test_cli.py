@@ -144,6 +144,20 @@ def test_a_failing_computation_leaves_no_outputs(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_a_failing_writer_leaves_no_output_directory(tmp_path, monkeypatch):
+    """The sweep CSV renders and the surface writer fails: every output is
+    rendered before the output directory is created, so neither it nor any
+    file appears."""
+    def fail(*args, **kwargs):
+        raise EnaqtError("surface writer failed")
+    monkeypatch.setattr(cli, "write_surface_csv", fail)
+    out = tmp_path / "out"
+    rc = main(["fmo-sweep", "--out-dir", str(out), "--gamma-points", "3",
+               "--surface", "--surface-kappa-points", "2"])
+    assert rc == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("leftover", ["directory", "file"])
 def test_fmo_sweep_ignores_a_leftover_fixed_name_temp_file(tmp_path, leftover):
     """Temp files are unique per write, so a stale or foreign
@@ -225,6 +239,23 @@ def test_tree_ensemble_writes_both_kinds(tmp_path):
     assert manifest_value(manifest, "search.grid_points") == "10"
     assert manifest_value(manifest, "search.span_over_v") == "(0.001, 1000.0)"
     assert manifest_value(manifest, "search.log_gamma_tol") == "1e-06"
+
+
+def test_tree_ensemble_summary_is_the_first_delta_of_the_grid(tmp_path):
+    """The manifest's summary is the first row of the CSV, here at
+    delta/V = 1, not at delta = 0."""
+    rc = main(["tree-ensemble", "--out-dir", str(tmp_path),
+               "--generation", "3", "--samples", "2",
+               "--delta-grid", "1,2", "--kind", "both"])
+    assert rc == 0
+    manifest = read(tmp_path / "tree_ensemble_manifest.txt")
+    for kind in ("coherent", "mixture"):
+        lines = read(tmp_path / ("tree_ensemble_%s.csv" % kind)).splitlines()
+        first = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert first["delta_over_V"] == "1.0"
+        summary = "summary.%s.eta_quantum_first" % kind
+        assert float(manifest_value(manifest, summary)) == \
+            float(first["eta_quantum_mean"])
 
 
 def test_tree_ensemble_both_kinds_equal_separate_runs(tmp_path):
@@ -711,6 +742,26 @@ def test_every_manifest_records_its_runtime(tmp_path, command):
         version = manifest_value(manifest, key)
         assert version == module.__version__
         assert all(part.isdigit() for part in version.split(".")[:2])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_manifest_checksum_is_that_of_the_bytes_on_disk(tmp_path,
+                                                               command):
+    args = small_run(command, tmp_path)
+    if command == "fmo-sweep":
+        args += ["--surface", "--surface-kappa-points", "2"]
+    out = tmp_path / "out"
+    assert main([command, "--out-dir", str(out)] + args) == 0
+    name = "%s_manifest.txt" % command.replace("-", "_")
+    sums = {}
+    for line in read(out / name).splitlines():
+        if line.startswith("output."):
+            key, digest = line.split(" = ")
+            sums[key[len("output."):-len(".sha256")]] = digest
+    assert sorted(sums) == sorted(p.name for p in out.iterdir()
+                                  if p.name != name)
+    for csv, digest in sums.items():
+        assert digest == hashlib.sha256((out / csv).read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("command", COMMANDS)
